@@ -50,6 +50,17 @@ def _parallel_map(fn: Callable[[T], U], items: Sequence[T], jobs: int) -> list[U
         return list(pool.map(fn, items))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -314,11 +325,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, dump: bool = True) -> None:
-        if dump:
-            p.add_argument("--dump", required=True, help="attention dump file (JSON lines)")
+    def add_common(p: argparse.ArgumentParser, jobs_help: str = "worker threads") -> None:
+        p.add_argument("--dump", required=True, help="attention dump file (JSON lines)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads")
+        p.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
 
     p = sub.add_parser("extract", help="extract one bracketed tree per sentence")
     add_common(p)
@@ -335,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counting", choices=["all", "nontrivial"], default="nontrivial")
     p.add_argument("--per-sentence", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker threads")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("baseline", help="uninformed baseline trees for a dump")
@@ -346,10 +356,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("select-heads", help="greedy head subset search on a dev set")
-    add_common(p)
+    add_common(p, jobs_help="accepted but unused: the search runs single-threaded")
     p.add_argument("--gold", required=True)
     p.add_argument("--strategy", choices=["add", "ablate"], required=True)
-    p.add_argument("--dev-size", type=int, default=100)
+    p.add_argument("--dev-size", type=_positive_int, default=100,
+                   help="use the first N sentences of the dump (default: 100)")
     p.add_argument("--objective", choices=["precision", "f1"], default="precision")
     p.add_argument("--counting", choices=["all", "nontrivial"], default="nontrivial")
     p.set_defaults(func=_cmd_select_heads)
@@ -363,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hardened", action="store_true",
                    help="render the per-row-maximum matrix instead")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker threads")
     p.set_defaults(func=_cmd_render)
 
     return parser

@@ -126,27 +126,49 @@ def equalize(raw: Mapping[Span, float]) -> dict[Span, float]:
     for (a, b) in raw:
         by_length.setdefault(b - a + 1, []).append((a, b))
     equalized: dict[Span, float] = {}
-    for spans in by_length.values():
+    for length, spans in by_length.items():
         total = sum(raw[s] for s in spans)
+        if total == 0.0:
+            raise ValueError(
+                f"cannot equalize length {length}: the weights of {spans} sum to 0"
+            )
         for s in spans:
             equalized[s] = raw[s] * len(spans) / total
     return equalized
 
 
-def build_phrase_table(dump: AttentionDump, mask: HeadMask) -> PhraseTable:
-    """Sum baluster weights over the masked heads and equalize per length.
+HeadPhrases = tuple[tuple[Span, float], ...]
+
+
+def head_phrases(dump: AttentionDump, head: Head) -> HeadPhrases:
+    """One head's candidate phrases: (span, mean weight) of each baluster
+    with a positive mean weight, in row order."""
+    hardened = harden(dump.matrix(*head))
+    return tuple(
+        (baluster.span, baluster.mean_weight)
+        for baluster in find_balusters(hardened, head)
+        if baluster.mean_weight > 0.0
+    )
+
+
+def pool_phrases(sentence_id: str, per_head: Mapping[Head, HeadPhrases]) -> PhraseTable:
+    """Sum the phrase weights of the given heads and equalize per length.
 
     Heads are visited in sorted order so the floating-point sums do not
-    depend on how the mask was assembled.
+    depend on how the mapping was assembled.  No heads give an empty table.
     """
-    if not mask.heads:
-        raise ValueError("empty head mask")
     raw: dict[Span, float] = {}
-    for layer, head in mask.sorted_heads():
-        hardened = harden(dump.matrix(layer, head))
-        for baluster in find_balusters(hardened, (layer, head)):
-            if baluster.mean_weight > 0.0:
-                raw[baluster.span] = raw.get(baluster.span, 0.0) + baluster.mean_weight
+    for head in sorted(per_head):
+        for span, weight in per_head[head]:
+            raw[span] = raw.get(span, 0.0) + weight
     equalized = equalize(raw)
     entries = {span: (raw[span], equalized[span]) for span in sorted(raw)}
-    return PhraseTable(dump.sentence_id, entries)
+    return PhraseTable(sentence_id, entries)
+
+
+def build_phrase_table(dump: AttentionDump, mask: HeadMask) -> PhraseTable:
+    """Sum baluster weights over the masked heads and equalize per length."""
+    if not mask.heads:
+        raise ValueError("empty head mask")
+    per_head = {head: head_phrases(dump, head) for head in mask.sorted_heads()}
+    return pool_phrases(dump.sentence_id, per_head)

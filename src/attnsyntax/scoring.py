@@ -13,6 +13,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .attn_io import Span
 from .errors import AlignmentError
 from .treebank import ConstituencyTree
@@ -92,10 +94,17 @@ class EvalReport:
         return total
 
 
-def _countable(spans: Iterable[Span], n: int, counting: CountingPolicy) -> list[Span]:
+def _span_array(spans: Iterable[Span]) -> np.ndarray:
+    """Distinct spans as an (m, 2) int64 array of (start, end) rows."""
+    return np.array(list(set(spans)), dtype=np.int64).reshape(-1, 2)
+
+
+def _countable(spans: np.ndarray, n: int, counting: CountingPolicy) -> np.ndarray:
+    """Boolean mask of the spans the counting policy counts."""
     if counting is CountingPolicy.ALL:
-        return list(spans)
-    return [s for s in spans if s[1] > s[0] and s != (1, n)]
+        return np.ones(len(spans), dtype=bool)
+    a, b = spans[:, 0], spans[:, 1]
+    return (b > a) & ~((a == 1) & (b == n))
 
 
 def score_spans(
@@ -107,17 +116,23 @@ def score_spans(
     """Score two span sets over the same 1..n index space.
 
     Crossing is always checked against the full span set of the other side;
-    the counting policy only filters which spans are counted.
+    the counting policy only filters which spans are counted.  The checks
+    are one |E| x |G| array comparison, elementwise the same as ``crosses``.
     """
-    extracted = set(extracted_spans)
-    gold = set(gold_spans)
+    extracted = _span_array(extracted_spans)
+    gold = _span_array(gold_spans)
+    a1, b1 = extracted[:, :1], extracted[:, 1:]  # column vectors: rows are E
+    a2, b2 = gold[:, 0], gold[:, 1]  # row vectors: columns are G
+    overlap = (a1 <= b2) & (a2 <= b1)
+    nested = ((a1 <= a2) & (b2 <= b1)) | ((a2 <= a1) & (b1 <= b2))
+    crossing = overlap & ~nested
     countable_extracted = _countable(extracted, n, counting)
     countable_gold = _countable(gold, n, counting)
     return EvalReport(
-        extracted_phrases_total=len(countable_extracted),
-        extracted_consistent=sum(1 for e in countable_extracted if is_consistent(e, gold)),
-        gold_phrases_total=len(countable_gold),
-        gold_consistent=sum(1 for p in countable_gold if is_consistent(p, extracted)),
+        extracted_phrases_total=int(countable_extracted.sum()),
+        extracted_consistent=int((countable_extracted & ~crossing.any(axis=1)).sum()),
+        gold_phrases_total=int(countable_gold.sum()),
+        gold_consistent=int((countable_gold & ~crossing.any(axis=0)).sum()),
     )
 
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .attn_io import AttentionDump
 from .masks import Head, HeadMask
-from .phrases import PhraseTable, build_phrase_table
+from .phrases import HeadPhrases, head_phrases, pool_phrases
 from .scoring import CountingPolicy, EvalReport, score
 from .treebank import ConstituencyTree
 from .trees import cky_parse
@@ -117,18 +117,17 @@ def _check_dev_set(
 def _dev_score(
     dumps: Sequence[AttentionDump],
     golds: Sequence[ConstituencyTree],
+    phrases: Sequence[Mapping[Head, HeadPhrases]],
     heads: frozenset[Head],
-    universe: tuple[int, int],
     objective: str,
     counting: CountingPolicy,
 ) -> float:
+    """Pool the cached phrases of the given heads, parse and score each
+    sentence.  No heads give the all-weights-zero parse (left-branching by
+    tie-break)."""
     reports = []
-    for dump, gold in zip(dumps, golds):
-        if heads:
-            table = build_phrase_table(dump, HeadMask(heads, universe))
-        else:
-            # the all-weights-zero parse (left-branching by tie-break)
-            table = PhraseTable.empty(dump.sentence_id)
+    for dump, gold, per_head in zip(dumps, golds, phrases):
+        table = pool_phrases(dump.sentence_id, {head: per_head[head] for head in heads})
         reports.append(score(cky_parse(table, dump.n), gold, counting))
     total = EvalReport.aggregate(reports)
     return total.precision if objective == "precision" else total.f1
@@ -147,11 +146,13 @@ def _greedy(
     universe = _check_dev_set(dumps, golds, universe)
     layers, heads = universe
     all_pairs = sorted((l, h) for l in range(1, layers + 1) for h in range(1, heads + 1))
+    # harden and scan every (sentence, head) once; evaluations only pool
+    phrases = [{head: head_phrases(dump, head) for head in all_pairs} for dump in dumps]
 
     adding = strategy == "addition"
     current: set[Head] = set() if adding else set(all_pairs)
     evaluations = 1
-    initial_score = _dev_score(dumps, golds, frozenset(current), universe, objective, counting)
+    initial_score = _dev_score(dumps, golds, phrases, frozenset(current), objective, counting)
     n_steps = len(all_pairs) if adding else len(all_pairs) - 1
 
     steps: list[SelectionStep] = []
@@ -160,7 +161,7 @@ def _greedy(
         best: tuple[float, Head] | None = None
         for head in candidates:
             trial = current | {head} if adding else current - {head}
-            value = _dev_score(dumps, golds, frozenset(trial), universe, objective, counting)
+            value = _dev_score(dumps, golds, phrases, frozenset(trial), objective, counting)
             evaluations += 1
             if best is None or value > best[0]:  # ties keep the lowest pair
                 best = (value, head)

@@ -156,11 +156,19 @@ class Chart:
 
 
 def cky_chart(table: PhraseTable, n: int) -> Chart:
-    """Fill the chart bottom-up.
+    """Fill the chart bottom-up, one span length at a time.
 
-    Ties between splits prefer the larger k (the larger left subtree), so a
-    sentence with no phrase weights at all comes out as the left-branching
-    chain.
+    All spans of one length are filled in a single array step: for starts
+    a, splits k = a + j and ends b = a + length - 1 as index grids, each
+    candidate is summed in exactly this order,
+
+        ((s[a,k] + s[k+1,b]) + w[a,k]) + w[k+1,b]
+
+    and the best candidate is divided by 4.0.  Ties between splits prefer
+    the larger k (the larger left subtree), so a sentence with no phrase
+    weights at all comes out as the left-branching chain.  Extracted trees
+    depend on both: another order can change a score in its last bit, and
+    with it a split.
     """
     if n < 1:
         raise ValueError(f"sentence length must be >= 1, got {n}")
@@ -171,16 +179,18 @@ def cky_chart(table: PhraseTable, n: int) -> Chart:
         weights[a, b] = table.weight(a, b)
     scores = np.zeros((n + 1, n + 1))
     splits = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for i in range(1, n + 1):
-        scores[i, i] = 1.0
+    leaves = np.arange(1, n + 1)
+    scores[leaves, leaves] = 1.0
     for length in range(2, n + 1):
-        for a in range(1, n - length + 2):
-            b = a + length - 1
-            ks = np.arange(a, b)
-            candidates = scores[a, a:b] + scores[ks + 1, b] + weights[a, a:b] + weights[ks + 1, b]
-            best = candidates.size - 1 - int(np.argmax(candidates[::-1]))
-            scores[a, b] = candidates[best] / 4.0
-            splits[a, b] = a + best
+        starts = np.arange(1, n - length + 2)
+        ends = starts + (length - 1)
+        a, b = starts[:, None], ends[:, None]
+        k = a + np.arange(length - 1)
+        candidates = scores[a, k] + scores[k + 1, b] + weights[a, k] + weights[k + 1, b]
+        # argmax returns the first maximum, so search the splits from the right
+        best = (length - 2) - candidates[:, ::-1].argmax(axis=1)
+        scores[starts, ends] = candidates[np.arange(starts.size), best] / 4.0
+        splits[starts, ends] = starts + best
     scores.setflags(write=False)
     splits.setflags(write=False)
     return Chart(scores, splits, n)

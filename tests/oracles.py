@@ -12,7 +12,20 @@ from typing import Callable
 
 import numpy as np
 
-from attnsyntax import ConstituencyTree, Phrase, PhraseTable, Span, SpanTree
+from attnsyntax import (
+    Chart,
+    ConstituencyTree,
+    CountingPolicy,
+    EvalReport,
+    Phrase,
+    PhraseTable,
+    Span,
+    SpanTree,
+    crosses,
+    equalize,
+    find_balusters,
+    harden,
+)
 
 
 def all_binary_trees(n: int) -> tuple[SpanTree, ...]:
@@ -57,6 +70,68 @@ def best_tree_by_enumeration(
             best_score, best = value, tree
     assert best is not None
     return best_score, best
+
+
+def phrase_table_one_pass(dump, mask) -> PhraseTable:
+    """Harden, scan and sum head by head in one loop, then equalize: the
+    reference for pooling per-head phrases computed ahead of time."""
+    raw: dict[Span, float] = {}
+    for layer, head in mask.sorted_heads():
+        hardened = harden(dump.matrix(layer, head))
+        for baluster in find_balusters(hardened, (layer, head)):
+            if baluster.mean_weight > 0.0:
+                raw[baluster.span] = raw.get(baluster.span, 0.0) + baluster.mean_weight
+    equalized = equalize(raw)
+    entries = {span: (raw[span], equalized[span]) for span in sorted(raw)}
+    return PhraseTable(dump.sentence_id, entries)
+
+
+def cky_chart_by_cells(table: PhraseTable, n: int) -> Chart:
+    """The chart filled one (a, b) cell at a time, the reference for the
+    vectorized ``cky_chart``: same addition order, ties to the larger k."""
+    if n < 1:
+        raise ValueError(f"sentence length must be >= 1, got {n}")
+    weights = np.zeros((n + 1, n + 1))
+    for a, b in table.spans():
+        if not (1 <= a <= b <= n):
+            raise ValueError(f"phrase span ({a},{b}) outside sentence 1..{n}")
+        weights[a, b] = table.weight(a, b)
+    scores = np.zeros((n + 1, n + 1))
+    splits = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for i in range(1, n + 1):
+        scores[i, i] = 1.0
+    for length in range(2, n + 1):
+        for a in range(1, n - length + 2):
+            b = a + length - 1
+            ks = np.arange(a, b)
+            candidates = scores[a, a:b] + scores[ks + 1, b] + weights[a, a:b] + weights[ks + 1, b]
+            best = candidates.size - 1 - int(np.argmax(candidates[::-1]))
+            scores[a, b] = candidates[best] / 4.0
+            splits[a, b] = a + best
+    scores.setflags(write=False)
+    splits.setflags(write=False)
+    return Chart(scores, splits, n)
+
+
+def score_spans_pairwise(extracted_spans, gold_spans, n: int,
+                         counting: CountingPolicy) -> EvalReport:
+    """Consistency counts by checking ``crosses`` pair by pair."""
+    extracted, gold = set(extracted_spans), set(gold_spans)
+
+    def counted(spans):
+        if counting is CountingPolicy.ALL:
+            return list(spans)
+        return [s for s in spans if s[1] > s[0] and s != (1, n)]
+
+    def consistent(e, others):
+        return not any(crosses(e, p) for p in others)
+
+    return EvalReport(
+        extracted_phrases_total=len(counted(extracted)),
+        extracted_consistent=sum(consistent(e, gold) for e in counted(extracted)),
+        gold_phrases_total=len(counted(gold)),
+        gold_consistent=sum(consistent(p, extracted) for p in counted(gold)),
+    )
 
 
 def random_phrase_table(

@@ -275,6 +275,32 @@ class TestSelectHeads:
         assert code == 1
 
 
+class TestCountFlags:
+    """Counts below 1 are argparse errors that name the flag."""
+
+    def test_dev_size_must_be_positive(self, toy_dump_path, toy_gold_path, capsys):
+        for bad in ("-8", "0", "two"):
+            with pytest.raises(SystemExit) as exc:
+                main(["select-heads", "--dump", str(toy_dump_path), "--gold",
+                      str(toy_gold_path), "--strategy", "add", "--dev-size", bad])
+            assert exc.value.code == 2
+            assert "--dev-size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["extract", "--dump", "d.jsonl"],
+        ["eval", "--extracted", "e.txt", "--gold", "g.txt"],
+        ["baseline", "--dump", "d.jsonl", "--kind", "lbal"],
+        ["select-heads", "--dump", "d.jsonl", "--gold", "g.txt", "--strategy", "add"],
+        ["render", "--dump", "d.jsonl", "--sentence", "s", "--all"],
+    ])
+    def test_jobs_must_be_positive(self, command, capsys):
+        for bad in ("0", "-3"):
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--jobs", bad])
+            assert exc.value.code == 2
+            assert "--jobs" in capsys.readouterr().err
+
+
 class TestRender:
     def test_all_heads_naming(self, toy_dump_path, tmp_path, capsys):
         code, _, err = run_cli(

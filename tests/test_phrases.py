@@ -7,13 +7,18 @@ from attnsyntax import (
     AttentionDump,
     HardenedMatrix,
     HeadMask,
+    PhraseTable,
     baluster_matrix,
     build_phrase_table,
     equalize,
     find_balusters,
     harden,
+    planted_dump,
     random_attention_baseline,
+    random_binary_tree,
 )
+from attnsyntax.phrases import head_phrases, pool_phrases
+from oracles import phrase_table_one_pass
 
 
 class TestHarden:
@@ -183,6 +188,45 @@ class TestBuildPhraseTable:
         assert t1.entries == t2.entries
 
 
+class TestPooledHeadPhrases:
+    """Pooling phrases cached per head equals building the table directly."""
+
+    @staticmethod
+    def dumps():
+        rng = np.random.default_rng(31)
+        for seed in range(12):
+            yield random_attention_baseline(seed, int(rng.integers(2, 9)), layers=3, heads=4)
+        for seed in range(6):
+            tree = random_binary_tree(rng, int(rng.integers(2, 16)))
+            yield planted_dump(tree, weight=float(rng.uniform(0.6, 1.0)))
+
+    def test_random_masks_match_build_phrase_table(self):
+        rng = np.random.default_rng(32)
+        for dump in self.dumps():
+            universe = (dump.layers, dump.heads)
+            all_heads = HeadMask.all_heads(*universe).sorted_heads()
+            cached = {head: head_phrases(dump, head) for head in reversed(all_heads)}
+            for _ in range(8):
+                size = int(rng.integers(1, len(all_heads) + 1))
+                picks = rng.permutation(len(all_heads))[:size]
+                heads = [all_heads[i] for i in picks]
+                mask = HeadMask(frozenset(heads), universe)
+                pooled = pool_phrases(dump.sentence_id, {h: cached[h] for h in heads})
+                for expected in (build_phrase_table(dump, mask),
+                                 phrase_table_one_pass(dump, mask)):
+                    assert pooled == expected
+                    assert list(pooled.entries.items()) == list(expected.entries.items())
+
+    def test_no_heads_pool_to_empty_table(self):
+        assert pool_phrases("s", {}) == PhraseTable.empty("s")
+
+    def test_head_phrases_are_positive_balusters_in_row_order(self):
+        dump = _dump_from_heads(
+            [baluster_matrix(6, [(1, 2), (4, 6)], weight=0.9)], ["a", "b", "c", "d", "e", "EOS"]
+        )
+        assert head_phrases(dump, (1, 1)) == (((1, 2), 0.9), ((4, 6), 0.9))
+
+
 class TestEqualize:
     def test_mean_one_per_length(self):
         raw = {(1, 2): 0.5, (3, 4): 1.5, (1, 3): 2.0}
@@ -193,3 +237,9 @@ class TestEqualize:
 
     def test_empty(self):
         assert equalize({}) == {}
+
+    def test_zero_total_names_length_and_span(self):
+        with pytest.raises(ValueError, match=r"length 2.*\(1, 2\)"):
+            equalize({(1, 2): 0.0})
+        with pytest.raises(ValueError, match="length 3"):
+            equalize({(1, 2): 0.5, (1, 3): 0.0, (2, 4): 0.0})

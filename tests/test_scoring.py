@@ -14,7 +14,7 @@ from attnsyntax import (
     score,
     score_spans,
 )
-from oracles import gold_from_span_tree
+from oracles import gold_from_span_tree, score_spans_pairwise
 
 
 def tree_of(shape) -> SpanTree:
@@ -176,6 +176,46 @@ class TestScore:
             if max(p, r) > 0:
                 expected = 2 * min(p, r) / (1 + min(p, r) / max(p, r))
                 assert f1 == pytest.approx(expected)
+
+
+def _random_spans(rng, n, count):
+    """Arbitrary spans over 1..n: generally non-laminar, with repeats."""
+    starts = rng.integers(1, n + 1, size=count)
+    return [(int(a), int(rng.integers(a, n + 1))) for a in starts]
+
+
+class TestScoreSpansMatchesPairwise:
+    """The array comparison counts exactly what ``crosses`` pair by pair does."""
+
+    @pytest.mark.parametrize("counting", list(CountingPolicy))
+    def test_random_span_sets(self, counting):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n = int(rng.integers(1, 20))
+            extracted = _random_spans(rng, n, int(rng.integers(0, 2 * n + 1)))
+            gold = _random_spans(rng, n, int(rng.integers(0, 2 * n + 1)))
+            if rng.random() < 0.3:
+                extracted += [(1, n)] + extracted[: len(extracted) // 2]
+            assert score_spans(extracted, gold, n, counting) == score_spans_pairwise(
+                extracted, gold, n, counting
+            )
+
+    @pytest.mark.parametrize("counting", list(CountingPolicy))
+    def test_random_trees(self, counting):
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            a, b = random_binary_tree(rng, n).spans(), random_binary_tree(rng, n).spans()
+            assert score_spans(a, b, n, counting) == score_spans_pairwise(a, b, n, counting)
+
+    def test_empty_sides(self):
+        for counting in CountingPolicy:
+            assert score_spans([], [(1, 2)], 3, counting) == score_spans_pairwise(
+                [], [(1, 2)], 3, counting
+            )
+            assert score_spans([(2, 3)], [], 3, counting) == score_spans_pairwise(
+                [(2, 3)], [], 3, counting
+            )
 
 
 class TestAggregation:

@@ -18,7 +18,13 @@ from attnsyntax import (
     random_binary_tree,
     rbal_tree,
 )
-from oracles import all_binary_trees, best_tree_by_enumeration, random_phrase_table, recursion_score
+from oracles import (
+    all_binary_trees,
+    best_tree_by_enumeration,
+    cky_chart_by_cells,
+    random_phrase_table,
+    recursion_score,
+)
 
 
 def chain_left(n):
@@ -71,6 +77,40 @@ class TestSpanTree:
         tree, tokens = parse_span_tree("EOS")
         assert tree == SpanTree.leaf(1)
         assert tokens == ("EOS",)
+
+
+def _all_spans_table(n, weight_of):
+    entries = {}
+    for a in range(1, n):
+        for b in range(a + 1, n + 1):
+            w = float(weight_of(a, b))
+            if w:
+                entries[(a, b)] = (w, w)
+    return PhraseTable("s", entries)
+
+
+class TestChartMatchesCellLoop:
+    """The length-at-a-time chart is bitwise the cell-by-cell reference."""
+
+    @staticmethod
+    def assert_same_chart(table, n):
+        fast, slow = cky_chart(table, n), cky_chart_by_cells(table, n)
+        assert fast.scores.tobytes() == slow.scores.tobytes()
+        assert fast.splits.tobytes() == slow.splits.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_random_tables(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for density in (0.1, 0.35, 0.9):
+            self.assert_same_chart(random_phrase_table(rng, n, density), n)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_tie_heavy_tables(self, n):
+        rng = np.random.default_rng(2000 + n)
+        self.assert_same_chart(PhraseTable.empty("s"), n)
+        self.assert_same_chart(_all_spans_table(n, lambda a, b: 1.0), n)
+        small = rng.integers(0, 3, size=(n + 1, n + 1))
+        self.assert_same_chart(_all_spans_table(n, lambda a, b: small[a, b]), n)
 
 
 class TestCkyParse:
