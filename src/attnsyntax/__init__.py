@@ -14,10 +14,8 @@ from .attn_io import (
     ROW_SUM_TOLERANCE,
     AttentionDump,
     Span,
-    SubwordMap,
     dump_record,
     load_dump,
-    subword_map,
     word_groups,
     write_dump,
 )
@@ -110,7 +108,6 @@ __all__ = [
     "SelectionTrace",
     "Span",
     "SpanTree",
-    "SubwordMap",
     "TreeParseError",
     "attach_eos",
     "baluster_matrix",
@@ -145,7 +142,6 @@ __all__ = [
     "score",
     "score_spans",
     "sidecar_text",
-    "subword_map",
     "word_groups",
     "write_dump",
 ]

@@ -1,7 +1,8 @@
 """Load, validate and write per-sentence attention dumps.
 
-A dump file is UTF-8 JSON lines: one record per sentence, corpus order
-preserved.  Record schema (arrays are 0-based, row-major)::
+A dump file is UTF-8 JSON lines: one record per sentence, lines split at
+newline bytes, corpus order preserved.  Record schema (arrays are
+0-based, row-major)::
 
     {"id": "s1",
      "subwords": ["vin@@", "e-@@", "growers", "suffer", "EOS"],
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import DumpParseError, DumpValidationError, SegmentationError
 
@@ -117,14 +119,6 @@ class AttentionDump:
             )
 
 
-@dataclass(frozen=True)
-class SubwordMap:
-    """Word spans over subword positions 1..N-1 plus the EOS position N."""
-
-    word_spans: tuple[Span, ...]
-    eos_index: int
-
-
 def word_groups(subwords: Sequence[str], eos: str = DEFAULT_EOS) -> list[Span]:
     """Group subword positions 1..N-1 into contiguous word spans.
 
@@ -147,11 +141,6 @@ def word_groups(subwords: Sequence[str], eos: str = DEFAULT_EOS) -> list[Span]:
         spans.append((start, i))
         start = None
     return spans
-
-
-def subword_map(dump: AttentionDump, eos: str = DEFAULT_EOS) -> SubwordMap:
-    """Word spans and EOS position of a validated dump."""
-    return SubwordMap(tuple(word_groups(dump.subwords, eos=eos)), dump.n)
 
 
 def _dump_from_record(record: object, lineno: int, eos: str) -> AttentionDump:
@@ -180,21 +169,37 @@ def load_dump(
     eos: str = DEFAULT_EOS,
     max_record_bytes: int = DEFAULT_MAX_RECORD_BYTES,
 ) -> list[AttentionDump]:
-    """Read a dump file, returning fully validated dumps in file order."""
+    """Read a dump file, returning fully validated dumps in file order.
+
+    Each line is decoded from its bytes by orjson, which also rejects
+    invalid UTF-8, lone surrogates, ``NaN``/``Infinity`` and numbers that
+    overflow a double; those and any line longer than ``max_record_bytes``
+    bytes (newline included) raise DumpParseError naming the line.  An
+    over-long line is rejected after reading only ``max_record_bytes + 1``
+    bytes of it.
+    """
+    if max_record_bytes < 1:
+        raise ValueError(f"max_record_bytes must be >= 1, got {max_record_bytes}")
     dumps: list[AttentionDump] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    lineno = 0
+    with open(path, "rb") as fh:
+        # Each line and its decoded record are dropped before the next read,
+        # so no more than one record's text and lists are alive at once.
+        while line := fh.readline(max_record_bytes + 1):
+            lineno += 1
             if len(line) > max_record_bytes:
                 raise DumpParseError(
                     f"line {lineno}: record exceeds {max_record_bytes} bytes"
                 )
+            if line.isspace():
+                continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+                record = orjson.loads(line)
+            except orjson.JSONDecodeError as exc:
                 raise DumpParseError(f"line {lineno}: {exc}") from exc
+            del line
             dumps.append(_dump_from_record(record, lineno, eos))
+            del record
     return dumps
 
 

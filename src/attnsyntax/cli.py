@@ -9,6 +9,7 @@ Set ``ATTNSYNTAX_LOG=debug|info|warning`` to control verbosity.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import os
@@ -40,6 +41,31 @@ def _setup_logging() -> None:
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+
+
+# glibc's mallopt parameter number for the mmap threshold, and its default
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 128 * 1024
+
+
+def _pin_mmap_threshold() -> None:
+    """Fix glibc's mmap threshold at its default for this process.
+
+    glibc raises the threshold, and the heap trim threshold to twice it,
+    each time a mapped block is freed.  Decoding a dump line with orjson
+    allocates and frees buffers a few times the line's size, so after the
+    first large record later buffers come from the heap, and up to ~20 MB
+    of freed heap stays resident.  How much depends on the order of record
+    sizes: peak memory of ``extract`` swung by ~10 MB between dumps of the
+    same records.  Setting the threshold turns that adjustment off, so
+    blocks of 128 KiB or more are mapped and handed back when freed.  Where
+    the C library has no ``mallopt`` nothing changes.
+    """
+    if os.name != "posix":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
 
 
 def _parallel_map(fn: Callable[[T], U], items: Sequence[T], jobs: int) -> list[U]:
@@ -382,6 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
+    _pin_mmap_threshold()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

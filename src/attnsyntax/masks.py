@@ -62,12 +62,6 @@ class HeadMask:
     def sorted_heads(self) -> list[Head]:
         return sorted(self.heads)
 
-    def with_head(self, head: Head) -> "HeadMask":
-        return HeadMask(self.heads | {head}, self.universe)
-
-    def without_head(self, head: Head) -> "HeadMask":
-        return HeadMask(self.heads - {head}, self.universe)
-
     def __len__(self) -> int:
         return len(self.heads)
 

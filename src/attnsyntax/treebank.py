@@ -17,6 +17,7 @@ both sides cover the same subword positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 from .attn_io import DEFAULT_EOS, AttentionDump, Span, word_groups
@@ -128,12 +129,19 @@ class ConstituencyTree:
         walk(self.root)
         return tuple(out)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.leaves())
 
     def spans(self) -> frozenset[Span]:
         """1-based inclusive spans of every phrase node (leaf tokens excluded)."""
+        return self._spans
+
+    # Scoring asks a reference tree for n and its spans on every evaluation,
+    # so both are walked once per instance; the cache is not a dataclass
+    # field, so equality and hashing still see only ``root``.
+    @cached_property
+    def _spans(self) -> frozenset[Span]:
         out: set[Span] = set()
 
         def walk(node: Phrase | str, start: int) -> int:

@@ -7,6 +7,7 @@ the chart parser they are checking.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from typing import Callable
 
@@ -25,6 +26,13 @@ from attnsyntax import (
     equalize,
     find_balusters,
     harden,
+)
+from attnsyntax.attn_io import (
+    DEFAULT_EOS,
+    DEFAULT_MAX_RECORD_BYTES,
+    AttentionDump,
+    DumpParseError,
+    _dump_from_record,
 )
 
 
@@ -157,3 +165,31 @@ def gold_from_span_tree(tree: SpanTree, tokens=None) -> ConstituencyTree:
         return Phrase((convert(node.left), convert(node.right)))
 
     return ConstituencyTree(convert(tree))
+
+
+def load_dump_json(
+    path,
+    eos: str = DEFAULT_EOS,
+    max_record_bytes: int = DEFAULT_MAX_RECORD_BYTES,
+) -> list[AttentionDump]:
+    """The text-mode ``json.loads`` loader that orjson decoding replaced.
+
+    Kept as the reference for ``load_dump`` on well-formed dumps; its record
+    cap counts characters, not bytes, and it accepts NaN, Infinity, huge
+    integers and lone surrogates that ``load_dump`` rejects.
+    """
+    dumps: list[AttentionDump] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            if len(line) > max_record_bytes:
+                raise DumpParseError(
+                    f"line {lineno}: record exceeds {max_record_bytes} bytes"
+                )
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DumpParseError(f"line {lineno}: {exc}") from exc
+            dumps.append(_dump_from_record(record, lineno, eos))
+    return dumps

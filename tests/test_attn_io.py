@@ -1,21 +1,27 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnsyntax import (
     AttentionDump,
+    AttnSyntaxError,
     DumpParseError,
     DumpValidationError,
     SegmentationError,
     dump_record,
     load_dump,
-    subword_map,
+    random_attention_baseline,
     word_groups,
     write_dump,
 )
+from attnsyntax.cli import main
+
+from oracles import load_dump_json
 
 
 def _write_record(path, subwords, attn, sentence_id="s1"):
@@ -67,8 +73,6 @@ class TestLoadDump:
         assert lines == again
 
     def test_random_floats_round_trip_bit_exactly(self, tmp_path):
-        from attnsyntax import random_attention_baseline
-
         dumps = [random_attention_baseline(seed, 9, 2, 2) for seed in range(5)]
         path = tmp_path / "r.jsonl"
         write_dump(dumps, path)
@@ -113,6 +117,33 @@ class TestLoadDump:
         with pytest.raises(DumpParseError, match="exceeds"):
             load_dump(path, max_record_bytes=16)
 
+    def test_record_size_cap_counts_bytes(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        record = {"id": "s1", "subwords": ["é" * 20, "ß€", "EOS"], "attn": IDENTITY_3}
+        line = json.dumps(record, ensure_ascii=False) + "\n"
+        path.write_text(line, encoding="utf-8")
+        size = len(line.encode("utf-8"))
+        assert len(line) < size
+        assert len(load_dump_json(path, max_record_bytes=len(line))) == 1
+        with pytest.raises(DumpParseError, match=f"line 1: record exceeds {len(line)} bytes"):
+            load_dump(path, max_record_bytes=len(line))
+        (dump,) = load_dump(path, max_record_bytes=size)
+        assert dump.subwords[0] == "é" * 20
+
+    def test_over_long_line_is_located(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        short = json.dumps({"id": "s1", "subwords": ["a", "b", "EOS"], "attn": IDENTITY_3})
+        long = json.dumps({"id": "s2" * 5000, "subwords": ["a", "b", "EOS"], "attn": IDENTITY_3})
+        path.write_text(short + "\n" + long + "\n" + short + "\n", encoding="utf-8")
+        with pytest.raises(DumpParseError, match="line 2: record exceeds"):
+            load_dump(path, max_record_bytes=len(short) + 1)
+
+    def test_record_size_cap_must_be_positive(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        _write_record(path, ["a", "b", "EOS"], IDENTITY_3)
+        with pytest.raises(ValueError, match="max_record_bytes"):
+            load_dump(path, max_record_bytes=0)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "d.jsonl"
         record = json.dumps({"id": "s1", "subwords": ["a", "b", "EOS"], "attn": IDENTITY_3})
@@ -131,6 +162,145 @@ class TestLoadDump:
             toy_dumps[0].matrices[0, 0, 0, 0] = 0.5
 
 
+def _raw_record(attn: str, subwords: str = '["a","b","EOS"]') -> bytes:
+    return f'{{"id":"s1","subwords":{subwords},"attn":{attn}}}\n'.encode("utf-8")
+
+
+IDENTITY_3_TEXT = "[[[[1,0,0],[0,1,0],[0,0,1]]]]"
+
+
+class TestMalformedNumbers:
+    """Records json.loads let through to a crash, a late check or nowhere."""
+
+    CASES = {
+        "huge_integer": _raw_record("[[[[" + "9" * 400 + ",0,0],[0,1,0],[0,0,1]]]]"),
+        "deep_nesting": _raw_record("[" * 3000 + "]" * 3000),
+        "invalid_utf8": _raw_record(IDENTITY_3_TEXT).replace(b'"b"', b'"\xff"'),
+        "nan": _raw_record("[[[[NaN,0,1],[0,1,0],[0,0,1]]]]"),
+        "infinity": _raw_record("[[[[Infinity,0,0],[0,1,0],[0,0,1]]]]"),
+        "minus_infinity": _raw_record("[[[[-Infinity,1,1],[0,1,0],[0,0,1]]]]"),
+        "overflow_to_infinity": _raw_record("[[[[1e400,0,0],[0,1,0],[0,0,1]]]]"),
+        "lone_surrogate": _raw_record(IDENTITY_3_TEXT, subwords='["a","\\ud800","EOS"]'),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def bad_line(self, request) -> bytes:
+        return self.CASES[request.param]
+
+    def test_rejected_with_line_number(self, tmp_path, bad_line):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(_raw_record(IDENTITY_3_TEXT) + b"\n" + bad_line)
+        with pytest.raises(DumpParseError, match=r"^line 3: "):
+            load_dump(path)
+
+    def test_cli_reports_line_without_traceback(self, tmp_path, bad_line, capsys):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(bad_line)
+        code = main(["extract", "--dump", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: line 1: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+# Fractions of [0, 1] written the ways JSON allows: long digit strings,
+# exponents (either case, padded), subnormals and values that underflow to 0.
+_DIGITS = st.text("0123456789", min_size=1, max_size=30)
+_FRACTIONS = st.one_of(
+    _DIGITS.map(lambda d: "0." + d),
+    st.builds(
+        lambda lead, digits, mark, exp, width: f"{lead}.{digits}{mark}-{exp:0{width}d}",
+        st.integers(1, 9), _DIGITS, st.sampled_from("eE"), st.integers(1, 340),
+        st.integers(1, 5),
+    ),
+    st.builds(lambda digits, exp: f"0.{digits}e+{exp}", _DIGITS, st.integers(0, 1)).filter(
+        lambda text: float(text) <= 1.0
+    ),
+    st.sampled_from(["0", "1", "-0", "-0.0", "0e5", "1E0", "1.0e-0", "-0e-400",
+                     "4.9e-324", "2.4703282292062328e-324", "2.2250738585072014e-308",
+                     "2.2250738585072011e-308", "0.1", "0.30000000000000004"]),
+)
+_SUBWORD = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1, max_size=6
+).filter(lambda token: token.split() == [token])
+
+
+def _assert_same_dumps(ours, reference) -> None:
+    assert len(ours) == len(reference)
+    for a, b in zip(ours, reference):
+        assert a.sentence_id == b.sentence_id
+        assert a.subwords == b.subwords
+        assert a.matrices.shape == b.matrices.shape
+        assert a.matrices.tobytes() == b.matrices.tobytes()
+
+
+class TestDecoderMatchesJsonOracle:
+    """load_dump (orjson over bytes) against the json.loads text loader."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 3),
+                st.integers(1, 3), st.text(max_size=8), st.lists(_SUBWORD, max_size=8),
+            ),
+            max_size=4,
+        )
+    )
+    def test_synth_dumps(self, specs):
+        dumps = []
+        for seed, n, layers, heads, sentence_id, words in specs:
+            subwords = (list(words) + [f"w{i}" for i in range(n)])[: n - 1] + ["EOS"]
+            dumps.append(random_attention_baseline(
+                seed, n, layers, heads, sentence_id=sentence_id, subwords=subwords
+            ))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            write_dump(dumps, path)
+            ours, reference = load_dump(path), load_dump_json(path)
+        _assert_same_dumps(ours, reference)
+        for original, loaded in zip(dumps, ours):
+            assert original.matrices.tobytes() == loaded.matrices.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_FRACTIONS, min_size=1, max_size=8))
+    def test_hand_written_numbers(self, fractions):
+        heads = []
+        for text in fractions:
+            rest = repr(1.0 - float(text))
+            heads.append(f"[[{text},{rest}],[{rest},{text}]]")
+        line = _raw_record("[[" + ",".join(heads) + "]]", subwords='["a","EOS"]')
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            path.write_bytes(line)
+            ours, reference = load_dump(path), load_dump_json(path)
+        _assert_same_dumps(ours, reference)
+
+    MALFORMED = {
+        "not_json": (json.dumps({"id": "s1", "subwords": ["a", "b", "EOS"], "attn": IDENTITY_3})
+                     + "\n{not json\n", {}),
+        "missing_key": (json.dumps({"id": "s1", "subwords": ["EOS"]}) + "\n", {}),
+        "dimension_mismatch": (_raw_record(IDENTITY_3_TEXT, '["a","b","c","EOS"]').decode(), {}),
+        "no_eos": (_raw_record(IDENTITY_3_TEXT, '["a","b","c"]').decode(), {}),
+        "out_of_range": (_raw_record("[[[[1.2,-0.2,0.0],[0,1,0],[0,0,1]]]]").decode(), {}),
+        "row_sum": (_raw_record("[[[[0.5,0.6,0.0],[0,1,0],[0,0,1]]]]").decode(), {}),
+        "size_cap": (_raw_record(IDENTITY_3_TEXT).decode(), {"max_record_bytes": 16}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_records_raise_same_class(self, tmp_path, case):
+        text, kwargs = self.MALFORMED[case]
+        path = tmp_path / "d.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(AttnSyntaxError) as ours:
+            load_dump(path, **kwargs)
+        with pytest.raises(AttnSyntaxError) as reference:
+            load_dump_json(path, **kwargs)
+        assert ours.type is reference.type
+        assert str(ours.value).split(":")[0] == str(reference.value).split(":")[0]
+
+
 class TestSubwordMap:
     def test_bpe_continuation_example(self, tmp_path):
         subwords = ["vin@@", "e-@@", "growers", "suffer", "EOS"]
@@ -145,11 +315,6 @@ class TestSubwordMap:
     def test_marker_before_eos_rejected(self):
         with pytest.raises(SegmentationError):
             word_groups(["a@@", "EOS"])
-
-    def test_subword_map_of_dump(self, identity_dump):
-        mapping = subword_map(identity_dump)
-        assert mapping.word_spans == ((1, 1), (2, 2))
-        assert mapping.eos_index == 3
 
     def test_eos_only_sentence(self):
         assert word_groups(["EOS"]) == []

@@ -178,3 +178,21 @@ class TestGoldTreeForDump:
         raw = read_bracketed("(S (VP vinegrowers suffer))")
         with pytest.raises(AlignmentError, match="2 words"):
             gold_tree_for_dump(raw, dump)
+
+
+class TestConstituencyTreeCache:
+    ROOT = Phrase((Phrase(("a", "b")), Phrase(("c", Phrase(("d", "e")))), "EOS"))
+
+    def test_walks_once_and_repeats_values(self):
+        tree = ConstituencyTree(self.ROOT)
+        spans = tree.spans()
+        assert spans == frozenset({(1, 2), (3, 5), (4, 5), (1, 6)})
+        assert tree.spans() is spans
+        assert tree.n == 6 and tree.n == len(tree.leaves())
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        warm, cold = ConstituencyTree(self.ROOT), ConstituencyTree(self.ROOT)
+        warm.spans(), warm.n
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert warm != ConstituencyTree(Phrase(("a", "b", "c", "d", "e", "EOS")))
