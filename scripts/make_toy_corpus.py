@@ -172,8 +172,7 @@ def build_sentence(sentence_id, words, gold_line, rng):
     n = len(subwords)
     # reference spans in subword space, via the same post-processing the
     # evaluation uses
-    probe = AttentionDump(sentence_id, tuple(subwords), np.ones((1, 1, n, n)) / n)
-    gold = gold_tree_for_dump(read_bracketed(gold_line), probe)
+    gold = gold_tree_for_dump(read_bracketed(gold_line), subwords)
     ref_spans = sorted(s for s in gold.spans() if s[1] > s[0] and s != (1, n))
 
     packs, _ = fit_spans(ref_spans, 3)

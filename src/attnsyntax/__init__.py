@@ -9,9 +9,6 @@ non-crossing consistency measure.
 """
 
 from .attn_io import (
-    CONTINUATION,
-    DEFAULT_EOS,
-    ROW_SUM_TOLERANCE,
     AttentionDump,
     Span,
     dump_record,
@@ -27,9 +24,8 @@ from .errors import (
     SegmentationError,
     TreeParseError,
 )
-from .masks import Head, HeadMask
+from .masks import HeadMask
 from .phrases import (
-    Baluster,
     HardenedMatrix,
     PhraseTable,
     build_phrase_table,
@@ -47,8 +43,6 @@ from .scoring import (
     score_spans,
 )
 from .selection import (
-    SelectionStep,
-    SelectionTrace,
     greedy_ablation,
     greedy_addition,
     layer_distribution,
@@ -87,25 +81,18 @@ __all__ = [
     "AlignmentError",
     "AttentionDump",
     "AttnSyntaxError",
-    "Baluster",
     "Chart",
-    "CONTINUATION",
     "ConstituencyTree",
     "CountingPolicy",
-    "DEFAULT_EOS",
     "DumpParseError",
     "DumpValidationError",
     "EvalReport",
     "HardenedMatrix",
-    "Head",
     "HeadMask",
     "Phrase",
     "PhraseTable",
     "RawTree",
-    "ROW_SUM_TOLERANCE",
     "SegmentationError",
-    "SelectionStep",
-    "SelectionTrace",
     "Span",
     "SpanTree",
     "TreeParseError",

@@ -119,7 +119,7 @@ class AttentionDump:
             )
 
 
-def word_groups(subwords: Sequence[str], eos: str = DEFAULT_EOS) -> list[Span]:
+def word_groups(subwords: Sequence[str]) -> list[Span]:
     """Group subword positions 1..N-1 into contiguous word spans.
 
     A token ending in ``@@`` continues the current word; the final token is
@@ -135,7 +135,7 @@ def word_groups(subwords: Sequence[str], eos: str = DEFAULT_EOS) -> list[Span]:
         if token.endswith(CONTINUATION):
             if i == n - 1:
                 raise SegmentationError(
-                    f"continuation marker on the last token before {eos!r}: {token!r}"
+                    f"continuation marker on the last token before {subwords[-1]!r}: {token!r}"
                 )
             continue
         spans.append((start, i))

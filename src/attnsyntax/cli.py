@@ -1,8 +1,9 @@
 """Command-line entry point: extract, eval, baseline, select-heads, render.
 
-All subcommands are deterministic given their inputs and flags (the
-``rand.attn`` baseline via ``--seed``), and independent of ``--jobs``.
-Output files are written atomically: on failure no partial file remains.
+All subcommands run single-threaded and are deterministic given their
+inputs and flags (the ``rand.attn`` baseline via ``--seed``); ``--jobs`` is
+accepted and ignored.  Output files are written atomically: on failure no
+partial file remains.
 Set ``ATTNSYNTAX_LOG=debug|info|warning`` to control verbosity.
 """
 
@@ -15,24 +16,20 @@ import logging
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
-from .attn_io import AttentionDump, load_dump, word_groups
-from .errors import AlignmentError, AttnSyntaxError
+from .attn_io import AttentionDump, load_dump
+from .errors import AlignmentError, AttnSyntaxError, TreeParseError
 from .masks import HeadMask
 from .phrases import build_phrase_table
 from .scoring import CountingPolicy, EvalReport, score
 from .selection import greedy_ablation, greedy_addition, layer_distribution
 from .synth import random_attention_baseline
-from .treebank import gold_tree_for_dump, postprocess, raw_leaves, read_bracketed
+from .treebank import ConstituencyTree, gold_tree_for_dump, read_bracketed
 from .render import image_name, render_head, sidecar_text
 from .trees import cky_parse, extract_tree, lbal_tree, parse_span_tree, rbal_tree
 
 log = logging.getLogger(__name__)
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 
 def _setup_logging() -> None:
@@ -66,14 +63,6 @@ def _pin_mmap_threshold() -> None:
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-
-
-def _parallel_map(fn: Callable[[T], U], items: Sequence[T], jobs: int) -> list[U]:
-    """Apply fn to items, preserving input order regardless of worker count."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _positive_int(text: str) -> int:
@@ -127,30 +116,20 @@ def _extract_one(dump: AttentionDump, heads_spec: str) -> tuple[str, dict]:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    dumps = load_dump(args.dump)
-
-    def worker(dump: AttentionDump):
-        try:
-            return _extract_one(dump, args.heads), None
-        except (AttnSyntaxError, ValueError) as exc:
-            return None, exc
-
-    results = _parallel_map(worker, dumps, args.jobs)
     lines: list[str] = []
     records: list[dict] = []
     failed = 0
-    for dump, (result, error) in zip(dumps, results):
-        if error is not None:
+    for dump in load_dump(args.dump):
+        try:
+            line, record = _extract_one(dump, args.heads)
+        except (AttnSyntaxError, ValueError) as exc:
             failed += 1
-            print(f"error: sentence {dump.sentence_id!r}: {error}", file=sys.stderr)
+            print(f"error: sentence {dump.sentence_id!r}: {exc}", file=sys.stderr)
             if not args.keep_going:
                 return 1
-            lines.append("")
-            records.append({"id": dump.sentence_id, "error": str(error)})
-        else:
-            line, record = result
-            lines.append(line)
-            records.append(record)
+            line, record = "", {"id": dump.sentence_id, "error": str(exc)}
+        lines.append(line)
+        records.append(record)
     _write_text(args.out, "".join(line + "\n" for line in lines))
     if args.emit_phrases:
         _write_text(
@@ -163,23 +142,22 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 # --- eval ------------------------------------------------------------------
 
 
+def _reference_tree(index: int, line: str, subwords: Sequence[str]) -> ConstituencyTree:
+    """Read reference line ``index`` (1-based) and align it to ``subwords``;
+    errors name the sentence."""
+    try:
+        return gold_tree_for_dump(read_bracketed(line), subwords)
+    except AttnSyntaxError as exc:
+        raise type(exc)(f"sentence {index}: {exc}") from exc
+
+
 def _score_line(index: int, extracted_line: str, gold_line: str,
                 counting: CountingPolicy) -> EvalReport:
     try:
         tree, tokens = parse_span_tree(extracted_line)
-        raw = read_bracketed(gold_line)
-        groups = word_groups(tokens, eos=tokens[-1])
-        words = raw_leaves(raw)
-        if len(words) != len(groups):
-            raise AlignmentError(
-                f"reference tree has {len(words)} words but the extracted "
-                f"leaves form {len(groups)}"
-            )
-        segmentation = [list(tokens[a - 1 : b]) for a, b in groups]
-        gold = postprocess(raw, segmentation, eos=tokens[-1])
-        return score(tree, gold, counting)
-    except AttnSyntaxError as exc:
-        raise type(exc)(f"sentence {index}: {exc}") from exc
+    except TreeParseError as exc:
+        raise TreeParseError(f"sentence {index}: {exc}") from exc
+    return score(tree, _reference_tree(index, gold_line, tokens), counting)
 
 
 def _percent(value: float) -> str:
@@ -212,9 +190,9 @@ def _eval_text(total: EvalReport, n_sentences: int,
     return "\n".join(lines) + "\n"
 
 
-def evaluate_files(extracted_path: str, gold_path: str,
-                   counting: CountingPolicy = CountingPolicy.NONTRIVIAL,
-                   jobs: int = 1) -> tuple[EvalReport, list[EvalReport]]:
+def evaluate_files(
+    extracted_path: str, gold_path: str, counting: CountingPolicy = CountingPolicy.NONTRIVIAL
+) -> tuple[EvalReport, list[EvalReport]]:
     """Score an extracted-trees file against a reference-trees file."""
     extracted_lines = _read_lines(extracted_path)
     gold_lines = _read_lines(gold_path)
@@ -223,17 +201,16 @@ def evaluate_files(extracted_path: str, gold_path: str,
             f"{extracted_path} has {len(extracted_lines)} lines but "
             f"{gold_path} has {len(gold_lines)}"
         )
-    reports = _parallel_map(
-        lambda pair: _score_line(pair[0], pair[1][0], pair[1][1], counting),
-        list(enumerate(zip(extracted_lines, gold_lines), start=1)),
-        jobs,
-    )
+    reports = [
+        _score_line(index, extracted, gold, counting)
+        for index, (extracted, gold) in enumerate(zip(extracted_lines, gold_lines), start=1)
+    ]
     return EvalReport.aggregate(reports), reports
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     counting = CountingPolicy.from_name(args.counting)
-    total, reports = evaluate_files(args.extracted, args.gold, counting, args.jobs)
+    total, reports = evaluate_files(args.extracted, args.gold, counting)
     text = _eval_text(total, len(reports), reports if args.per_sentence else None, counting)
     _write_text(args.out, text)
     return 0
@@ -243,10 +220,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    dumps = load_dump(args.dump)
-
-    def worker(pair: tuple[int, AttentionDump]) -> str:
-        index, dump = pair
+    lines: list[str] = []
+    for index, dump in enumerate(load_dump(args.dump)):
         if args.kind == "lbal":
             tree = lbal_tree(dump.n)
         elif args.kind == "rbal":
@@ -263,9 +238,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             )
             mask = HeadMask.from_spec(args.heads, random.layers, random.heads)
             tree = extract_tree(random, mask)
-        return tree.to_bracketed(dump.subwords)
-
-    lines = _parallel_map(worker, list(enumerate(dumps)), args.jobs)
+        lines.append(tree.to_bracketed(dump.subwords))
     _write_text(args.out, "".join(line + "\n" for line in lines))
     return 0
 
@@ -282,8 +255,8 @@ def _cmd_select_heads(args: argparse.Namespace) -> int:
             f"{args.gold} has {len(gold_lines)} lines, need at least {len(dumps)}"
         )
     golds = [
-        gold_tree_for_dump(read_bracketed(line), dump)
-        for dump, line in zip(dumps, gold_lines)
+        _reference_tree(index, line, dump.subwords)
+        for index, (dump, line) in enumerate(zip(dumps, gold_lines), start=1)
     ]
     search = greedy_addition if args.strategy == "add" else greedy_ablation
     trace = search(dumps, golds, objective=args.objective, counting=counting)
@@ -322,9 +295,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     else:
         pairs = [(args.layer, args.head)]
     os.makedirs(args.out_dir, exist_ok=True)
-
-    def worker(pair: tuple[int, int]) -> str:
-        layer, head = pair
+    for layer, head in pairs:
         stem = image_name(dump.sentence_id, layer, head, hardened=args.hardened)
         data = render_head(dump, layer, head, hardened=args.hardened)
         with open(os.path.join(args.out_dir, stem + ".pgm"), "wb") as fh:
@@ -333,10 +304,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
             os.path.join(args.out_dir, stem + ".txt"), "w", encoding="utf-8"
         ) as fh:
             fh.write(sidecar_text(dump.subwords))
-        return stem
-
-    stems = _parallel_map(worker, pairs, args.jobs)
-    log.info("wrote %d heatmaps to %s", len(stems), args.out_dir)
+    log.info("wrote %d heatmaps to %s", len(pairs), args.out_dir)
     return 0
 
 
@@ -351,7 +319,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, jobs_help: str = "worker threads") -> None:
+    # kept because existing command lines pass it; it must still be >= 1
+    jobs_help = "accepted and ignored: every subcommand runs single-threaded"
+
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dump", required=True, help="attention dump file (JSON lines)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
@@ -371,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counting", choices=["all", "nontrivial"], default="nontrivial")
     p.add_argument("--per-sentence", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker threads")
+    p.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("baseline", help="uninformed baseline trees for a dump")
@@ -382,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("select-heads", help="greedy head subset search on a dev set")
-    add_common(p, jobs_help="accepted but unused: the search runs single-threaded")
+    add_common(p)
     p.add_argument("--gold", required=True)
     p.add_argument("--strategy", choices=["add", "ablate"], required=True)
     p.add_argument("--dev-size", type=_positive_int, default=100,
@@ -400,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hardened", action="store_true",
                    help="render the per-row-maximum matrix instead")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker threads")
+    p.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
     p.set_defaults(func=_cmd_render)
 
     return parser

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence, Union
 
-from .attn_io import DEFAULT_EOS, AttentionDump, Span, word_groups
+from .attn_io import DEFAULT_EOS, Span, word_groups
 from .errors import AlignmentError, TreeParseError
 
 
@@ -32,44 +32,50 @@ class RawTree:
     children: list[Union["RawTree", str]]
 
 
+# Post-processing and scoring walk a reference tree recursively, one frame
+# per level, so deeper trees are rejected while parsing instead of
+# overflowing Python's recursion limit (1000 frames by default) later.
+MAX_TREE_DEPTH = 500
+
+
 def read_bracketed(text: str) -> RawTree:
-    """Parse one bracketed tree; errors carry the character offset."""
+    """Parse one bracketed tree; errors carry the character offset.
+
+    Phrases may nest at most ``MAX_TREE_DEPTH`` levels deep.
+    """
     items = list(_lex(text))
     if not items:
         raise TreeParseError("empty input at offset 0")
-    pos = 0
-
-    def parse_node() -> RawTree:
-        nonlocal pos
-        # called with items[pos] just past a '('
-        label: str | None = None
-        if pos < len(items) and items[pos][0] == "atom":
-            label = items[pos][1]
-            pos += 1
-        children: list[RawTree | str] = []
-        while True:
-            if pos >= len(items):
-                raise TreeParseError(f"unbalanced '(' at offset {len(text)}")
-            kind, value, offset = items[pos]
-            if kind == "close":
-                pos += 1
-                if not children:
-                    raise TreeParseError(f"empty phrase at offset {offset}")
-                return RawTree(label, children)
-            if kind == "open":
-                pos += 1
-                children.append(parse_node())
-            else:
-                pos += 1
-                children.append(value)
-
     kind, _, offset = items[0]
     if kind != "open":
         raise TreeParseError(f"expected '(' at offset {offset}")
-    pos = 1
-    tree = parse_node()
-    if pos != len(items):
-        raise TreeParseError(f"trailing content at offset {items[pos][2]}")
+    open_phrases: list[RawTree] = []  # outermost first
+    tree: RawTree | None = None
+    for kind, value, offset in items:
+        if tree is not None:
+            raise TreeParseError(f"trailing content at offset {offset}")
+        if kind == "open":
+            if len(open_phrases) == MAX_TREE_DEPTH:
+                raise TreeParseError(
+                    f"phrases nested deeper than {MAX_TREE_DEPTH} levels at offset {offset}"
+                )
+            open_phrases.append(RawTree(None, []))
+        elif kind == "atom":
+            phrase = open_phrases[-1]
+            if phrase.label is None and not phrase.children:  # right after '('
+                phrase.label = value
+            else:
+                phrase.children.append(value)
+        else:
+            phrase = open_phrases.pop()
+            if not phrase.children:
+                raise TreeParseError(f"empty phrase at offset {offset}")
+            if open_phrases:
+                open_phrases[-1].children.append(phrase)
+            else:
+                tree = phrase
+    if tree is None:
+        raise TreeParseError(f"unbalanced '(' at offset {len(text)}")
     return tree
 
 
@@ -160,7 +166,7 @@ class ConstituencyTree:
         def render(node: Phrase | str) -> str:
             if isinstance(node, str):
                 return node
-            return "(" + " ".join(render(child) for child in node.children) + ")"
+            return "(" + " ".join(map(render, node.children)) + ")"
 
         return render(self.root)
 
@@ -187,12 +193,12 @@ def postprocess_steps(
     def strip_wrap_split(node: RawTree | str) -> Phrase:
         if isinstance(node, str):
             return Phrase(tuple(next(parts)))  # steps 2 + 3 on one word
-        return Phrase(tuple(strip_wrap_split(child) for child in node.children))
+        return Phrase(tuple(map(strip_wrap_split, node.children)))
 
     def flatten(node: Phrase | str) -> Phrase | str:
         if isinstance(node, str):
             return node
-        children = tuple(flatten(child) for child in node.children)
+        children = tuple(map(flatten, node.children))
         if len(children) == 1:
             return children[0]
         return Phrase(children)
@@ -216,16 +222,17 @@ def postprocess(
     return attach_eos(postprocess_steps(raw, segmentation), eos)
 
 
-def gold_tree_for_dump(
-    raw: RawTree, dump: AttentionDump, eos: str = DEFAULT_EOS
-) -> ConstituencyTree:
-    """Post-process a reference tree using the dump's own segmentation."""
-    groups = word_groups(dump.subwords, eos=eos)
+def gold_tree_for_dump(raw: RawTree, subwords: Sequence[str]) -> ConstituencyTree:
+    """Post-process a reference tree onto a sentence's subwords.
+
+    The words are the ``@@``-continuation groups of ``subwords`` and the
+    final subword is the EOS token attached to the root.
+    """
+    groups = word_groups(subwords)
     words = raw_leaves(raw)
     if len(words) != len(groups):
         raise AlignmentError(
-            f"sentence {dump.sentence_id!r}: reference tree has {len(words)} "
-            f"words but the subwords form {len(groups)}"
+            f"reference tree has {len(words)} words but the subwords form {len(groups)}"
         )
-    segmentation = [list(dump.subwords[a - 1 : b]) for a, b in groups]
-    return postprocess(raw, segmentation, eos=dump.subwords[-1])
+    segmentation = [list(subwords[a - 1 : b]) for a, b in groups]
+    return postprocess(raw, segmentation, eos=subwords[-1])

@@ -100,41 +100,39 @@ def parse_span_tree(line: str) -> tuple[SpanTree, tuple[str, ...]]:
     """Parse one bracketed, unlabeled, strictly binary tree line.
 
     Returns the tree over 1-based leaf positions plus the leaf tokens.
+    The parse keeps its own stack, so a tree of any depth is read.
     """
     tokens: list[str] = []
     items = line.replace("(", " ( ").replace(")", " ) ").split()
     if not items:
         raise TreeParseError("empty tree line")
-    pos = 0
-
-    def parse() -> SpanTree:
-        nonlocal pos
-        if pos >= len(items):
-            raise TreeParseError("unexpected end of line inside a tree")
-        item = items[pos]
+    open_nodes: list[list[SpanTree]] = []  # children read so far, outermost first
+    tree: SpanTree | None = None
+    for pos, item in enumerate(items, start=1):
+        if tree is not None:
+            raise TreeParseError(f"trailing content after tree at item {pos}")
+        if item == "(":
+            open_nodes.append([])
+            continue
         if item == ")":
-            raise TreeParseError(f"unexpected ')' at item {pos + 1}")
-        if item != "(":
-            pos += 1
+            if not open_nodes:
+                raise TreeParseError(f"unexpected ')' at item {pos}")
+            children = open_nodes.pop()
+            if len(children) != 2:
+                raise TreeParseError(
+                    f"extracted trees must be strictly binary, found a node "
+                    f"with {len(children)} children"
+                )
+            node = SpanTree.node(children[0], children[1])
+        else:
             tokens.append(_unescape_token(item))
-            return SpanTree.leaf(len(tokens))
-        pos += 1
-        children = []
-        while pos < len(items) and items[pos] != ")":
-            children.append(parse())
-        if pos >= len(items):
-            raise TreeParseError("unbalanced '(': end of line before ')'")
-        pos += 1
-        if len(children) != 2:
-            raise TreeParseError(
-                f"extracted trees must be strictly binary, found a node "
-                f"with {len(children)} children"
-            )
-        return SpanTree.node(children[0], children[1])
-
-    tree = parse()
-    if pos != len(items):
-        raise TreeParseError(f"trailing content after tree at item {pos + 1}")
+            node = SpanTree.leaf(len(tokens))
+        if open_nodes:
+            open_nodes[-1].append(node)
+        else:
+            tree = node
+    if tree is None:
+        raise TreeParseError("unbalanced '(': end of line before ')'")
     return tree, tuple(tokens)
 
 

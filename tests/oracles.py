@@ -12,6 +12,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from hypothesis import strategies as st
 
 from attnsyntax import (
     Chart,
@@ -20,8 +21,10 @@ from attnsyntax import (
     EvalReport,
     Phrase,
     PhraseTable,
+    RawTree,
     Span,
     SpanTree,
+    TreeParseError,
     crosses,
     equalize,
     find_balusters,
@@ -34,6 +37,8 @@ from attnsyntax.attn_io import (
     DumpParseError,
     _dump_from_record,
 )
+from attnsyntax.treebank import _lex
+from attnsyntax.trees import _unescape_token
 
 
 def all_binary_trees(n: int) -> tuple[SpanTree, ...]:
@@ -193,3 +198,93 @@ def load_dump_json(
                 raise DumpParseError(f"line {lineno}: {exc}") from exc
             dumps.append(_dump_from_record(record, lineno, eos))
     return dumps
+
+
+_TREE_LINES = st.recursive(
+    st.sampled_from(["a", "bc", "-LRB-"]),
+    lambda kids: st.tuples(st.sampled_from(["", "S ", "NP "]), st.lists(kids, min_size=1, max_size=3)).map(
+        lambda t: "(" + t[0] + " ".join(t[1]) + ")"
+    ),
+    max_leaves=8,
+)
+# bracketed lines, well-formed or with one character replaced: input for
+# comparing the tree parsers with their recursive references
+BRACKET_LINES = st.tuples(
+    _TREE_LINES, st.integers(0, 40), st.sampled_from(["", "(", ")", " x", "()", " "])
+).map(lambda t: t[0][: t[1]] + t[2] + t[0][t[1] + 1 :])
+
+
+def read_bracketed_recursive(text: str) -> RawTree:
+    """The recursive-descent ``read_bracketed`` that the stack parser replaced.
+
+    Kept as the reference for results and error messages on trees shallow
+    enough for Python's recursion limit.
+    """
+    items = list(_lex(text))
+    if not items:
+        raise TreeParseError("empty input at offset 0")
+    pos = 0
+
+    def parse_node() -> RawTree:
+        nonlocal pos
+        label = None
+        if pos < len(items) and items[pos][0] == "atom":
+            label = items[pos][1]
+            pos += 1
+        children: list = []
+        while True:
+            if pos >= len(items):
+                raise TreeParseError(f"unbalanced '(' at offset {len(text)}")
+            kind, value, offset = items[pos]
+            pos += 1
+            if kind == "close":
+                if not children:
+                    raise TreeParseError(f"empty phrase at offset {offset}")
+                return RawTree(label, children)
+            children.append(parse_node() if kind == "open" else value)
+
+    kind, _, offset = items[0]
+    if kind != "open":
+        raise TreeParseError(f"expected '(' at offset {offset}")
+    pos = 1
+    tree = parse_node()
+    if pos != len(items):
+        raise TreeParseError(f"trailing content at offset {items[pos][2]}")
+    return tree
+
+
+def parse_span_tree_recursive(line: str) -> tuple[SpanTree, tuple[str, ...]]:
+    """The recursive-descent ``parse_span_tree`` that the stack parser replaced,
+    kept as the reference in the same way as ``read_bracketed_recursive``."""
+    tokens: list[str] = []
+    items = line.replace("(", " ( ").replace(")", " ) ").split()
+    if not items:
+        raise TreeParseError("empty tree line")
+    pos = 0
+
+    def parse() -> SpanTree:
+        nonlocal pos
+        item = items[pos]
+        if item == ")":
+            raise TreeParseError(f"unexpected ')' at item {pos + 1}")
+        pos += 1
+        if item != "(":
+            tokens.append(_unescape_token(item))
+            return SpanTree.leaf(len(tokens))
+        children = []
+        while pos < len(items) and items[pos] != ")":
+            children.append(parse())
+        if pos >= len(items):
+            raise TreeParseError("unbalanced '(': end of line before ')'")
+        pos += 1
+        if len(children) != 2:
+            raise TreeParseError(
+                f"extracted trees must be strictly binary, found a node "
+                f"with {len(children)} children"
+            )
+        return SpanTree.node(children[0], children[1])
+
+    tree = parse()
+    if pos != len(items):
+        raise TreeParseError(f"trailing content after tree at item {pos + 1}")
+    return tree, tuple(tokens)

@@ -19,11 +19,28 @@ from attnsyntax.cli import evaluate_files, main
 
 from conftest import ROOT
 
+# reference lines that eval and select-heads must reject, naming the line
+BAD_REFERENCES = [
+    pytest.param("(X " * 5000 + "a" + ")" * 5000,
+                 "phrases nested deeper than 500 levels at offset 1500", id="too-deep"),
+    pytest.param("(S (X a))", "reference tree has 1 words but the subwords form",
+                 id="word-count"),
+    pytest.param("(S (NP a) (VP b", "unbalanced '(' at offset 15", id="unbalanced"),
+]
+
 
 def run_cli(args, capsys):
     code = main([str(a) for a in args])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def with_line_replaced(path, index, text, out):
+    """Copy a line file to ``out`` with its 1-based line ``index`` replaced."""
+    lines = path.read_text().splitlines()
+    lines[index - 1] = text
+    out.write_text("".join(line + "\n" for line in lines))
+    return out
 
 
 class TestExtract:
@@ -158,7 +175,7 @@ class TestEval:
         expected = []
         for dump, line in zip(toy_dumps, gold_lines):
             tree = extract_tree(dump, HeadMask.all_heads(dump.layers, dump.heads))
-            expected.append(score(tree, gold_tree_for_dump(read_bracketed(line), dump)))
+            expected.append(score(tree, gold_tree_for_dump(read_bracketed(line), dump.subwords)))
 
         trees = tmp_path / "trees.txt"
         assert run_cli(["extract", "--dump", toy_dump_path, "--out", trees], capsys)[0] == 0
@@ -184,6 +201,29 @@ class TestEval:
         code, _, err = run_cli(["eval", "--extracted", trees, "--gold", short], capsys)
         assert code == 1
         assert "lines" in err
+
+    @pytest.mark.parametrize("line, message", BAD_REFERENCES)
+    def test_bad_reference_names_the_sentence(self, line, message, toy_dump_path,
+                                              toy_gold_path, tmp_path, capsys):
+        trees = tmp_path / "trees.txt"
+        assert run_cli(["extract", "--dump", toy_dump_path, "--out", trees], capsys)[0] == 0
+        gold = with_line_replaced(toy_gold_path, 2, line, tmp_path / "gold.txt")
+        code, _, err = run_cli(["eval", "--extracted", trees, "--gold", gold], capsys)
+        assert code == 1
+        assert err.startswith(f"error: sentence 2: {message}")
+
+    def test_extracted_tree_deeper_than_recursion_limit(self, tmp_path, capsys):
+        words = [f"w{i}" for i in range(1, 5000)]
+        extracted = tmp_path / "trees.txt"
+        closing = " ".join(token + ")" for token in words[1:] + ["EOS"])
+        extracted.write_text("(" * 4999 + "w1 " + closing + "\n")
+        gold = tmp_path / "gold.txt"
+        gold.write_text("(S " + " ".join(words) + ")\n")
+        code, out, err = run_cli(
+            ["eval", "--extracted", extracted, "--gold", gold, "--counting", "all"], capsys
+        )
+        assert code == 0, err
+        assert "precision: 100.0% (9999/9999)" in out
 
     def test_paren_tokens_survive_the_pipeline(self, tmp_path, capsys):
         dump = AttentionDump("p", ("(", "b", "EOS"), np.eye(3)[None, None])
@@ -273,6 +313,18 @@ class TestSelectHeads:
             capsys,
         )
         assert code == 1
+
+    @pytest.mark.parametrize("line, message", BAD_REFERENCES)
+    def test_bad_reference_names_the_sentence(self, line, message, toy_dump_path,
+                                              toy_gold_path, tmp_path, capsys):
+        gold = with_line_replaced(toy_gold_path, 2, line, tmp_path / "gold.txt")
+        code, _, err = run_cli(
+            ["select-heads", "--dump", toy_dump_path, "--gold", gold,
+             "--strategy", "add", "--dev-size", "3"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith(f"error: sentence 2: {message}")
 
 
 class TestCountFlags:

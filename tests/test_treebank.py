@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from attnsyntax import (
     AlignmentError,
-    AttentionDump,
     ConstituencyTree,
     Phrase,
     RawTree,
@@ -17,6 +16,9 @@ from attnsyntax import (
     raw_leaves,
     read_bracketed,
 )
+from attnsyntax.treebank import MAX_TREE_DEPTH
+
+from oracles import BRACKET_LINES, read_bracketed_recursive
 
 
 class TestReadBracketed:
@@ -54,6 +56,33 @@ class TestReadBracketed:
         (inner,) = tree.children
         assert inner.label == "vinegrowers"  # first atom reads as a label
         assert raw_leaves(tree) == ["suffer"]
+
+    def test_too_deep_is_a_located_error(self):
+        text = "(X " * 5000 + "a" + ")" * 5000
+        with pytest.raises(
+            TreeParseError,
+            match=f"deeper than {MAX_TREE_DEPTH} levels at offset {3 * MAX_TREE_DEPTH}$",
+        ):
+            read_bracketed(text)
+
+    def test_deepest_tree_survives_postprocessing(self):
+        words = [f"w{i}" for i in range(MAX_TREE_DEPTH + 1)]
+        text = "".join(f"(X {w} " for w in words[:-1]) + words[-1] + ")" * MAX_TREE_DEPTH
+        tree = gold_tree_for_dump(read_bracketed(text), words + ["EOS"])
+        assert tree.leaves() == (*words, "EOS")
+        assert len(tree.spans()) == MAX_TREE_DEPTH
+
+    @settings(max_examples=200, deadline=None)
+    @given(BRACKET_LINES)
+    def test_matches_recursive_parser(self, text):
+        try:
+            expected = read_bracketed_recursive(text)
+        except TreeParseError as exc:
+            with pytest.raises(TreeParseError) as got:
+                read_bracketed(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert read_bracketed(text) == expected
 
 
 SEGMENTATION = [["vin-", "e-", "growers"], ["suffer"]]
@@ -165,19 +194,15 @@ class TestPostprocessProperties:
 class TestGoldTreeForDump:
     def test_uses_dump_segmentation(self):
         subwords = ("vin@@", "e-@@", "growers", "suffer", "EOS")
-        n = len(subwords)
-        dump = AttentionDump("s", subwords, np.ones((1, 1, n, n)) / n)
         raw = read_bracketed("(S (VP vinegrowers suffer))")
-        tree = gold_tree_for_dump(raw, dump)
+        tree = gold_tree_for_dump(raw, subwords)
         assert tree.leaves() == subwords
         assert tree.spans() == frozenset({(1, 3), (1, 5)})
 
     def test_word_count_mismatch(self):
-        subwords = ("one", "EOS")
-        dump = AttentionDump("s", subwords, np.ones((1, 1, 2, 2)) / 2)
         raw = read_bracketed("(S (VP vinegrowers suffer))")
-        with pytest.raises(AlignmentError, match="2 words"):
-            gold_tree_for_dump(raw, dump)
+        with pytest.raises(AlignmentError, match="2 words but the subwords form 1"):
+            gold_tree_for_dump(raw, ("one", "EOS"))
 
 
 class TestConstituencyTreeCache:

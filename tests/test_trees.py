@@ -19,9 +19,11 @@ from attnsyntax import (
     rbal_tree,
 )
 from oracles import (
+    BRACKET_LINES,
     all_binary_trees,
     best_tree_by_enumeration,
     cky_chart_by_cells,
+    parse_span_tree_recursive,
     random_phrase_table,
     recursion_score,
 )
@@ -77,6 +79,29 @@ class TestSpanTree:
         tree, tokens = parse_span_tree("EOS")
         assert tree == SpanTree.leaf(1)
         assert tokens == ("EOS",)
+
+    def test_parse_deeper_than_recursion_limit(self):
+        n = 5000
+        tokens = tuple(f"t{i}" for i in range(1, n + 1))
+        line = "(" * (n - 1) + tokens[0] + " " + " ".join(t + ")" for t in tokens[1:])
+        tree, parsed_tokens = parse_span_tree(line)
+        assert parsed_tokens == tokens
+        left_chain = {(1, b) for b in range(1, n + 1)} | {(i, i) for i in range(1, n + 1)}
+        assert tree.spans() == frozenset(left_chain)
+        with pytest.raises(TreeParseError, match="unbalanced"):
+            parse_span_tree(line[:-1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(BRACKET_LINES)
+    def test_parse_matches_recursive_parser(self, line):
+        try:
+            expected = parse_span_tree_recursive(line)
+        except TreeParseError as exc:
+            with pytest.raises(TreeParseError) as got:
+                parse_span_tree(line)
+            assert str(got.value) == str(exc)
+        else:
+            assert parse_span_tree(line) == expected
 
 
 def _all_spans_table(n, weight_of):
