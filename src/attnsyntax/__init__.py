@@ -61,7 +61,6 @@ from .treebank import (
     gold_tree_for_dump,
     postprocess,
     postprocess_steps,
-    raw_leaves,
     read_bracketed,
 )
 from .trees import (
@@ -122,7 +121,6 @@ __all__ = [
     "postprocess_steps",
     "random_attention_baseline",
     "random_binary_tree",
-    "raw_leaves",
     "rbal_tree",
     "read_bracketed",
     "render_head",

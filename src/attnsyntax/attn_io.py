@@ -143,7 +143,7 @@ def word_groups(subwords: Sequence[str]) -> list[Span]:
     return spans
 
 
-def _dump_from_record(record: object, lineno: int, eos: str) -> AttentionDump:
+def _dump_from_record(record: object, lineno: int) -> AttentionDump:
     if not isinstance(record, dict):
         raise DumpParseError(f"line {lineno}: record is not an object")
     for key in ("id", "subwords", "attn"):
@@ -160,13 +160,12 @@ def _dump_from_record(record: object, lineno: int, eos: str) -> AttentionDump:
     except (TypeError, ValueError) as exc:
         raise DumpParseError(f"line {lineno}: 'attn' is not a rectangular numeric array: {exc}") from exc
     dump = AttentionDump(sentence_id, tuple(subwords), matrices)
-    dump.validate(eos=eos)
+    dump.validate()
     return dump
 
 
 def load_dump(
     path,
-    eos: str = DEFAULT_EOS,
     max_record_bytes: int = DEFAULT_MAX_RECORD_BYTES,
 ) -> list[AttentionDump]:
     """Read a dump file, returning fully validated dumps in file order.
@@ -198,7 +197,7 @@ def load_dump(
             except orjson.JSONDecodeError as exc:
                 raise DumpParseError(f"line {lineno}: {exc}") from exc
             del line
-            dumps.append(_dump_from_record(record, lineno, eos))
+            dumps.append(_dump_from_record(record, lineno))
             del record
     return dumps
 

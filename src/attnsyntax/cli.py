@@ -234,7 +234,6 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
                 dump.heads,
                 sentence_id=dump.sentence_id,
                 subwords=dump.subwords,
-                eos=dump.subwords[-1],
             )
             mask = HeadMask.from_spec(args.heads, random.layers, random.heads)
             tree = extract_tree(random, mask)

@@ -97,14 +97,12 @@ class SelectionTrace:
 def _check_dev_set(
     dumps: Sequence[AttentionDump],
     golds: Sequence[ConstituencyTree],
-    universe: tuple[int, int] | None,
 ) -> tuple[int, int]:
     if not dumps:
         raise ValueError("empty dev set")
     if len(dumps) != len(golds):
         raise ValueError(f"{len(dumps)} dumps but {len(golds)} reference trees")
-    if universe is None:
-        universe = (dumps[0].layers, dumps[0].heads)
+    universe = (dumps[0].layers, dumps[0].heads)
     for dump in dumps:
         if (dump.layers, dump.heads) != universe:
             raise ValueError(
@@ -137,13 +135,12 @@ def _greedy(
     strategy: str,
     dumps: Sequence[AttentionDump],
     golds: Sequence[ConstituencyTree],
-    universe: tuple[int, int] | None,
     objective: str,
     counting: CountingPolicy,
 ) -> SelectionTrace:
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    universe = _check_dev_set(dumps, golds, universe)
+    universe = _check_dev_set(dumps, golds)
     layers, heads = universe
     all_pairs = sorted((l, h) for l in range(1, layers + 1) for h in range(1, heads + 1))
     # harden and scan every (sentence, head) once; evaluations only pool
@@ -189,23 +186,21 @@ def _greedy(
 def greedy_addition(
     dumps: Sequence[AttentionDump],
     golds: Sequence[ConstituencyTree],
-    universe: tuple[int, int] | None = None,
     objective: str = "precision",
     counting: CountingPolicy = CountingPolicy.NONTRIVIAL,
 ) -> SelectionTrace:
     """Empty mask to full mask, one precision-maximizing head at a time."""
-    return _greedy("addition", dumps, golds, universe, objective, counting)
+    return _greedy("addition", dumps, golds, objective, counting)
 
 
 def greedy_ablation(
     dumps: Sequence[AttentionDump],
     golds: Sequence[ConstituencyTree],
-    universe: tuple[int, int] | None = None,
     objective: str = "precision",
     counting: CountingPolicy = CountingPolicy.NONTRIVIAL,
 ) -> SelectionTrace:
     """Full mask down to a single head, removing the best head to drop."""
-    return _greedy("ablation", dumps, golds, universe, objective, counting)
+    return _greedy("ablation", dumps, golds, objective, counting)
 
 
 def layer_distribution(mask: HeadMask) -> dict[int, float]:

@@ -20,8 +20,8 @@ from .attn_io import DEFAULT_EOS, AttentionDump, Span
 from .trees import SpanTree
 
 
-def _default_subwords(n: int, eos: str) -> tuple[str, ...]:
-    return tuple(f"w{i}" for i in range(1, n)) + (eos,)
+def _default_subwords(n: int) -> tuple[str, ...]:
+    return tuple(f"w{i}" for i in range(1, n)) + (DEFAULT_EOS,)
 
 
 def random_attention_baseline(
@@ -31,7 +31,6 @@ def random_attention_baseline(
     heads: int,
     sentence_id: str | None = None,
     subwords: Sequence[str] | None = None,
-    eos: str = DEFAULT_EOS,
 ) -> AttentionDump:
     """A dump whose rows are seeded uniform draws from the simplex."""
     if n < 1 or layers < 1 or heads < 1:
@@ -39,11 +38,11 @@ def random_attention_baseline(
     rng = np.random.default_rng(seed)
     matrices = rng.dirichlet(np.ones(n), size=(layers, heads, n))
     if subwords is None:
-        subwords = _default_subwords(n, eos)
+        subwords = _default_subwords(n)
     if sentence_id is None:
         sentence_id = f"rand-{seed}"
     dump = AttentionDump(sentence_id, tuple(subwords), matrices)
-    dump.validate(eos=eos)
+    dump.validate()
     return dump
 
 
@@ -88,7 +87,6 @@ def planted_dump(
     sentence_id: str = "planted",
     subwords: Sequence[str] | None = None,
     weight: float = 1.0,
-    eos: str = DEFAULT_EOS,
 ) -> AttentionDump:
     """One-layer dump whose balusters are exactly the tree's internal spans.
 
@@ -113,7 +111,7 @@ def planted_dump(
         [baluster_matrix(n, spans, weight=weight) for spans in head_spans]
     )[np.newaxis, :, :, :]
     if subwords is None:
-        subwords = _default_subwords(n, eos)
+        subwords = _default_subwords(n)
     dump = AttentionDump(sentence_id, tuple(subwords), matrices)
-    dump.validate(eos=eos)
+    dump.validate()
     return dump

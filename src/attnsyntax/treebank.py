@@ -10,12 +10,13 @@ trees they are post-processed in four steps:
 4. flatten phrases containing only one immediate subphrase or only one
    subword (applied bottom-up, to a fixpoint),
 
-after which the EOS token is attached as an additional top-level child so
-both sides cover the same subword positions.
+all in one walk of the tree, after which the EOS token is attached as an
+additional top-level child so both sides cover the same subword positions.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence, Union
@@ -79,34 +80,17 @@ def read_bracketed(text: str) -> RawTree:
     return tree
 
 
+# For str patterns ``\s`` matches exactly the characters for which
+# ``str.isspace()`` is true.
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+_KIND = {"(": "open", ")": "close"}
+
+
 def _lex(text: str) -> Iterator[tuple[str, str, int]]:
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch == "(":
-            yield ("open", ch, i)
-            i += 1
-        elif ch == ")":
-            yield ("close", ch, i)
-            i += 1
-        else:
-            start = i
-            while i < len(text) and not text[i].isspace() and text[i] not in "()":
-                i += 1
-            yield ("atom", text[start:i], start)
-
-
-def raw_leaves(tree: RawTree) -> list[str]:
-    """Leaf words in left-to-right order."""
-    out: list[str] = []
-    for child in tree.children:
-        if isinstance(child, str):
-            out.append(child)
-        else:
-            out.extend(raw_leaves(child))
-    return out
+    """Yield ``(kind, value, offset)`` for each parenthesis and atom."""
+    for match in _TOKEN.finditer(text):
+        value = match.group()
+        yield (_KIND.get(value, "atom"), value, match.start())
 
 
 @dataclass(frozen=True)
@@ -135,19 +119,19 @@ class ConstituencyTree:
         walk(self.root)
         return tuple(out)
 
-    @cached_property
+    @property
     def n(self) -> int:
-        return len(self.leaves())
+        return self._walk[0]
 
     def spans(self) -> frozenset[Span]:
         """1-based inclusive spans of every phrase node (leaf tokens excluded)."""
-        return self._spans
+        return self._walk[1]
 
     # Scoring asks a reference tree for n and its spans on every evaluation,
-    # so both are walked once per instance; the cache is not a dataclass
+    # so both come from one walk per instance; the cache is not a dataclass
     # field, so equality and hashing still see only ``root``.
     @cached_property
-    def _spans(self) -> frozenset[Span]:
+    def _walk(self) -> tuple[int, frozenset[Span]]:
         out: set[Span] = set()
 
         def walk(node: Phrase | str, start: int) -> int:
@@ -159,8 +143,8 @@ class ConstituencyTree:
             out.add((start + 1, pos))
             return pos
 
-        walk(self.root, 0)
-        return frozenset(out)
+        n = walk(self.root, 0)
+        return n, frozenset(out)
 
     def to_bracketed(self) -> str:
         def render(node: Phrase | str) -> str:
@@ -174,36 +158,34 @@ class ConstituencyTree:
 def postprocess_steps(
     raw: RawTree, segmentation: Sequence[Sequence[str]]
 ) -> ConstituencyTree:
-    """Apply steps 1-4 (labels, wrapping, subword split, flattening).
+    """Apply steps 1-4 (labels, wrapping, subword split, flattening) in one walk.
 
-    ``segmentation`` holds one subword list per leaf word, in leaf order.
-    EOS is not attached here; see :func:`postprocess`.
+    ``segmentation`` holds one subword list per leaf word, in leaf order.  A
+    word becomes its subwords, a phrase left with one child becomes that
+    child, and the same walk counts the words.  EOS is not attached here;
+    see :func:`postprocess`.
     """
-    words = raw_leaves(raw)
-    if len(words) != len(segmentation):
+    words = 0
+
+    def convert(node: RawTree | str) -> Phrase | str:
+        nonlocal words
+        if isinstance(node, str):
+            words += 1
+            if words > len(segmentation):
+                return node  # counted only; the count check below rejects the tree
+            subwords = tuple(segmentation[words - 1])
+            if not subwords:
+                raise AlignmentError(f"word {node!r} maps to no subwords")
+            return subwords[0] if len(subwords) == 1 else Phrase(subwords)
+        children = tuple(map(convert, node.children))
+        return children[0] if len(children) == 1 else Phrase(children)
+
+    root = convert(raw)
+    if words != len(segmentation):
         raise AlignmentError(
-            f"tree has {len(words)} words but segmentation has "
-            f"{len(segmentation)} entries"
+            f"reference tree has {words} words but the subwords form {len(segmentation)}"
         )
-    for word, subwords in zip(words, segmentation):
-        if not subwords:
-            raise AlignmentError(f"word {word!r} maps to no subwords")
-    parts = iter(segmentation)
-
-    def strip_wrap_split(node: RawTree | str) -> Phrase:
-        if isinstance(node, str):
-            return Phrase(tuple(next(parts)))  # steps 2 + 3 on one word
-        return Phrase(tuple(map(strip_wrap_split, node.children)))
-
-    def flatten(node: Phrase | str) -> Phrase | str:
-        if isinstance(node, str):
-            return node
-        children = tuple(map(flatten, node.children))
-        if len(children) == 1:
-            return children[0]
-        return Phrase(children)
-
-    return ConstituencyTree(flatten(strip_wrap_split(raw)))
+    return ConstituencyTree(root)
 
 
 def attach_eos(tree: ConstituencyTree, eos: str = DEFAULT_EOS) -> ConstituencyTree:
@@ -228,11 +210,5 @@ def gold_tree_for_dump(raw: RawTree, subwords: Sequence[str]) -> ConstituencyTre
     The words are the ``@@``-continuation groups of ``subwords`` and the
     final subword is the EOS token attached to the root.
     """
-    groups = word_groups(subwords)
-    words = raw_leaves(raw)
-    if len(words) != len(groups):
-        raise AlignmentError(
-            f"reference tree has {len(words)} words but the subwords form {len(groups)}"
-        )
-    segmentation = [list(subwords[a - 1 : b]) for a, b in groups]
+    segmentation = [subwords[a - 1 : b] for a, b in word_groups(subwords)]
     return postprocess(raw, segmentation, eos=subwords[-1])

@@ -77,15 +77,26 @@ class SpanTree:
         return frozenset(out)
 
     def to_bracketed(self, tokens: Sequence[str]) -> str:
-        """Render with leaves replaced by tokens; parens inside tokens are escaped."""
+        """Render with leaves replaced by tokens; parens inside tokens are escaped.
+
+        The walk keeps its own stack, so a tree of any depth is rendered.
+        """
         if len(tokens) < self.span[1]:
             raise ValueError(
                 f"need {self.span[1]} tokens to render span {self.span}, got {len(tokens)}"
             )
-        if self.is_leaf:
-            return _escape_token(tokens[self.span[0] - 1])
-        assert self.left is not None and self.right is not None
-        return f"({self.left.to_bracketed(tokens)} {self.right.to_bracketed(tokens)})"
+        parts: list[str] = []
+        todo: list[SpanTree | str] = [self]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, str):
+                parts.append(node)
+            elif node.left is None:
+                parts.append(_escape_token(tokens[node.span[0] - 1]))
+            else:
+                parts.append("(")
+                todo += (")", node.right, " ", node.left)
+        return "".join(parts)
 
 
 def _escape_token(token: str) -> str:
@@ -145,12 +156,24 @@ class Chart:
     n: int
 
     def tree(self, a: int = 1, b: int | None = None) -> SpanTree:
+        """The best tree over (a, b), read off the splits with an explicit
+        stack, so a tree of any depth is built."""
         if b is None:
             b = self.n
-        if a == b:
-            return SpanTree.leaf(a)
-        k = int(self.splits[a, b])
-        return SpanTree.node(self.tree(a, k), self.tree(k + 1, b))
+        preorder: list[Span] = []
+        todo = [(a, b)]
+        while todo:
+            a, b = span = todo.pop()
+            preorder.append(span)
+            if a < b:
+                k = self.splits.item(a, b)
+                todo += ((k + 1, b), (a, k))
+        # in reverse preorder both subtrees are built before their parent,
+        # the left one last
+        built: list[SpanTree] = []
+        for a, b in reversed(preorder):
+            built.append(SpanTree.leaf(a) if a == b else SpanTree.node(built.pop(), built.pop()))
+        return built[0]
 
 
 def cky_chart(table: PhraseTable, n: int) -> Chart:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
 from attnsyntax import (
+    AlignmentError,
     Chart,
     ConstituencyTree,
     CountingPolicy,
@@ -31,13 +32,11 @@ from attnsyntax import (
     harden,
 )
 from attnsyntax.attn_io import (
-    DEFAULT_EOS,
     DEFAULT_MAX_RECORD_BYTES,
     AttentionDump,
     DumpParseError,
     _dump_from_record,
 )
-from attnsyntax.treebank import _lex
 from attnsyntax.trees import _unescape_token
 
 
@@ -126,6 +125,17 @@ def cky_chart_by_cells(table: PhraseTable, n: int) -> Chart:
     return Chart(scores, splits, n)
 
 
+def tree_from_splits_recursive(chart: Chart, a: int = 1, b: int | None = None) -> SpanTree:
+    """The recursive ``Chart.tree`` that the explicit-stack reader replaced."""
+    if b is None:
+        b = chart.n
+    if a == b:
+        return SpanTree.leaf(a)
+    k = int(chart.splits[a, b])
+    return SpanTree.node(tree_from_splits_recursive(chart, a, k),
+                         tree_from_splits_recursive(chart, k + 1, b))
+
+
 def score_spans_pairwise(extracted_spans, gold_spans, n: int,
                          counting: CountingPolicy) -> EvalReport:
     """Consistency counts by checking ``crosses`` pair by pair."""
@@ -174,7 +184,6 @@ def gold_from_span_tree(tree: SpanTree, tokens=None) -> ConstituencyTree:
 
 def load_dump_json(
     path,
-    eos: str = DEFAULT_EOS,
     max_record_bytes: int = DEFAULT_MAX_RECORD_BYTES,
 ) -> list[AttentionDump]:
     """The text-mode ``json.loads`` loader that orjson decoding replaced.
@@ -196,7 +205,7 @@ def load_dump_json(
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DumpParseError(f"line {lineno}: {exc}") from exc
-            dumps.append(_dump_from_record(record, lineno, eos))
+            dumps.append(_dump_from_record(record, lineno))
     return dumps
 
 
@@ -214,13 +223,78 @@ BRACKET_LINES = st.tuples(
 ).map(lambda t: t[0][: t[1]] + t[2] + t[0][t[1] + 1 :])
 
 
+def lex_by_chars(text: str) -> Iterator[tuple[str, str, int]]:
+    """The character loop that the regular-expression ``_lex`` replaced,
+    kept as its reference: same ``(kind, value, offset)`` triples."""
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch == "(":
+            yield ("open", ch, i)
+            i += 1
+        elif ch == ")":
+            yield ("close", ch, i)
+            i += 1
+        else:
+            start = i
+            while i < len(text) and not text[i].isspace() and text[i] not in "()":
+                i += 1
+            yield ("atom", text[start:i], start)
+
+
+def raw_leaves(tree: RawTree) -> list[str]:
+    """Leaf words of a raw tree in left-to-right order."""
+    out: list[str] = []
+    for child in tree.children:
+        if isinstance(child, str):
+            out.append(child)
+        else:
+            out.extend(raw_leaves(child))
+    return out
+
+
+def postprocess_steps_two_walks(
+    raw: RawTree, segmentation: Sequence[Sequence[str]]
+) -> ConstituencyTree:
+    """The post-processing that the one-walk ``postprocess_steps`` replaced:
+    count the words, wrap and split every word into a phrase of its
+    subwords, then flatten every phrase with one child in a second walk."""
+    words = raw_leaves(raw)
+    if len(words) != len(segmentation):
+        raise AlignmentError(
+            f"tree has {len(words)} words but segmentation has "
+            f"{len(segmentation)} entries"
+        )
+    for word, subwords in zip(words, segmentation):
+        if not subwords:
+            raise AlignmentError(f"word {word!r} maps to no subwords")
+    parts = iter(segmentation)
+
+    def strip_wrap_split(node: RawTree | str) -> Phrase:
+        if isinstance(node, str):
+            return Phrase(tuple(next(parts)))
+        return Phrase(tuple(map(strip_wrap_split, node.children)))
+
+    def flatten(node: Phrase | str) -> Phrase | str:
+        if isinstance(node, str):
+            return node
+        children = tuple(map(flatten, node.children))
+        if len(children) == 1:
+            return children[0]
+        return Phrase(children)
+
+    return ConstituencyTree(flatten(strip_wrap_split(raw)))
+
+
 def read_bracketed_recursive(text: str) -> RawTree:
     """The recursive-descent ``read_bracketed`` that the stack parser replaced.
 
     Kept as the reference for results and error messages on trees shallow
     enough for Python's recursion limit.
     """
-    items = list(_lex(text))
+    items = list(lex_by_chars(text))
     if not items:
         raise TreeParseError("empty input at offset 0")
     pos = 0

@@ -13,12 +13,17 @@ from attnsyntax import (
     gold_tree_for_dump,
     postprocess,
     postprocess_steps,
-    raw_leaves,
     read_bracketed,
 )
-from attnsyntax.treebank import MAX_TREE_DEPTH
+from attnsyntax.treebank import MAX_TREE_DEPTH, _lex
 
-from oracles import BRACKET_LINES, read_bracketed_recursive
+from oracles import (
+    BRACKET_LINES,
+    lex_by_chars,
+    postprocess_steps_two_walks,
+    raw_leaves,
+    read_bracketed_recursive,
+)
 
 
 class TestReadBracketed:
@@ -115,8 +120,15 @@ class TestPostprocess:
 
     def test_segmentation_length_mismatch(self):
         raw = read_bracketed("(S (VP vinegrowers suffer))")
-        with pytest.raises(AlignmentError, match="2 words"):
+        with pytest.raises(
+            AlignmentError, match="^reference tree has 2 words but the subwords form 1$"
+        ):
             postprocess_steps(raw, [["vin-", "e-", "growers"]])
+
+    def test_extra_segmentation_entries_rejected(self):
+        raw = read_bracketed("(X hello)")
+        with pytest.raises(AlignmentError, match="1 words but the subwords form 2"):
+            postprocess_steps(raw, [["hello"], ["world"]])
 
     def test_empty_word_segmentation_rejected(self):
         raw = read_bracketed("(X hello)")
@@ -189,6 +201,73 @@ class TestPostprocessProperties:
             return  # a bare word is already in normal form
         second = postprocess_steps(reparsed, [[w] for w in first.leaves()])
         assert second == first
+
+
+# text mixing brackets and atoms with ASCII, Unicode and non-space
+# separators (U+200B and U+FEFF are not whitespace)
+_LEX_TEXT = st.text(
+    alphabet=st.sampled_from(list("()ab-@ \t\n\r\x0b\x0c") + [
+        "\x1c", "\x1f", "\x85", "\xa0", "\u1680", "\u2003", "\u2028",
+        "\u202f", "\u3000", "\u200b", "\ufeff", "é", "语",
+    ]) | st.characters(),
+    max_size=40,
+)
+
+# one word's subwords; one word in eight maps to none
+_SUBWORDS = st.sampled_from(
+    [["a"], ["b"], ["a@@", "b"], ["c@@", "d@@", "e"], ["a"], ["b"], ["a@@", "b"], []]
+)
+_COUNT_ERROR = st.sampled_from([0] * 8 + [-1, 1])
+
+
+class TestOnePassMatchesReference:
+    """The regular-expression lexer and the one-walk post-processing
+    against the character loop and the two-walk version in ``oracles``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_LEX_TEXT)
+    def test_lexer_triples(self, text):
+        assert list(_lex(text)) == list(lex_by_chars(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(BRACKET_LINES, st.data())
+    def test_postprocessing(self, text, data):
+        try:
+            raw = read_bracketed(text)
+        except TreeParseError:
+            return
+        # mostly the right number of words, sometimes one too few or too many
+        n_words = max(0, len(raw_leaves(raw)) + data.draw(_COUNT_ERROR))
+        segmentation = data.draw(st.lists(_SUBWORDS, min_size=n_words, max_size=n_words))
+        try:
+            expected = postprocess_steps_two_walks(raw, segmentation)
+        except AlignmentError:
+            with pytest.raises(AlignmentError):
+                postprocess_steps(raw, segmentation)
+            return
+        got = postprocess_steps(raw, segmentation)
+        assert got == expected
+        for ours, reference in ((got, expected),
+                                (postprocess(raw, segmentation), attach_eos(expected))):
+            assert ours == reference
+            assert ours.n == len(reference.leaves())
+            assert ours.spans() == _spans_by_leaf_counts(reference.root)
+
+
+def _spans_by_leaf_counts(root) -> frozenset:
+    """Phrase spans of a tree, each measured by counting its own leaves."""
+    out = set()
+
+    def visit(node, start):
+        if isinstance(node, Phrase):
+            out.add((start + 1, start + len(ConstituencyTree(node).leaves())))
+            for child in node.children:
+                start = visit(child, start)
+            return start
+        return start + 1
+
+    visit(root, 0)
+    return frozenset(out)
 
 
 class TestGoldTreeForDump:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnsyntax import (
+    Chart,
     HeadMask,
     PhraseTable,
     SpanTree,
@@ -26,6 +27,7 @@ from oracles import (
     parse_span_tree_recursive,
     random_phrase_table,
     recursion_score,
+    tree_from_splits_recursive,
 )
 
 
@@ -88,6 +90,7 @@ class TestSpanTree:
         assert parsed_tokens == tokens
         left_chain = {(1, b) for b in range(1, n + 1)} | {(i, i) for i in range(1, n + 1)}
         assert tree.spans() == frozenset(left_chain)
+        assert tree.to_bracketed(tokens) == line
         with pytest.raises(TreeParseError, match="unbalanced"):
             parse_span_tree(line[:-1])
 
@@ -136,6 +139,43 @@ class TestChartMatchesCellLoop:
         self.assert_same_chart(_all_spans_table(n, lambda a, b: 1.0), n)
         small = rng.integers(0, 3, size=(n + 1, n + 1))
         self.assert_same_chart(_all_spans_table(n, lambda a, b: small[a, b]), n)
+
+
+def _chain_chart(n, split_of):
+    """A chart whose every span (a, b) splits at ``split_of(a, b)``; only
+    the splits are read when a tree is built."""
+    a, b = np.indices((n + 1, n + 1))
+    return Chart(np.zeros((1, 1)), split_of(a, b).astype(np.int64), n)
+
+
+class TestChartTree:
+    """Reading the best tree off the splits, against the recursive reader."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 30, 64])
+    def test_matches_recursive_reader(self, n):
+        rng = np.random.default_rng(3000 + n)
+        for density in (0.1, 0.35, 0.9):
+            chart = cky_chart(random_phrase_table(rng, n, density), n)
+            assert chart.tree() == tree_from_splits_recursive(chart)
+            for a in range(1, n + 1):
+                b = int(rng.integers(a, n + 1))
+                assert chart.tree(a, b) == tree_from_splits_recursive(chart, a, b)
+
+    @pytest.mark.parametrize("chain", ["left", "right"])
+    def test_deeper_than_recursion_limit(self, chain):
+        n = 1200
+        split_of = (lambda a, b: b - 1) if chain == "left" else (lambda a, b: a)
+        tree = _chain_chart(n, split_of).tree()
+        leaves = {(i, i) for i in range(1, n + 1)}
+        if chain == "left":
+            internal = {(1, b) for b in range(2, n + 1)}
+        else:
+            internal = {(a, n) for a in range(1, n)}
+        assert tree.spans() == frozenset(leaves | internal)
+        tokens = tuple(f"t{i}" for i in range(1, n + 1))
+        line = tree.to_bracketed(tokens)
+        assert line.count("(") == n - 1
+        assert parse_span_tree(line)[0].spans() == tree.spans()
 
 
 class TestCkyParse:
