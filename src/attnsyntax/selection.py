@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .attn_io import AttentionDump
+from .errors import AlignmentError
 from .masks import Head, HeadMask
 from .phrases import HeadPhrases, head_phrases, pool_phrases
 from .scoring import CountingPolicy, EvalReport, score
@@ -103,32 +104,42 @@ def _check_dev_set(
     if len(dumps) != len(golds):
         raise ValueError(f"{len(dumps)} dumps but {len(golds)} reference trees")
     universe = (dumps[0].layers, dumps[0].heads)
-    for dump in dumps:
+    for dump, gold in zip(dumps, golds):
         if (dump.layers, dump.heads) != universe:
             raise ValueError(
                 f"sentence {dump.sentence_id!r} has universe "
                 f"({dump.layers},{dump.heads}), expected {universe}"
             )
+        if gold.n != dump.n:
+            raise AlignmentError(
+                f"sentence {dump.sentence_id!r} has {dump.n} subwords "
+                f"but its reference tree has {gold.n}"
+            )
     return universe
 
 
-def _dev_score(
+def _dev_scores(
     dumps: Sequence[AttentionDump],
     golds: Sequence[ConstituencyTree],
     phrases: Sequence[Mapping[Head, HeadPhrases]],
-    heads: frozenset[Head],
+    masks: Sequence[frozenset[Head]],
     objective: str,
     counting: CountingPolicy,
-) -> float:
-    """Pool the cached phrases of the given heads, parse and score each
-    sentence.  No heads give the all-weights-zero parse (left-branching by
-    tie-break)."""
-    reports = []
+) -> list[float]:
+    """The dev-set objective of each head set.
+
+    Sentence by sentence, every head set's cached phrases are pooled,
+    parsed and scored, so the charts of one sentence length are filled
+    back to back (see ``cky_chart``).  No heads give the all-weights-zero
+    parse (left-branching by tie-break).  The counts are integers, so
+    pooling them in this order gives the same totals as mask by mask.
+    """
+    totals = [EvalReport()] * len(masks)
     for dump, gold, per_head in zip(dumps, golds, phrases):
-        table = pool_phrases(dump.sentence_id, {head: per_head[head] for head in heads})
-        reports.append(score(cky_parse(table, dump.n), gold, counting))
-    total = EvalReport.aggregate(reports)
-    return total.precision if objective == "precision" else total.f1
+        for i, heads in enumerate(masks):
+            table = pool_phrases(dump.sentence_id, {head: per_head[head] for head in heads})
+            totals[i] = totals[i].merged(score(cky_parse(table, dump.n), gold, counting))
+    return [total.precision if objective == "precision" else total.f1 for total in totals]
 
 
 def _greedy(
@@ -149,17 +160,17 @@ def _greedy(
     adding = strategy == "addition"
     current: set[Head] = set() if adding else set(all_pairs)
     evaluations = 1
-    initial_score = _dev_score(dumps, golds, phrases, frozenset(current), objective, counting)
+    [initial_score] = _dev_scores(dumps, golds, phrases, [frozenset(current)], objective, counting)
     n_steps = len(all_pairs) if adding else len(all_pairs) - 1
 
     steps: list[SelectionStep] = []
     for step in range(1, n_steps + 1):
         candidates = sorted(set(all_pairs) - current if adding else current)
+        trials = [frozenset(current | {h} if adding else current - {h}) for h in candidates]
+        values = _dev_scores(dumps, golds, phrases, trials, objective, counting)
+        evaluations += len(candidates)
         best: tuple[float, Head] | None = None
-        for head in candidates:
-            trial = current | {head} if adding else current - {head}
-            value = _dev_score(dumps, golds, phrases, frozenset(trial), objective, counting)
-            evaluations += 1
+        for value, head in zip(values, candidates):
             if best is None or value > best[0]:  # ties keep the lowest pair
                 best = (value, head)
         assert best is not None

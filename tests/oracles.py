@@ -26,10 +26,12 @@ from attnsyntax import (
     Span,
     SpanTree,
     TreeParseError,
+    cky_parse,
     crosses,
     equalize,
     find_balusters,
     harden,
+    score,
 )
 from attnsyntax.attn_io import (
     DEFAULT_MAX_RECORD_BYTES,
@@ -37,6 +39,8 @@ from attnsyntax.attn_io import (
     DumpParseError,
     _dump_from_record,
 )
+from attnsyntax.phrases import head_phrases, pool_phrases
+from attnsyntax.selection import SelectionStep, SelectionTrace
 from attnsyntax.trees import _unescape_token
 
 
@@ -123,6 +127,46 @@ def cky_chart_by_cells(table: PhraseTable, n: int) -> Chart:
     scores.setflags(write=False)
     splits.setflags(write=False)
     return Chart(scores, splits, n)
+
+
+def greedy_by_candidates(strategy: str, dumps, golds, objective: str = "precision",
+                         counting: CountingPolicy = CountingPolicy.NONTRIVIAL) -> SelectionTrace:
+    """The greedy search scored candidate by candidate, each over the whole
+    dev set: the reference for the sentence-by-sentence step of
+    ``greedy_addition`` and ``greedy_ablation``."""
+    layers, heads = dumps[0].layers, dumps[0].heads
+    all_pairs = sorted((l, h) for l in range(1, layers + 1) for h in range(1, heads + 1))
+    phrases = [{head: head_phrases(dump, head) for head in all_pairs} for dump in dumps]
+
+    def dev_score(mask):
+        reports = []
+        for dump, gold, per_head in zip(dumps, golds, phrases):
+            table = pool_phrases(dump.sentence_id, {head: per_head[head] for head in mask})
+            reports.append(score(cky_parse(table, dump.n), gold, counting))
+        total = EvalReport.aggregate(reports)
+        return total.precision if objective == "precision" else total.f1
+
+    adding = strategy == "addition"
+    current = set() if adding else set(all_pairs)
+    evaluations = 1
+    initial_score = dev_score(frozenset(current))
+    steps = []
+    for step in range(1, (len(all_pairs) if adding else len(all_pairs) - 1) + 1):
+        best = None
+        for head in sorted(set(all_pairs) - current if adding else current):
+            value = dev_score(frozenset(current | {head} if adding else current - {head}))
+            evaluations += 1
+            if best is None or value > best[0]:
+                best = (value, head)
+        value, head = best
+        if adding:
+            current.add(head)
+        else:
+            current.remove(head)
+        steps.append(SelectionStep(step, head, len(current), value))
+    return SelectionTrace(strategy, (layers, heads), objective,
+                          0 if adding else len(all_pairs), initial_score,
+                          tuple(steps), evaluations)
 
 
 def tree_from_splits_recursive(chart: Chart, a: int = 1, b: int | None = None) -> SpanTree:

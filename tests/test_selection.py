@@ -1,14 +1,48 @@
+import numpy as np
 import pytest
 
 from attnsyntax import (
+    AlignmentError,
+    AttentionDump,
     CountingPolicy,
     HeadMask,
+    baluster_matrix,
     extract_tree,
     greedy_ablation,
     greedy_addition,
     layer_distribution,
+    random_binary_tree,
     score,
 )
+from attnsyntax import selection
+from oracles import gold_from_span_tree, greedy_by_candidates
+
+
+def mixed_length_dev_set(seed, lengths, universe=(2, 3)):
+    """Dumps whose heads each carry balusters on some disjoint spans of the
+    sentence's random reference tree, or attend at random."""
+    rng = np.random.default_rng(seed)
+    dumps, golds = [], []
+    for i, n in enumerate(lengths):
+        tree = random_binary_tree(rng, n)
+        internal = sorted(s for s in tree.spans() if s[1] > s[0])
+        matrices = []
+        for _ in range(universe[0] * universe[1]):
+            if rng.random() < 0.25:
+                matrices.append(rng.dirichlet(np.ones(n), size=n))
+                continue
+            chosen = []
+            for index in rng.permutation(len(internal)):
+                a, b = internal[index]
+                if rng.random() < 0.5 and all(b < c or d < a for c, d in chosen):
+                    chosen.append((a, b))
+            matrices.append(baluster_matrix(n, chosen, weight=float(rng.uniform(0.5, 1.0))))
+        subwords = tuple(f"w{j}" for j in range(1, n)) + ("EOS",)
+        dump = AttentionDump(f"s{i}", subwords, np.reshape(matrices, (*universe, n, n)))
+        dump.validate()
+        dumps.append(dump)
+        golds.append(gold_from_span_tree(tree, tokens=subwords))
+    return dumps, golds
 
 
 class TestGreedyAddition:
@@ -120,11 +154,37 @@ class TestTraceMechanics:
         with pytest.raises(ValueError, match="empty"):
             greedy_addition([], [])
 
+    def test_misaligned_dev_set_rejected_before_hardening(self, two_head_fixture, monkeypatch):
+        dump, gold = two_head_fixture
+        short = AttentionDump("short", dump.subwords[1:], dump.matrices[:, :, 1:, 1:])
+        _, short_gold = mixed_length_dev_set(0, [5])
+        monkeypatch.setattr(selection, "head_phrases", pytest.fail)
+        with pytest.raises(AlignmentError, match=r"sentence 'fixture' has 6 subwords "
+                           r"but its reference tree has 5"):
+            greedy_addition([dump, dump], [gold, short_gold[0]])
+        with pytest.raises(AlignmentError, match="sentence 'short'"):
+            greedy_ablation([dump, short], [gold, gold])
+
     def test_counting_policy_changes_values(self, two_head_fixture):
         dump, gold = two_head_fixture
         nontrivial = greedy_addition([dump], [gold])
         allspans = greedy_addition([dump], [gold], counting=CountingPolicy.ALL)
         assert allspans.initial_score > nontrivial.initial_score  # trivia inflate
+
+
+@pytest.mark.parametrize("strategy", ["addition", "ablation"])
+@pytest.mark.parametrize("objective", ["precision", "f1"])
+@pytest.mark.parametrize("counting", list(CountingPolicy))
+def test_traces_match_candidate_by_candidate_search(strategy, objective, counting):
+    """Sentence-by-sentence steps give the traces of scoring each
+    candidate over the whole dev set, on sentences of mixed lengths."""
+    search = greedy_addition if strategy == "addition" else greedy_ablation
+    for seed, lengths in [(1, [7, 12, 7, 4, 12, 9]), (2, [16, 3, 11, 16, 5])]:
+        dumps, golds = mixed_length_dev_set(seed, lengths)
+        trace = search(dumps, golds, objective=objective, counting=counting)
+        expected = greedy_by_candidates(strategy, dumps, golds, objective, counting)
+        assert trace.to_text() == expected.to_text()
+        assert trace == expected
 
 
 class TestLayerDistribution:

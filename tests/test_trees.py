@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attnsyntax import trees
 from attnsyntax import (
     Chart,
     HeadMask,
@@ -94,6 +97,37 @@ class TestSpanTree:
         with pytest.raises(TreeParseError, match="unbalanced"):
             parse_span_tree(line[:-1])
 
+    def test_deep_trees_compare_hash_and_print(self):
+        n = 5000
+        tree, twin = chain_left(n), chain_left(n)
+        assert tree is not twin
+        assert tree == twin and hash(tree) == hash(twin)
+        assert {tree: 1}[twin] == 1
+        right = SpanTree.leaf(n)
+        for i in range(n - 1, 0, -1):
+            right = SpanTree.node(SpanTree.leaf(i), right)
+        assert tree != right
+        text = repr(tree)
+        assert text.startswith(f"SpanTree(span=(1, {n}), left=SpanTree(span=(1, {n - 1}), ")
+        assert text.count("SpanTree(") == 2 * n - 1
+
+    def test_equality_hash_and_repr_of_small_trees(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            n = int(rng.integers(1, 10))
+            tree = random_binary_tree(rng, n)
+            copy = parse_span_tree(tree.to_bracketed([f"t{i}" for i in range(n)]))[0]
+            assert copy == tree and hash(copy) == hash(tree)
+            assert repr(copy) == repr(tree)
+            chain = chain_left(n)
+            assert (chain == tree) == (repr(chain) == repr(tree))
+        pair = SpanTree.node(SpanTree.leaf(1), SpanTree.leaf(2))
+        assert repr(pair) == (
+            "SpanTree(span=(1, 2), left=SpanTree(span=(1, 1), left=None, right=None), "
+            "right=SpanTree(span=(2, 2), left=None, right=None))"
+        )
+        assert pair != (1, 2) and pair != SpanTree.leaf(1)
+
     @settings(max_examples=200, deadline=None)
     @given(BRACKET_LINES)
     def test_parse_matches_recursive_parser(self, line):
@@ -122,23 +156,61 @@ class TestChartMatchesCellLoop:
 
     @staticmethod
     def assert_same_chart(table, n):
-        fast, slow = cky_chart(table, n), cky_chart_by_cells(table, n)
-        assert fast.scores.tobytes() == slow.scores.tobytes()
-        assert fast.splits.tobytes() == slow.splits.tobytes()
+        """Fill lengths n, m, n: a gather plan kept for the wrong length
+        shows in the second chart of length n."""
+        slow = cky_chart_by_cells(table, n)
+        first = cky_chart(table, n)
+        m = n % 64 + 1
+        other = cky_chart(PhraseTable.empty("s"), m)
+        assert other.splits[1, m] == m - 1
+        for fast in (first, cky_chart(table, n)):
+            assert fast.scores.tobytes() == slow.scores.tobytes()
+            assert fast.splits.tobytes() == slow.splits.tobytes()
 
-    @pytest.mark.parametrize("n", range(1, 41))
+    @pytest.mark.parametrize("n", range(1, 65))
     def test_random_tables(self, n):
         rng = np.random.default_rng(1000 + n)
         for density in (0.1, 0.35, 0.9):
             self.assert_same_chart(random_phrase_table(rng, n, density), n)
 
-    @pytest.mark.parametrize("n", range(1, 41))
+    @pytest.mark.parametrize("n", range(1, 65))
     def test_tie_heavy_tables(self, n):
         rng = np.random.default_rng(2000 + n)
         self.assert_same_chart(PhraseTable.empty("s"), n)
         self.assert_same_chart(_all_spans_table(n, lambda a, b: 1.0), n)
         small = rng.integers(0, 3, size=(n + 1, n + 1))
         self.assert_same_chart(_all_spans_table(n, lambda a, b: small[a, b]), n)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_plan_built_per_length(self, n, monkeypatch):
+        """The same tables with no plan cached, as charts past the cache
+        limit are filled."""
+        monkeypatch.setattr(trees, "_PLAN_CACHE_MAX_N", 0)
+        self.test_random_tables(n)
+        self.test_tie_heavy_tables(n)
+
+
+class TestGatherPlanMemory:
+    def test_long_chart_holds_quadratic_memory(self):
+        """Past the cache limit no whole O(n^3) plan is built or kept."""
+        n = 300  # a whole plan would be 72 MB
+        table_bytes = 8 * (n + 1) ** 2
+        tracemalloc.start()
+        try:
+            chart = cky_chart(PhraseTable.empty("s"), n)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chart.splits[1, n] == n - 1
+        assert peak < 8 * table_bytes
+        assert kept < 3 * table_bytes
+
+    def test_short_plan_is_kept_for_the_last_length_only(self):
+        plan = trees._gather_plan(30)
+        assert trees._gather_plan(30) is plan
+        trees._gather_plan(31)
+        assert trees._gather_plan(30) is not plan
+        assert all(not array.flags.writeable for entry in plan for array in entry)
 
 
 def _chain_chart(n, split_of):
