@@ -43,7 +43,7 @@ def main() -> None:
     parser.add_argument("--counting", choices=["all", "nontrivial"], default="nontrivial")
     args = parser.parse_args()
 
-    counting = CountingPolicy.from_name(args.counting)
+    counting = CountingPolicy(args.counting)
     rng = np.random.default_rng(args.seed)
     lo = args.min_length if args.min_length is not None else args.length
 

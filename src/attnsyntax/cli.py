@@ -76,16 +76,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_output(path: str | None, data: str | bytes) -> None:
+    """Write text or bytes to ``path`` atomically, text as UTF-8; with no
+    path, write text to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(data)
         sys.stdout.flush()
         return
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".attnsyntax-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        # mkstemp makes the file private; give it the mode that open() gives
+        # under the current umask (read by setting it and setting it back)
+        os.chmod(tmp, 0o666 & ~os.umask(os.umask(0)))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -94,8 +101,10 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
+    """Lines end at LF only, as in a dump: a U+2028, form feed or CR inside
+    a line is whitespace to the tree readers, not a line break."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        return [line.removesuffix("\n") for line in fh]
 
 
 # --- extract ---------------------------------------------------------------
@@ -130,9 +139,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
             line, record = "", {"id": dump.sentence_id, "error": str(exc)}
         lines.append(line)
         records.append(record)
-    _write_text(args.out, "".join(line + "\n" for line in lines))
+    _write_output(args.out, "".join(line + "\n" for line in lines))
     if args.emit_phrases:
-        _write_text(
+        _write_output(
             args.emit_phrases,
             "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records),
         )
@@ -209,10 +218,10 @@ def evaluate_files(
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    counting = CountingPolicy.from_name(args.counting)
+    counting = CountingPolicy(args.counting)
     total, reports = evaluate_files(args.extracted, args.gold, counting)
     text = _eval_text(total, len(reports), reports if args.per_sentence else None, counting)
-    _write_text(args.out, text)
+    _write_output(args.out, text)
     return 0
 
 
@@ -238,7 +247,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             mask = HeadMask.from_spec(args.heads, random.layers, random.heads)
             tree = extract_tree(random, mask)
         lines.append(tree.to_bracketed(dump.subwords))
-    _write_text(args.out, "".join(line + "\n" for line in lines))
+    _write_output(args.out, "".join(line + "\n" for line in lines))
     return 0
 
 
@@ -246,7 +255,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def _cmd_select_heads(args: argparse.Namespace) -> int:
-    counting = CountingPolicy.from_name(args.counting)
+    counting = CountingPolicy(args.counting)
     dumps = load_dump(args.dump)[: args.dev_size]
     gold_lines = _read_lines(args.gold)
     if len(gold_lines) < len(dumps):
@@ -267,7 +276,7 @@ def _cmd_select_heads(args: argparse.Namespace) -> int:
         + " ".join(f"{100 * distribution[layer]:.0f}%" for layer in sorted(distribution))
         + "\n"
     )
-    _write_text(args.out, text)
+    _write_output(args.out, text)
     return 0
 
 
@@ -286,23 +295,16 @@ def _cmd_render(args: argparse.Namespace) -> int:
         raise ValueError(f"sentence id {args.sentence!r} not in dump (have: {known})")
     dump = by_id[args.sentence]
     if args.all:
-        pairs = [
-            (layer, head)
-            for layer in range(1, dump.layers + 1)
-            for head in range(1, dump.heads + 1)
-        ]
+        pairs = HeadMask.all_heads(dump.layers, dump.heads).sorted_heads()
     else:
         pairs = [(args.layer, args.head)]
     os.makedirs(args.out_dir, exist_ok=True)
     for layer, head in pairs:
-        stem = image_name(dump.sentence_id, layer, head, hardened=args.hardened)
-        data = render_head(dump, layer, head, hardened=args.hardened)
-        with open(os.path.join(args.out_dir, stem + ".pgm"), "wb") as fh:
-            fh.write(data)
-        with open(
-            os.path.join(args.out_dir, stem + ".txt"), "w", encoding="utf-8"
-        ) as fh:
-            fh.write(sidecar_text(dump.subwords))
+        stem = os.path.join(
+            args.out_dir, image_name(dump.sentence_id, layer, head, hardened=args.hardened)
+        )
+        _write_output(stem + ".pgm", render_head(dump, layer, head, hardened=args.hardened))
+        _write_output(stem + ".txt", sidecar_text(dump.subwords))
     log.info("wrote %d heatmaps to %s", len(pairs), args.out_dir)
     return 0
 

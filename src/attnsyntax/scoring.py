@@ -29,13 +29,6 @@ class CountingPolicy(enum.Enum):
     ALL = "all"
     NONTRIVIAL = "nontrivial"
 
-    @classmethod
-    def from_name(cls, name: str) -> "CountingPolicy":
-        for policy in cls:
-            if policy.value == name:
-                return policy
-        raise ValueError(f"unknown counting policy {name!r}")
-
 
 def crosses(e: Span, p: Span) -> bool:
     """True when the spans overlap without one containing the other."""

@@ -153,7 +153,7 @@ def _greedy(
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     universe = _check_dev_set(dumps, golds)
     layers, heads = universe
-    all_pairs = sorted((l, h) for l in range(1, layers + 1) for h in range(1, heads + 1))
+    all_pairs = HeadMask.all_heads(layers, heads).sorted_heads()
     # harden and scan every (sentence, head) once; evaluations only pool
     phrases = [{head: head_phrases(dump, head) for head in all_pairs} for dump in dumps]
 

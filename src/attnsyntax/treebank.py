@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .attn_io import DEFAULT_EOS, Span, word_groups
 from .errors import AlignmentError, TreeParseError
@@ -39,58 +39,53 @@ class RawTree:
 MAX_TREE_DEPTH = 500
 
 
+# The one tokenizer of bracketed trees, reference and extracted alike: a
+# parenthesis, or a run of anything else up to whitespace or a parenthesis.
+# For str patterns ``\s`` matches exactly the characters for which
+# ``str.isspace()`` is true, the ones ``str.split()`` splits on.
+BRACKET_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
 def read_bracketed(text: str) -> RawTree:
     """Parse one bracketed tree; errors carry the character offset.
 
     Phrases may nest at most ``MAX_TREE_DEPTH`` levels deep.
     """
-    items = list(_lex(text))
-    if not items:
-        raise TreeParseError("empty input at offset 0")
-    kind, _, offset = items[0]
-    if kind != "open":
-        raise TreeParseError(f"expected '(' at offset {offset}")
     open_phrases: list[RawTree] = []  # outermost first
     tree: RawTree | None = None
-    for kind, value, offset in items:
-        if tree is not None:
-            raise TreeParseError(f"trailing content at offset {offset}")
-        if kind == "open":
+    for match in BRACKET_TOKEN.finditer(text):
+        value = match.group()
+        if not open_phrases:  # before the tree or after it
+            if tree is not None:
+                raise TreeParseError(f"trailing content at offset {match.start()}")
+            if value != "(":
+                raise TreeParseError(f"expected '(' at offset {match.start()}")
+        if value == "(":
             if len(open_phrases) == MAX_TREE_DEPTH:
                 raise TreeParseError(
-                    f"phrases nested deeper than {MAX_TREE_DEPTH} levels at offset {offset}"
+                    f"phrases nested deeper than {MAX_TREE_DEPTH} levels "
+                    f"at offset {match.start()}"
                 )
             open_phrases.append(RawTree(None, []))
-        elif kind == "atom":
+        elif value == ")":
+            phrase = open_phrases.pop()
+            if not phrase.children:
+                raise TreeParseError(f"empty phrase at offset {match.start()}")
+            if open_phrases:
+                open_phrases[-1].children.append(phrase)
+            else:
+                tree = phrase
+        else:
             phrase = open_phrases[-1]
             if phrase.label is None and not phrase.children:  # right after '('
                 phrase.label = value
             else:
                 phrase.children.append(value)
-        else:
-            phrase = open_phrases.pop()
-            if not phrase.children:
-                raise TreeParseError(f"empty phrase at offset {offset}")
-            if open_phrases:
-                open_phrases[-1].children.append(phrase)
-            else:
-                tree = phrase
     if tree is None:
-        raise TreeParseError(f"unbalanced '(' at offset {len(text)}")
+        if open_phrases:
+            raise TreeParseError(f"unbalanced '(' at offset {len(text)}")
+        raise TreeParseError("empty input at offset 0")
     return tree
-
-
-# For str patterns ``\s`` matches exactly the characters for which
-# ``str.isspace()`` is true.
-_TOKEN = re.compile(r"[()]|[^\s()]+")
-_KIND = {"(": "open", ")": "close"}
-
-
-def _lex(text: str) -> Iterator[tuple[str, str, int]]:
-    """Yield ``(kind, value, offset)`` for each parenthesis and atom."""
-    for match in _TOKEN.finditer(text):
-        value = match.group()
-        yield (_KIND.get(value, "atom"), value, match.start())
 
 
 @dataclass(frozen=True)

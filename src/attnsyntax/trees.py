@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .attn_io import AttentionDump, Span
 from .errors import TreeParseError
 from .masks import HeadMask
 from .phrases import PhraseTable, build_phrase_table
+from .treebank import BRACKET_TOKEN
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -92,18 +93,11 @@ class SpanTree:
 
     def __repr__(self) -> str:
         """The dataclass form, ``SpanTree(span=(a, b), left=..., right=...)``."""
-        parts: list[str] = []
-        todo: list[SpanTree | str] = [self]
-        while todo:
-            node = todo.pop()
-            if isinstance(node, str):
-                parts.append(node)
-            elif node.left is None:
-                parts.append(f"SpanTree(span={node.span!r}, left=None, right=None)")
-            else:
-                parts.append(f"SpanTree(span={node.span!r}, left=")
-                todo += (")", node.right, ", right=", node.left)
-        return "".join(parts)
+        return self._render(
+            lambda i: f"SpanTree(span={(i, i)!r}, left=None, right=None)",
+            lambda span: f"SpanTree(span={span!r}, left=",
+            ", right=",
+        )
 
     def to_bracketed(self, tokens: Sequence[str]) -> str:
         """Render with leaves replaced by tokens; parens inside tokens are escaped.
@@ -114,6 +108,14 @@ class SpanTree:
             raise ValueError(
                 f"need {self.span[1]} tokens to render span {self.span}, got {len(tokens)}"
             )
+        return self._render(lambda i: _escape_token(tokens[i - 1]), lambda span: "(", " ")
+
+    def _render(
+        self, leaf: Callable[[int], str], opening: Callable[[Span], str], separator: str
+    ) -> str:
+        """Preorder text: ``leaf(i)`` for leaf i, and for a node
+        ``opening(span)``, its left child, ``separator``, its right child
+        and ``)``.  The walk keeps its own stack, so any depth is rendered."""
         parts: list[str] = []
         todo: list[SpanTree | str] = [self]
         while todo:
@@ -121,10 +123,10 @@ class SpanTree:
             if isinstance(node, str):
                 parts.append(node)
             elif node.left is None:
-                parts.append(_escape_token(tokens[node.span[0] - 1]))
+                parts.append(leaf(node.span[0]))
             else:
-                parts.append("(")
-                todo += (")", node.right, " ", node.left)
+                parts.append(opening(node.span))
+                todo += (")", node.right, separator, node.left)
         return "".join(parts)
 
 
@@ -143,7 +145,7 @@ def parse_span_tree(line: str) -> tuple[SpanTree, tuple[str, ...]]:
     The parse keeps its own stack, so a tree of any depth is read.
     """
     tokens: list[str] = []
-    items = line.replace("(", " ( ").replace(")", " ) ").split()
+    items = BRACKET_TOKEN.findall(line)
     if not items:
         raise TreeParseError("empty tree line")
     open_nodes: list[list[SpanTree]] = []  # children read so far, outermost first
@@ -184,13 +186,11 @@ class Chart:
     splits: np.ndarray  # (n+1, n+1) int64; splits[a, b] valid for b > a
     n: int
 
-    def tree(self, a: int = 1, b: int | None = None) -> SpanTree:
-        """The best tree over (a, b), read off the splits with an explicit
+    def tree(self) -> SpanTree:
+        """The best tree over 1..n, read off the splits with an explicit
         stack, so a tree of any depth is built."""
-        if b is None:
-            b = self.n
         preorder: list[Span] = []
-        todo = [(a, b)]
+        todo = [(1, self.n)]
         while todo:
             a, b = span = todo.pop()
             preorder.append(span)
@@ -304,40 +304,30 @@ def cky_parse(table: PhraseTable, n: int) -> SpanTree:
     return cky_chart(table, n).tree()
 
 
-def lbal_tree(n: int) -> SpanTree:
-    """Left-aligned balanced tree: pair adjacent units left to right each
-    round; a trailing odd unit survives to the next round."""
+def _balanced_tree(n: int, odd_unit_first: bool) -> SpanTree:
+    """Pair adjacent units each round until one is left.  With an odd
+    number of units, the first or the last one waits for the next round."""
     if n < 1:
         raise ValueError(f"sentence length must be >= 1, got {n}")
     units = [SpanTree.leaf(i) for i in range(1, n + 1)]
     while len(units) > 1:
-        merged = []
-        i = 0
-        while i + 1 < len(units):
-            merged.append(SpanTree.node(units[i], units[i + 1]))
-            i += 2
-        if i < len(units):
-            merged.append(units[i])
-        units = merged
+        start = len(units) % 2 if odd_unit_first else 0
+        stop = start + len(units) // 2 * 2
+        pairs = [SpanTree.node(units[i], units[i + 1]) for i in range(start, stop, 2)]
+        units = units[:start] + pairs + units[stop:]
     return units[0]
+
+
+def lbal_tree(n: int) -> SpanTree:
+    """Left-aligned balanced tree: adjacent units pair left to right each
+    round; a trailing odd unit waits for the next round."""
+    return _balanced_tree(n, odd_unit_first=False)
 
 
 def rbal_tree(n: int) -> SpanTree:
-    """Right-aligned balanced tree: pair adjacent units right to left each
-    round; a leading odd unit survives to the next round."""
-    if n < 1:
-        raise ValueError(f"sentence length must be >= 1, got {n}")
-    units = [SpanTree.leaf(i) for i in range(1, n + 1)]
-    while len(units) > 1:
-        merged = []
-        i = len(units)
-        while i - 2 >= 0:
-            merged.append(SpanTree.node(units[i - 2], units[i - 1]))
-            i -= 2
-        if i == 1:
-            merged.append(units[0])
-        units = merged[::-1]
-    return units[0]
+    """Right-aligned balanced tree: adjacent units pair right to left each
+    round; a leading odd unit waits for the next round."""
+    return _balanced_tree(n, odd_unit_first=True)
 
 
 def extract_tree(dump: AttentionDump, mask: HeadMask) -> SpanTree:

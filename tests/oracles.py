@@ -180,6 +180,42 @@ def tree_from_splits_recursive(chart: Chart, a: int = 1, b: int | None = None) -
                          tree_from_splits_recursive(chart, k + 1, b))
 
 
+def lbal_tree_left_to_right(n: int) -> SpanTree:
+    """The left-aligned balanced tree by its own pairing loop, kept as the
+    reference for the shared builder behind ``lbal_tree``."""
+    if n < 1:
+        raise ValueError(f"sentence length must be >= 1, got {n}")
+    units = [SpanTree.leaf(i) for i in range(1, n + 1)]
+    while len(units) > 1:
+        merged = []
+        i = 0
+        while i + 1 < len(units):
+            merged.append(SpanTree.node(units[i], units[i + 1]))
+            i += 2
+        if i < len(units):
+            merged.append(units[i])
+        units = merged
+    return units[0]
+
+
+def rbal_tree_right_to_left(n: int) -> SpanTree:
+    """The right-aligned balanced tree by its own pairing loop, kept as the
+    reference for the shared builder behind ``rbal_tree``."""
+    if n < 1:
+        raise ValueError(f"sentence length must be >= 1, got {n}")
+    units = [SpanTree.leaf(i) for i in range(1, n + 1)]
+    while len(units) > 1:
+        merged = []
+        i = len(units)
+        while i - 2 >= 0:
+            merged.append(SpanTree.node(units[i - 2], units[i - 1]))
+            i -= 2
+        if i == 1:
+            merged.append(units[0])
+        units = merged[::-1]
+    return units[0]
+
+
 def score_spans_pairwise(extracted_spans, gold_spans, n: int,
                          counting: CountingPolicy) -> EvalReport:
     """Consistency counts by checking ``crosses`` pair by pair."""
@@ -268,8 +304,8 @@ BRACKET_LINES = st.tuples(
 
 
 def lex_by_chars(text: str) -> Iterator[tuple[str, str, int]]:
-    """The character loop that the regular-expression ``_lex`` replaced,
-    kept as its reference: same ``(kind, value, offset)`` triples."""
+    """The character loop that the token pattern ``BRACKET_TOKEN`` replaced,
+    kept as its reference: ``(kind, value, offset)`` for each token."""
     i = 0
     while i < len(text):
         ch = text[i]

@@ -1,4 +1,6 @@
 import filecmp
+import os
+import stat
 import subprocess
 import sys
 
@@ -27,6 +29,10 @@ BAD_REFERENCES = [
                  id="word-count"),
     pytest.param("(S (NP a) (VP b", "unbalanced '(' at offset 15", id="unbalanced"),
 ]
+
+# whitespace that ``str.splitlines()`` breaks lines at; inside a reference
+# line it only separates labels and words
+LINE_BREAKING_SPACES = ["\u2028", "\x0c", "\x85", "\x1e", "\r"]
 
 
 def run_cli(args, capsys):
@@ -202,6 +208,21 @@ class TestEval:
         assert code == 1
         assert "lines" in err
 
+    @pytest.mark.parametrize("space", LINE_BREAKING_SPACES)
+    def test_lines_split_at_newline_only(self, space, toy_dump_path, toy_gold_path,
+                                         tmp_path, capsys):
+        trees = tmp_path / "trees.txt"
+        assert run_cli(["extract", "--dump", toy_dump_path, "--out", trees], capsys)[0] == 0
+        line = toy_gold_path.read_text().splitlines()[1].replace(" ", space)
+        gold = with_line_replaced(toy_gold_path, 2, line, tmp_path / "gold.txt")
+        expected = run_cli(
+            ["eval", "--extracted", trees, "--gold", toy_gold_path, "--per-sentence"], capsys
+        )
+        assert expected[0] == 0, expected[2]
+        assert run_cli(
+            ["eval", "--extracted", trees, "--gold", gold, "--per-sentence"], capsys
+        ) == expected
+
     @pytest.mark.parametrize("line, message", BAD_REFERENCES)
     def test_bad_reference_names_the_sentence(self, line, message, toy_dump_path,
                                               toy_gold_path, tmp_path, capsys):
@@ -314,6 +335,19 @@ class TestSelectHeads:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("space", LINE_BREAKING_SPACES)
+    def test_lines_split_at_newline_only(self, space, toy_dump_path, toy_gold_path,
+                                         tmp_path, capsys):
+        line = toy_gold_path.read_text().splitlines()[1].replace(" ", space)
+        gold = with_line_replaced(toy_gold_path, 2, line, tmp_path / "gold.txt")
+        outputs = [
+            run_cli(["select-heads", "--dump", toy_dump_path, "--gold", path,
+                     "--strategy", "add", "--dev-size", "3"], capsys)
+            for path in (toy_gold_path, gold)
+        ]
+        assert outputs[0][0] == 0, outputs[0][2]
+        assert outputs[1] == outputs[0]
+
     @pytest.mark.parametrize("line, message", BAD_REFERENCES)
     def test_bad_reference_names_the_sentence(self, line, message, toy_dump_path,
                                               toy_gold_path, tmp_path, capsys):
@@ -396,6 +430,21 @@ class TestRender:
         )
         assert code == 1
 
+    def test_failed_write_leaves_no_file(self, toy_dump_path, tmp_path, capsys,
+                                         monkeypatch):
+        def fail(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr("os.replace", fail)
+        code, _, err = run_cli(
+            ["render", "--dump", toy_dump_path, "--sentence", "toy-04",
+             "--layer", 1, "--head", 1, "--out-dir", tmp_path],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: cannot replace")
+        assert list(tmp_path.iterdir()) == []
+
     def test_hardened_flag(self, toy_dump_path, tmp_path, capsys):
         code, _, _ = run_cli(
             ["render", "--dump", toy_dump_path, "--sentence", "toy-04",
@@ -404,6 +453,16 @@ class TestRender:
         )
         assert code == 0
         assert (tmp_path / "stoy-04_l1_h1_hardened.pgm").exists()
+
+
+def test_output_files_get_the_mode_open_gives(toy_dump_path, tmp_path, capsys):
+    umask = os.umask(os.umask(0))
+    trees = tmp_path / "trees.txt"
+    assert run_cli(["extract", "--dump", toy_dump_path, "--out", trees], capsys)[0] == 0
+    assert run_cli(["render", "--dump", toy_dump_path, "--sentence", "toy-04",
+                    "--layer", 1, "--head", 1, "--out-dir", tmp_path], capsys)[0] == 0
+    for path in tmp_path.iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
 
 def test_log_env_var_controls_verbosity(toy_dump_path, tmp_path, capsys, monkeypatch):

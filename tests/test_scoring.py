@@ -251,9 +251,3 @@ class TestCountingPolicy:
         report = score(tree, gold, CountingPolicy.ALL)
         assert report.extracted_phrases_total == 5  # 3 leaves + (1,2) + root
         assert report.gold_phrases_total == 2  # (1,2) + root
-
-    def test_from_name(self):
-        assert CountingPolicy.from_name("all") is CountingPolicy.ALL
-        assert CountingPolicy.from_name("nontrivial") is CountingPolicy.NONTRIVIAL
-        with pytest.raises(ValueError):
-            CountingPolicy.from_name("bogus")

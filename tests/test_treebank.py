@@ -15,7 +15,7 @@ from attnsyntax import (
     postprocess_steps,
     read_bracketed,
 )
-from attnsyntax.treebank import MAX_TREE_DEPTH, _lex
+from attnsyntax.treebank import BRACKET_TOKEN, MAX_TREE_DEPTH
 
 from oracles import (
     BRACKET_LINES,
@@ -221,13 +221,14 @@ _COUNT_ERROR = st.sampled_from([0] * 8 + [-1, 1])
 
 
 class TestOnePassMatchesReference:
-    """The regular-expression lexer and the one-walk post-processing
-    against the character loop and the two-walk version in ``oracles``."""
+    """The shared token pattern and the one-walk post-processing against
+    the character loop and the two-walk version in ``oracles``."""
 
     @settings(max_examples=300, deadline=None)
     @given(_LEX_TEXT)
-    def test_lexer_triples(self, text):
-        assert list(_lex(text)) == list(lex_by_chars(text))
+    def test_tokens_and_offsets(self, text):
+        tokens = [(match.group(), match.start()) for match in BRACKET_TOKEN.finditer(text)]
+        assert tokens == [(value, offset) for _, value, offset in lex_by_chars(text)]
 
     @settings(max_examples=300, deadline=None)
     @given(BRACKET_LINES, st.data())

@@ -27,8 +27,10 @@ from oracles import (
     all_binary_trees,
     best_tree_by_enumeration,
     cky_chart_by_cells,
+    lbal_tree_left_to_right,
     parse_span_tree_recursive,
     random_phrase_table,
+    rbal_tree_right_to_left,
     recursion_score,
     tree_from_splits_recursive,
 )
@@ -229,9 +231,6 @@ class TestChartTree:
         for density in (0.1, 0.35, 0.9):
             chart = cky_chart(random_phrase_table(rng, n, density), n)
             assert chart.tree() == tree_from_splits_recursive(chart)
-            for a in range(1, n + 1):
-                b = int(rng.integers(a, n + 1))
-                assert chart.tree(a, b) == tree_from_splits_recursive(chart, a, b)
 
     @pytest.mark.parametrize("chain", ["left", "right"])
     def test_deeper_than_recursion_limit(self, chain):
@@ -389,8 +388,14 @@ class TestBalancedBaselines:
         assert mirror(lbal_tree(n)) == rbal_tree(n)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            lbal_tree(0)
+        for build in (lbal_tree, rbal_tree):
+            with pytest.raises(ValueError):
+                build(0)
+
+    def test_match_the_two_pairing_loops(self):
+        for n in range(1, 401):
+            assert lbal_tree(n).spans() == lbal_tree_left_to_right(n).spans()
+            assert rbal_tree(n).spans() == rbal_tree_right_to_left(n).spans()
 
 
 class TestPlantedRecovery:
