@@ -28,20 +28,24 @@ from attnsyntax import (
     rbal_tree,
     score_spans,
 )
+from attnsyntax.cli import _int_at_least, _positive_int
 from attnsyntax.scoring import CountingPolicy
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sentences", type=int, default=1000)
-    parser.add_argument("--length", type=int, default=30, help="subwords per sentence (incl. EOS)")
-    parser.add_argument("--min-length", type=int, default=None,
+    parser.add_argument("--sentences", type=_positive_int, default=1000)
+    parser.add_argument("--length", type=_positive_int, default=30,
+                        help="subwords per sentence (incl. EOS)")
+    parser.add_argument("--min-length", type=_positive_int, default=None,
                         help="draw lengths uniformly from [min-length, length]")
-    parser.add_argument("--layers", type=int, default=6)
-    parser.add_argument("--heads", type=int, default=16)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--layers", type=_positive_int, default=6)
+    parser.add_argument("--heads", type=_positive_int, default=16)
+    parser.add_argument("--seed", type=_int_at_least(0), default=0)
     parser.add_argument("--counting", choices=["all", "nontrivial"], default="nontrivial")
     args = parser.parse_args()
+    if args.min_length is not None and args.min_length > args.length:
+        parser.error(f"argument --min-length: {args.min_length} exceeds --length {args.length}")
 
     counting = CountingPolicy(args.counting)
     rng = np.random.default_rng(args.seed)

@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 import tempfile
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .attn_io import AttentionDump, load_dump
 from .errors import AlignmentError, AttnSyntaxError, TreeParseError
@@ -65,15 +65,24 @@ def _pin_mmap_threshold() -> None:
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type for an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)  # counts
 
 
 def _write_output(path: str | None, data: str | bytes) -> None:
@@ -349,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="uninformed baseline trees for a dump")
     add_common(p)
     p.add_argument("--kind", choices=["lbal", "rbal", "rand.attn"], required=True)
-    p.add_argument("--seed", type=int, default=0, help="seed for rand.attn")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for rand.attn")
     p.add_argument("--heads", default="all", help="head mask for rand.attn extraction")
     p.set_defaults(func=_cmd_baseline)
 

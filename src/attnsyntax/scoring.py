@@ -5,6 +5,16 @@ for every p: disjoint, or p inside e, or e inside p.  Precision counts the
 extracted tree's spans consistent with the reference span set; recall
 counts the reference spans consistent with the extracted span set.  Counts
 are pooled over sentences before dividing (micro-average).
+
+``score`` reads an extracted tree as its preorder tuple of spans and
+checks each span in O(1).  Recall: a reference span crosses no span of a
+strictly binary tree exactly when it is one of them, because any other
+span crosses a child of the smallest node around it.  Precision: an
+extracted span (a, b) crosses no reference span exactly when
+``first_end[a] >= b and last_start[b] <= a``, two arrays a reference tree
+computes once however often it is scored (``ConstituencyTree.boundaries``).
+``score_spans`` compares two arbitrary span sets pair by pair and is the
+reference for both rules.
 """
 
 from __future__ import annotations
@@ -134,12 +144,30 @@ def score(
     gold: ConstituencyTree,
     counting: CountingPolicy = CountingPolicy.NONTRIVIAL,
 ) -> EvalReport:
-    """Per-sentence report for an extracted tree against a reference tree."""
-    n = extracted.span[1] - extracted.span[0] + 1
-    if extracted.span[0] != 1:
-        raise AlignmentError(f"extracted tree must start at position 1, got {extracted.span}")
+    """Per-sentence report for an extracted tree against a reference tree,
+    by the module docstring's two O(1) rules; the counts equal
+    ``score_spans`` on the two span sets."""
+    preorder = extracted.preorder
+    start, end = preorder[0]
+    n = end - start + 1
+    if start != 1:
+        raise AlignmentError(f"extracted tree must start at position 1, got {(start, end)}")
     if gold.n != n:
         raise AlignmentError(
             f"extracted tree covers {n} subwords but the reference tree has {gold.n}"
         )
-    return score_spans(extracted.spans(), gold.spans(), n, counting)
+    first_end, last_start = gold.boundaries()
+    if counting is CountingPolicy.ALL:
+        counted_extracted, counted_gold = preorder, gold.spans()
+    else:  # preorder[0] is the root, the only extracted span (1, n)
+        counted_extracted = [(a, b) for a, b in preorder[1:] if a < b]
+        counted_gold = [(a, b) for a, b in gold.spans() if a < b and (a, b) != (1, n)]
+    extracted_spans = set(preorder)
+    return EvalReport(
+        extracted_phrases_total=len(counted_extracted),
+        extracted_consistent=sum(
+            first_end[a] >= b and last_start[b] <= a for a, b in counted_extracted
+        ),
+        gold_phrases_total=len(counted_gold),
+        gold_consistent=sum(span in extracted_spans for span in counted_gold),
+    )

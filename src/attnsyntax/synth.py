@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .attn_io import DEFAULT_EOS, AttentionDump, Span
-from .trees import SpanTree
+from .trees import SpanTree, tree_from_splits
 
 
 def _default_subwords(n: int) -> tuple[str, ...]:
@@ -47,15 +47,8 @@ def random_attention_baseline(
 
 
 def random_binary_tree(rng: np.random.Generator, n: int) -> SpanTree:
-    """Uniformly random split point at every node."""
-
-    def build(a: int, b: int) -> SpanTree:
-        if a == b:
-            return SpanTree.leaf(a)
-        k = int(rng.integers(a, b))  # split in [a, b-1]
-        return SpanTree.node(build(a, k), build(k + 1, b))
-
-    return build(1, n)
+    """Uniformly random split point at every node, drawn in preorder."""
+    return tree_from_splits(n, lambda a, b: int(rng.integers(a, b)))
 
 
 def baluster_matrix(n: int, spans: Sequence[Span], weight: float = 1.0) -> np.ndarray:

@@ -122,12 +122,23 @@ class ConstituencyTree:
         """1-based inclusive spans of every phrase node (leaf tokens excluded)."""
         return self._walk[1]
 
-    # Scoring asks a reference tree for n and its spans on every evaluation,
-    # so both come from one walk per instance; the cache is not a dataclass
-    # field, so equality and hashing still see only ``root``.
+    def boundaries(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(first_end, last_start)``, indexed by positions 1..n.
+
+        ``first_end[a]`` is the smallest end d of a phrase (c, d) with
+        c < a <= d, and ``last_start[b]`` the largest start c of a phrase
+        with c <= b < d; where there is none they hold n and 0.  A span
+        (a, b) crosses no phrase exactly when ``first_end[a] >= b`` and
+        ``last_start[b] <= a``.
+        """
+        return self._walk[2], self._walk[3]
+
+    # Scoring asks a reference tree for n, its spans and its boundaries on
+    # every evaluation, so all come from one walk per instance; the cache is
+    # not a dataclass field, so equality and hashing still see only ``root``.
     @cached_property
-    def _walk(self) -> tuple[int, frozenset[Span]]:
-        out: set[Span] = set()
+    def _walk(self) -> tuple[int, frozenset[Span], tuple[int, ...], tuple[int, ...]]:
+        postorder: list[Span] = []
 
         def walk(node: Phrase | str, start: int) -> int:
             if isinstance(node, str):
@@ -135,11 +146,18 @@ class ConstituencyTree:
             pos = start
             for child in node.children:
                 pos = walk(child, pos)
-            out.add((start + 1, pos))
+            postorder.append((start + 1, pos))
             return pos
 
         n = walk(self.root, 0)
-        return n, frozenset(out)
+        first_end, last_start = [n] * (n + 1), [0] * (n + 1)
+        # the phrases are laminar, so writing every phrase after the phrases
+        # that contain it (reversed postorder: outer first, inner ones
+        # overwrite) leaves the innermost phrase's bound at each position
+        for c, d in reversed(postorder):
+            first_end[c + 1 : d + 1] = [d] * (d - c)
+            last_start[c:d] = [c] * (d - c)
+        return n, frozenset(postorder), tuple(first_end), tuple(last_start)
 
     def to_bracketed(self) -> str:
         def render(node: Phrase | str) -> str:

@@ -23,48 +23,74 @@ from .phrases import PhraseTable, build_phrase_table
 from .treebank import BRACKET_TOKEN
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class SpanTree:
     """Strictly binary tree over 1-based inclusive subword spans.
 
-    Equality, hashing and ``repr`` walk the tree with their own stack, so
-    trees of any depth compare, hash and print.
+    The tree is one tuple, ``preorder``: a node's span, then its left
+    subtree, then its right subtree.  A left child (a, k) takes the next
+    2(k - a + 1) - 1 entries and the right subtree the rest, so ``left``
+    and ``right`` are slices.  Equality and hashing are the tuple's: the
+    children partition their parent, so the spans fix the tree.
     """
 
-    span: Span
-    left: "SpanTree | None" = None
-    right: "SpanTree | None" = None
+    preorder: tuple[Span, ...]
 
-    def __post_init__(self) -> None:
-        a, b = self.span
-        if (self.left is None) != (self.right is None):
+    def __init__(
+        self, span: Span, left: "SpanTree | None" = None, right: "SpanTree | None" = None
+    ) -> None:
+        a, b = span
+        if (left is None) != (right is None):
             raise ValueError("a node needs either two children or none")
-        if self.left is None:
+        if left is None:
             if a != b:
                 raise ValueError(f"leaf span ({a},{b}) must be a single position")
+            preorder = ((a, b),)
         else:
-            assert self.right is not None
-            if (
-                self.left.span[0] != a
-                or self.right.span[1] != b
-                or self.left.span[1] + 1 != self.right.span[0]
-            ):
-                raise ValueError(
-                    f"children {self.left.span} + {self.right.span} "
-                    f"do not partition ({a},{b})"
-                )
+            (c, k), (k1, d) = left.preorder[0], right.preorder[0]
+            if c != a or d != b or k + 1 != k1:
+                raise ValueError(f"children {(c, k)} + {(k1, d)} do not partition ({a},{b})")
+            preorder = ((a, b),) + left.preorder + right.preorder
+        object.__setattr__(self, "preorder", preorder)
+
+    @staticmethod
+    def _from_preorder(preorder: tuple[Span, ...]) -> "SpanTree":
+        """Wrap a preorder the caller built correctly, unchecked."""
+        tree = object.__new__(SpanTree)
+        object.__setattr__(tree, "preorder", preorder)
+        return tree
 
     @staticmethod
     def leaf(i: int) -> "SpanTree":
-        return SpanTree((i, i))
+        return SpanTree._from_preorder(((i, i),))
 
     @staticmethod
     def node(left: "SpanTree", right: "SpanTree") -> "SpanTree":
-        return SpanTree((left.span[0], right.span[1]), left, right)
+        return SpanTree((left.preorder[0][0], right.preorder[0][1]), left, right)
+
+    @property
+    def span(self) -> Span:
+        return self.preorder[0]
+
+    @property
+    def left(self) -> "SpanTree | None":
+        preorder = self.preorder
+        if len(preorder) == 1:
+            return None
+        a, k = preorder[1]
+        return SpanTree._from_preorder(preorder[1 : 2 * (k - a + 1)])
+
+    @property
+    def right(self) -> "SpanTree | None":
+        preorder = self.preorder
+        if len(preorder) == 1:
+            return None
+        a, k = preorder[1]
+        return SpanTree._from_preorder(preorder[2 * (k - a + 1) :])
 
     @property
     def is_leaf(self) -> bool:
-        return self.left is None
+        return len(self.preorder) == 1
 
     @property
     def n(self) -> int:
@@ -72,24 +98,15 @@ class SpanTree:
 
     def spans(self) -> frozenset[Span]:
         """Spans of all nodes, leaves included."""
-        out: set[Span] = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            out.add(node.span)
-            if node.left is not None:
-                stack.append(node.left)
-                stack.append(node.right)
-        return frozenset(out)
+        return frozenset(self.preorder)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # the children partition their parent, so the spans fix the tree
-        return self is other or self.spans() == other.spans()
+        return self.preorder == other.preorder
 
     def __hash__(self) -> int:
-        return hash(self.spans())
+        return hash(self.preorder)
 
     def __repr__(self) -> str:
         """The dataclass form, ``SpanTree(span=(a, b), left=..., right=...)``."""
@@ -100,10 +117,7 @@ class SpanTree:
         )
 
     def to_bracketed(self, tokens: Sequence[str]) -> str:
-        """Render with leaves replaced by tokens; parens inside tokens are escaped.
-
-        The walk keeps its own stack, so a tree of any depth is rendered.
-        """
+        """Render with leaves replaced by tokens; parens inside tokens are escaped."""
         if len(tokens) < self.span[1]:
             raise ValueError(
                 f"need {self.span[1]} tokens to render span {self.span}, got {len(tokens)}"
@@ -115,18 +129,22 @@ class SpanTree:
     ) -> str:
         """Preorder text: ``leaf(i)`` for leaf i, and for a node
         ``opening(span)``, its left child, ``separator``, its right child
-        and ``)``.  The walk keeps its own stack, so any depth is rendered."""
+        and ``)``.  One pass over ``preorder``, so any depth is rendered."""
         parts: list[str] = []
-        todo: list[SpanTree | str] = [self]
-        while todo:
-            node = todo.pop()
-            if isinstance(node, str):
-                parts.append(node)
-            elif node.left is None:
-                parts.append(leaf(node.span[0]))
-            else:
-                parts.append(opening(node.span))
-                todo += (")", node.right, separator, node.left)
+        open_ends: list[int] = []  # ends of the nodes opened and not yet closed
+        for a, b in self.preorder:
+            if a < b:
+                parts.append(opening((a, b)))
+                open_ends.append(b)
+                continue
+            parts.append(leaf(a))
+            # leaf a ends every open node that ends at a; the next entry
+            # is the right child of the innermost node still open
+            while open_ends and open_ends[-1] == a:
+                open_ends.pop()
+                parts.append(")")
+            if open_ends:
+                parts.append(separator)
         return "".join(parts)
 
 
@@ -142,40 +160,44 @@ def parse_span_tree(line: str) -> tuple[SpanTree, tuple[str, ...]]:
     """Parse one bracketed, unlabeled, strictly binary tree line.
 
     Returns the tree over 1-based leaf positions plus the leaf tokens.
-    The parse keeps its own stack, so a tree of any depth is read.
+    A node's preorder slot is reserved at its ``(`` and filled at its
+    ``)``; the parse keeps its own stack, so a tree of any depth is read.
     """
     tokens: list[str] = []
     items = BRACKET_TOKEN.findall(line)
     if not items:
         raise TreeParseError("empty tree line")
-    open_nodes: list[list[SpanTree]] = []  # children read so far, outermost first
-    tree: SpanTree | None = None
+    preorder: list[Span | None] = []
+    # per open node, outermost first: [preorder slot, first leaf, children read]
+    open_nodes: list[list[int]] = []
+    done = False
     for pos, item in enumerate(items, start=1):
-        if tree is not None:
+        if done:
             raise TreeParseError(f"trailing content after tree at item {pos}")
         if item == "(":
-            open_nodes.append([])
+            open_nodes.append([len(preorder), len(tokens) + 1, 0])
+            preorder.append(None)
             continue
         if item == ")":
             if not open_nodes:
                 raise TreeParseError(f"unexpected ')' at item {pos}")
-            children = open_nodes.pop()
-            if len(children) != 2:
+            slot, first, children = open_nodes.pop()
+            if children != 2:
                 raise TreeParseError(
                     f"extracted trees must be strictly binary, found a node "
-                    f"with {len(children)} children"
+                    f"with {children} children"
                 )
-            node = SpanTree.node(children[0], children[1])
+            preorder[slot] = (first, len(tokens))
         else:
             tokens.append(_unescape_token(item))
-            node = SpanTree.leaf(len(tokens))
+            preorder.append((len(tokens), len(tokens)))
         if open_nodes:
-            open_nodes[-1].append(node)
+            open_nodes[-1][2] += 1
         else:
-            tree = node
-    if tree is None:
+            done = True
+    if not done:
         raise TreeParseError("unbalanced '(': end of line before ')'")
-    return tree, tuple(tokens)
+    return SpanTree._from_preorder(tuple(preorder)), tuple(tokens)
 
 
 @dataclass(frozen=True)
@@ -187,22 +209,29 @@ class Chart:
     n: int
 
     def tree(self) -> SpanTree:
-        """The best tree over 1..n, read off the splits with an explicit
-        stack, so a tree of any depth is built."""
-        preorder: list[Span] = []
-        todo = [(1, self.n)]
-        while todo:
-            a, b = span = todo.pop()
-            preorder.append(span)
-            if a < b:
-                k = self.splits.item(a, b)
-                todo += ((k + 1, b), (a, k))
-        # in reverse preorder both subtrees are built before their parent,
-        # the left one last
-        built: list[SpanTree] = []
-        for a, b in reversed(preorder):
-            built.append(SpanTree.leaf(a) if a == b else SpanTree.node(built.pop(), built.pop()))
-        return built[0]
+        """The best tree over 1..n, read off the splits."""
+        return tree_from_splits(self.n, self.splits.item)
+
+
+def tree_from_splits(n: int, split_of: Callable[[int, int], int]) -> SpanTree:
+    """The tree over 1..n in which each span (a, b) with a < b has the
+    children (a, k) and (k+1, b), k = ``split_of(a, b)``, which must lie
+    in a..b-1 (it is not checked).
+
+    ``split_of`` is called in preorder, and the preorder is built with an
+    explicit stack, so a tree of any depth is built.
+    """
+    if n < 1:
+        raise ValueError(f"sentence length must be >= 1, got {n}")
+    preorder: list[Span] = []
+    todo = [(1, n)]
+    while todo:
+        a, b = span = todo.pop()
+        preorder.append(span)
+        if a < b:
+            k = split_of(a, b)
+            todo += ((k + 1, b), (a, k))
+    return SpanTree._from_preorder(tuple(preorder))
 
 
 # Charts up to this length keep their whole gather plan between calls:

@@ -362,7 +362,7 @@ class TestSelectHeads:
 
 
 class TestCountFlags:
-    """Counts below 1 are argparse errors that name the flag."""
+    """Counts below 1 and negative seeds are argparse errors that name the flag."""
 
     def test_dev_size_must_be_positive(self, toy_dump_path, toy_gold_path, capsys):
         for bad in ("-8", "0", "two"):
@@ -371,6 +371,19 @@ class TestCountFlags:
                       str(toy_gold_path), "--strategy", "add", "--dev-size", bad])
             assert exc.value.code == 2
             assert "--dev-size" in capsys.readouterr().err
+
+    def test_baseline_seed_must_be_nonnegative(self, toy_dump_path, capsys):
+        for bad in ("-1", "x", "1.5"):
+            with pytest.raises(SystemExit) as exc:
+                main(["baseline", "--dump", str(toy_dump_path), "--kind", "rand.attn",
+                      "--seed", bad])
+            assert exc.value.code == 2
+            assert "argument --seed: expected an integer >= 0" in capsys.readouterr().err
+        code, out, err = run_cli(
+            ["baseline", "--dump", toy_dump_path, "--kind", "rand.attn", "--seed", 0], capsys
+        )
+        assert code == 0, err
+        assert len(out.splitlines()) == 10
 
     @pytest.mark.parametrize("command", [
         ["extract", "--dump", "d.jsonl"],
@@ -490,3 +503,26 @@ def test_toy_corpus_regenerates_byte_identically(tmp_path):
     assert result.returncode == 0, result.stderr
     assert filecmp.cmp(tmp_path / "toy.dump.jsonl", ROOT / "data" / "toy.dump.jsonl", shallow=False)
     assert filecmp.cmp(tmp_path / "toy.gold.txt", ROOT / "data" / "toy.gold.txt", shallow=False)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--length", "0"], "argument --length: expected an integer >= 1, got 0"),
+    (["--min-length", "40", "--length", "30"], "argument --min-length: 40 exceeds --length 30"),
+    (["--sentences", "0"], "argument --sentences: expected an integer >= 1, got 0"),
+    (["--layers", "-1"], "argument --layers: expected an integer >= 1, got -1"),
+    (["--heads", "0"], "argument --heads: expected an integer >= 1, got 0"),
+    (["--min-length", "0"], "argument --min-length: expected an integer >= 1, got 0"),
+    (["--seed", "-1"], "argument --seed: expected an integer >= 0, got -1"),
+])
+def test_synthetic_benchmark_rejects_bad_arguments(args, message):
+    script = ROOT / "scripts" / "run_synthetic_benchmark.py"
+    result = subprocess.run(
+        [sys.executable, str(script), *args],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr

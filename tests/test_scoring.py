@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from attnsyntax import (
     AlignmentError,
+    ConstituencyTree,
     CountingPolicy,
     EvalReport,
+    Phrase,
     SpanTree,
     crosses,
     is_consistent,
@@ -14,7 +16,7 @@ from attnsyntax import (
     score,
     score_spans,
 )
-from oracles import gold_from_span_tree, score_spans_pairwise
+from oracles import all_binary_trees, gold_from_span_tree, score_spans_pairwise
 
 
 def tree_of(shape) -> SpanTree:
@@ -216,6 +218,88 @@ class TestScoreSpansMatchesPairwise:
             assert score_spans([(2, 3)], [], 3, counting) == score_spans_pairwise(
                 [(2, 3)], [], 3, counting
             )
+
+
+def _vary_reference(node, rng, budget):
+    """Remove random internal phrases (their children join the parent) and
+    split random words into 2 or 3 subwords, adding at most ``budget[0]``
+    subwords in all."""
+    if isinstance(node, str):
+        extra = min(int(rng.integers(0, 3)), budget[0])
+        budget[0] -= extra
+        return node if not extra else Phrase(tuple(f"{node}.{j}" for j in range(extra + 1)))
+    children = []
+    for child in node.children:
+        child = _vary_reference(child, rng, budget)
+        if isinstance(child, Phrase) and rng.random() < 0.3:
+            children += child.children
+        else:
+            children.append(child)
+    return Phrase(tuple(children))
+
+
+def _binarize(node, start, rng) -> SpanTree:
+    """A random binary tree over the phrase's positions from ``start`` on
+    that keeps every phrase: children pair up in random adjacent order."""
+    if isinstance(node, str):
+        return SpanTree.leaf(start)
+    units = []
+    for child in node.children:
+        units.append(_binarize(child, start, rng))
+        start = units[-1].span[1] + 1
+    while len(units) > 1:
+        i = int(rng.integers(0, len(units) - 1))
+        units[i : i + 2] = [SpanTree.node(units[i], units[i + 1])]
+    return units[0]
+
+
+class TestScoreMatchesSpanSets:
+    """``score``'s two O(1) rules count exactly what the span-set routines do."""
+
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from(list(CountingPolicy)))
+    @settings(max_examples=400, deadline=None)
+    def test_random_trees_against_varied_references(self, words, seed, counting):
+        rng = np.random.default_rng(seed)
+        word_tree = random_binary_tree(rng, words)
+        gold = ConstituencyTree(
+            _vary_reference(gold_from_span_tree(word_tree).root, rng, [80 - words])
+        )
+        n = gold.n
+        assert 1 <= n <= 80
+        if rng.random() < 0.5:
+            extracted = random_binary_tree(rng, n)
+        else:  # consistent with every reference span
+            extracted = _binarize(gold.root, 1, rng)
+        expected = score_spans(extracted.spans(), gold.spans(), n, counting)
+        assert score(extracted, gold, counting) == expected
+        assert expected == score_spans_pairwise(extracted.spans(), gold.spans(), n, counting)
+
+    @pytest.mark.parametrize("counting", list(CountingPolicy))
+    def test_every_tree_against_every_reference(self, counting):
+        for n in range(1, 7):
+            trees = all_binary_trees(n)
+            golds = [gold_from_span_tree(tree) for tree in trees]
+            for extracted in trees:
+                for gold in golds:
+                    assert score(extracted, gold, counting) == score_spans(
+                        extracted.spans(), gold.spans(), n, counting
+                    )
+
+    def test_nested_span_sharing_an_end_is_consistent(self):
+        # (2, 3) lies inside the reference phrase (1, 3), which ends where
+        # it does; (1, 2) lies inside (1, 3) and starts where it does
+        gold = ConstituencyTree(Phrase((Phrase(("a", "b", "c")), "d")))
+        for shape in ((1, (2, 3)), ((1, 2), 3)):
+            report = score(tree_of((shape, 4)), gold)
+            assert (report.extracted_consistent, report.extracted_phrases_total) == (2, 2)
+            assert (report.gold_consistent, report.gold_phrases_total) == (1, 1)
+
+    def test_boundaries_keep_the_innermost_phrase(self):
+        # phrases (1, 6), (2, 5), (3, 4) nest; position 4 lies in all three
+        gold = ConstituencyTree(Phrase(("a", Phrase(("b", Phrase(("c", "d")), "e")), "f")))
+        first_end, last_start = gold.boundaries()
+        assert first_end[1:] == (6, 6, 5, 4, 5, 6)
+        assert last_start[1:] == (1, 2, 3, 2, 1, 0)
 
 
 class TestAggregation:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -140,7 +141,41 @@ class TestSpanTree:
                 parse_span_tree(line)
             assert str(got.value) == str(exc)
         else:
-            assert parse_span_tree(line) == expected
+            tree, tokens = parse_span_tree(line)
+            assert (tree, tokens) == expected
+            assert hash(tree) == hash(expected[0]) and repr(tree) == repr(expected[0])
+
+    def test_preorder_layout(self):
+        tree = SpanTree.node(SpanTree.node(SpanTree.leaf(1), SpanTree.leaf(2)), SpanTree.leaf(3))
+        assert tree.preorder == ((1, 3), (1, 2), (1, 1), (2, 2), (3, 3))
+        assert SpanTree.leaf(4).preorder == ((4, 4),)
+        assert parse_span_tree("((a b) c)")[0].preorder == tree.preorder
+
+    def test_left_and_right_are_the_children_built(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            tree = random_binary_tree(rng, n)
+            # every node is what the checked constructor builds from its slices
+            todo = [tree]
+            while todo:
+                node = todo.pop()
+                if node.is_leaf:
+                    assert node.left is None and node.right is None
+                    assert node == SpanTree.leaf(node.span[0])
+                    continue
+                left, right = node.left, node.right
+                assert SpanTree(node.span, left, right) == node
+                assert left.span[0] == node.span[0] and right.span[1] == node.span[1]
+                assert left.span[1] + 1 == right.span[0]
+                todo += (left, right)
+
+    def test_trees_are_immutable(self):
+        tree = SpanTree.node(SpanTree.leaf(1), SpanTree.leaf(2))
+        for name, value in (("preorder", ((1, 1),)), ("span", (1, 1)), ("other", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tree, name, value)
+        assert tree.preorder == ((1, 2), (1, 1), (2, 2))
 
 
 def _all_spans_table(n, weight_of):
@@ -230,7 +265,21 @@ class TestChartTree:
         rng = np.random.default_rng(3000 + n)
         for density in (0.1, 0.35, 0.9):
             chart = cky_chart(random_phrase_table(rng, n, density), n)
-            assert chart.tree() == tree_from_splits_recursive(chart)
+            tree, expected = chart.tree(), tree_from_splits_recursive(chart)
+            assert tree == expected
+            assert hash(tree) == hash(expected) and repr(tree) == repr(expected)
+
+    def test_random_binary_tree_draws_splits_in_preorder(self):
+        for n in range(1, 80):
+            rng = np.random.default_rng(n)
+
+            def build(a, b):  # the recursion tree_from_splits replaced
+                if a == b:
+                    return SpanTree.leaf(a)
+                k = int(rng.integers(a, b))
+                return SpanTree.node(build(a, k), build(k + 1, b))
+
+            assert random_binary_tree(np.random.default_rng(n), n) == build(1, n)
 
     @pytest.mark.parametrize("chain", ["left", "right"])
     def test_deeper_than_recursion_limit(self, chain):
@@ -388,7 +437,8 @@ class TestBalancedBaselines:
         assert mirror(lbal_tree(n)) == rbal_tree(n)
 
     def test_rejects_nonpositive(self):
-        for build in (lbal_tree, rbal_tree):
+        rng = np.random.default_rng(0)
+        for build in (lbal_tree, rbal_tree, lambda n: random_binary_tree(rng, n)):
             with pytest.raises(ValueError):
                 build(0)
 
