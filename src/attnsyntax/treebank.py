@@ -10,12 +10,18 @@ trees they are post-processed in four steps:
 4. flatten phrases containing only one immediate subphrase or only one
    subword (applied bottom-up, to a fixpoint),
 
-all in one walk of the tree, after which the EOS token is attached as an
+all in one loop over the tree, after which the EOS token is attached as an
 additional top-level child so both sides cover the same subword positions.
+
+Both kinds of tree are flat tuples in postorder, children before their
+phrase: a ``RawTree`` holds words and ``(label, arity)`` phrases, a
+``ConstituencyTree`` its phrase spans and leaf tokens.  The nested views
+(``children``, ``root``) are rebuilt from them on request.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,18 +30,72 @@ from typing import Sequence, Union
 from .attn_io import DEFAULT_EOS, Span, word_groups
 from .errors import AlignmentError, TreeParseError
 
+# one entry of a RawTree's postorder: a word, or a phrase as (label, arity)
+RawItem = Union[str, tuple[Union[str, None], int]]
 
-@dataclass
+
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class RawTree:
-    """Labeled n-ary node as read from a treebank line; leaves are words."""
+    """Labeled n-ary phrase as read from a treebank line; leaves are words.
 
-    label: str | None
-    children: list[Union["RawTree", str]]
+    The tree is one tuple, ``postorder``: each phrase's children, then the
+    phrase as ``(label, arity)``, label None when it has none; a word is
+    its ``str``.  ``label`` and ``children`` are views of that tuple, and
+    equality is the tuple's.
+    """
+
+    postorder: tuple[RawItem, ...]
+
+    def __init__(self, label: str | None, children: Sequence[Union["RawTree", str]]) -> None:
+        if not children:
+            raise ValueError("a phrase needs at least one child")
+        postorder: list[RawItem] = []
+        for child in children:
+            if isinstance(child, RawTree):
+                postorder += child.postorder
+            else:
+                postorder.append(child)
+        postorder.append((label, len(children)))
+        object.__setattr__(self, "postorder", tuple(postorder))
+
+    @staticmethod
+    def _from_postorder(postorder: tuple[RawItem, ...]) -> "RawTree":
+        """Wrap a postorder the caller built correctly, unchecked."""
+        tree = object.__new__(RawTree)
+        object.__setattr__(tree, "postorder", postorder)
+        return tree
+
+    @property
+    def label(self) -> str | None:
+        return self.postorder[-1][0]
+
+    @property
+    def children(self) -> list[Union["RawTree", str]]:
+        postorder = self.postorder
+        starts: list[int] = []  # where each subtree not yet joined to its phrase begins
+        for i, item in enumerate(postorder[:-1]):
+            if isinstance(item, str):
+                starts.append(i)
+            else:  # the phrase begins where its first child does
+                del starts[len(starts) + 1 - item[1] :]
+        ends = starts[1:] + [len(postorder) - 1]
+        return [postorder[a] if b == a + 1 else RawTree._from_postorder(postorder[a:b])
+                for a, b in zip(starts, ends)]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.postorder == other.postorder
+
+    def __repr__(self) -> str:
+        return f"RawTree(label={self.label!r}, children={self.children!r})"
 
 
-# Post-processing and scoring walk a reference tree recursively, one frame
-# per level, so deeper trees are rejected while parsing instead of
-# overflowing Python's recursion limit (1000 frames by default) later.
+# Nothing in this module recurses, but ``repr`` of a RawTree and the
+# equality, hashing and ``repr`` of Phrase nodes do, one frame per level.
+# Limiting how deep a reference line may nest keeps them within Python's
+# recursion limit (1000 frames by default) for every tree read from a
+# file, and rejects a deeper line with a located error.
 MAX_TREE_DEPTH = 500
 
 
@@ -46,46 +106,53 @@ MAX_TREE_DEPTH = 500
 BRACKET_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
+def _offset(text: str, index: int) -> int:
+    """Character offset of token ``index`` (0-based) of ``text``."""
+    return next(itertools.islice(BRACKET_TOKEN.finditer(text), index, None)).start()
+
+
 def read_bracketed(text: str) -> RawTree:
     """Parse one bracketed tree; errors carry the character offset.
 
-    Phrases may nest at most ``MAX_TREE_DEPTH`` levels deep.
+    One pass over the tokens appends each word, and each phrase at its
+    ``)``, to the postorder.  Phrases may nest at most ``MAX_TREE_DEPTH``
+    levels deep.
     """
-    open_phrases: list[RawTree] = []  # outermost first
-    tree: RawTree | None = None
-    for match in BRACKET_TOKEN.finditer(text):
-        value = match.group()
-        if not open_phrases:  # before the tree or after it
-            if tree is not None:
-                raise TreeParseError(f"trailing content at offset {match.start()}")
-            if value != "(":
-                raise TreeParseError(f"expected '(' at offset {match.start()}")
-        if value == "(":
-            if len(open_phrases) == MAX_TREE_DEPTH:
-                raise TreeParseError(
-                    f"phrases nested deeper than {MAX_TREE_DEPTH} levels "
-                    f"at offset {match.start()}"
-                )
-            open_phrases.append(RawTree(None, []))
-        elif value == ")":
-            phrase = open_phrases.pop()
-            if not phrase.children:
-                raise TreeParseError(f"empty phrase at offset {match.start()}")
-            if open_phrases:
-                open_phrases[-1].children.append(phrase)
-            else:
-                tree = phrase
-        else:
-            phrase = open_phrases[-1]
-            if phrase.label is None and not phrase.children:  # right after '('
-                phrase.label = value
-            else:
-                phrase.children.append(value)
-    if tree is None:
-        if open_phrases:
-            raise TreeParseError(f"unbalanced '(' at offset {len(text)}")
+    postorder: list[RawItem] = []
+    # per open phrase, outermost first: its label and the children begun in it
+    labels: list[str | None] = []
+    arities: list[int] = []
+    for i, token in enumerate(BRACKET_TOKEN.findall(text)):
+        if token == "(":
+            if arities:
+                if len(arities) == MAX_TREE_DEPTH:
+                    raise TreeParseError(
+                        f"phrases nested deeper than {MAX_TREE_DEPTH} levels "
+                        f"at offset {_offset(text, i)}"
+                    )
+                arities[-1] += 1
+            elif postorder:
+                raise TreeParseError(f"trailing content at offset {_offset(text, i)}")
+            labels.append(None)
+            arities.append(0)
+        elif not arities:  # before the tree or after it
+            problem = "trailing content" if postorder else "expected '('"
+            raise TreeParseError(f"{problem} at offset {_offset(text, i)}")
+        elif token == ")":
+            arity = arities.pop()
+            if not arity:
+                raise TreeParseError(f"empty phrase at offset {_offset(text, i)}")
+            postorder.append((labels.pop(), arity))
+        elif arities[-1] or labels[-1] is not None:
+            arities[-1] += 1
+            postorder.append(token)
+        else:  # the first token after '(' is the label
+            labels[-1] = token
+    if arities:
+        raise TreeParseError(f"unbalanced '(' at offset {len(text)}")
+    if not postorder:
         raise TreeParseError("empty input at offset 0")
-    return tree
+    return RawTree._from_postorder(tuple(postorder))
 
 
 @dataclass(frozen=True)
@@ -95,32 +162,79 @@ class Phrase:
     children: tuple[Union["Phrase", str], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class ConstituencyTree:
-    """Post-processed reference tree, viewed as a laminar span set."""
+    """Post-processed reference tree, viewed as a laminar span set.
 
-    root: Phrase | str
+    The tree is two tuples: ``postorder``, the 1-based inclusive span of
+    every phrase with children before their phrase, and ``tokens``, its
+    leaves.  ``root`` and the other views derive from them, and equality
+    and hashing are theirs.  It is built from a nested ``root`` or, without
+    any node objects, by ``postprocess_steps``.
+    """
+
+    postorder: tuple[Span, ...]
+    tokens: tuple[str, ...]
+
+    def __init__(self, root: Phrase | str) -> None:
+        postorder: list[Span] = []
+        tokens: list[str] = []
+        starts: list[int] = []  # tokens before each open phrase, outermost first
+        todo: list[Phrase | str | None] = [root]  # None closes the innermost open phrase
+        while todo:
+            node = todo.pop()
+            if node is None:
+                postorder.append((starts.pop() + 1, len(tokens)))
+            elif isinstance(node, str):
+                tokens.append(node)
+            else:
+                if not node.children:
+                    raise ValueError("a phrase needs at least one child")
+                starts.append(len(tokens))
+                todo.append(None)
+                todo += reversed(node.children)
+        object.__setattr__(self, "postorder", tuple(postorder))
+        object.__setattr__(self, "tokens", tuple(tokens))
+
+    @staticmethod
+    def _from_postorder(
+        postorder: tuple[Span, ...], tokens: tuple[str, ...]
+    ) -> "ConstituencyTree":
+        """Wrap spans and tokens the caller built correctly, unchecked."""
+        tree = object.__new__(ConstituencyTree)
+        object.__setattr__(tree, "postorder", postorder)
+        object.__setattr__(tree, "tokens", tokens)
+        return tree
+
+    @property
+    def root(self) -> Phrase | str:
+        """The tree as nested phrases.  A phrase's children are the subtrees
+        read before it that start inside it and are not yet in a phrase."""
+        tokens = self.tokens
+        if not self.postorder:
+            return tokens[0]
+        subtrees: list[tuple[int, Phrase | str]] = []  # (first position, subtree)
+        read = 0
+        for c, d in self.postorder:
+            subtrees += ((i, tokens[i - 1]) for i in range(read + 1, d + 1))
+            read = d  # ends never decrease along a postorder
+            first = len(subtrees)
+            while first and subtrees[first - 1][0] >= c:
+                first -= 1
+            children = tuple(node for _, node in subtrees[first:])
+            subtrees[first:] = [(c, Phrase(children))]
+        return subtrees[0][1]
 
     def leaves(self) -> tuple[str, ...]:
-        out: list[str] = []
-
-        def walk(node: Phrase | str) -> None:
-            if isinstance(node, str):
-                out.append(node)
-            else:
-                for child in node.children:
-                    walk(child)
-
-        walk(self.root)
-        return tuple(out)
+        return self.tokens
 
     @property
     def n(self) -> int:
-        return self._walk[0]
+        return len(self.tokens)
 
     def spans(self) -> frozenset[Span]:
         """1-based inclusive spans of every phrase node (leaf tokens excluded)."""
-        return self._walk[1]
+        return self._spans
 
     def boundaries(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``(first_end, last_start)``, indexed by positions 1..n.
@@ -131,81 +245,95 @@ class ConstituencyTree:
         (a, b) crosses no phrase exactly when ``first_end[a] >= b`` and
         ``last_start[b] <= a``.
         """
-        return self._walk[2], self._walk[3]
+        return self._boundaries
 
-    # Scoring asks a reference tree for n, its spans and its boundaries on
-    # every evaluation, so all come from one walk per instance; the cache is
-    # not a dataclass field, so equality and hashing still see only ``root``.
+    # Scoring asks a reference tree for its spans and its boundaries on
+    # every evaluation, so both are computed once per instance; the caches
+    # are not dataclass fields, so equality and hashing ignore them.
     @cached_property
-    def _walk(self) -> tuple[int, frozenset[Span], tuple[int, ...], tuple[int, ...]]:
-        postorder: list[Span] = []
+    def _spans(self) -> frozenset[Span]:
+        return frozenset(self.postorder)
 
-        def walk(node: Phrase | str, start: int) -> int:
-            if isinstance(node, str):
-                return start + 1
-            pos = start
-            for child in node.children:
-                pos = walk(child, pos)
-            postorder.append((start + 1, pos))
-            return pos
-
-        n = walk(self.root, 0)
+    @cached_property
+    def _boundaries(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        n = len(self.tokens)
         first_end, last_start = [n] * (n + 1), [0] * (n + 1)
         # the phrases are laminar, so writing every phrase after the phrases
         # that contain it (reversed postorder: outer first, inner ones
         # overwrite) leaves the innermost phrase's bound at each position
-        for c, d in reversed(postorder):
+        for c, d in reversed(self.postorder):
             first_end[c + 1 : d + 1] = [d] * (d - c)
             last_start[c:d] = [c] * (d - c)
-        return n, frozenset(postorder), tuple(first_end), tuple(last_start)
+        return tuple(first_end), tuple(last_start)
 
     def to_bracketed(self) -> str:
-        def render(node: Phrase | str) -> str:
-            if isinstance(node, str):
-                return node
-            return "(" + " ".join(map(render, node.children)) + ")"
+        # every paren is the same character, so only their counts matter:
+        # a phrase (c, d) opens before token c and closes after token d
+        opens, closes = [0] * (self.n + 1), [0] * (self.n + 1)
+        for c, d in self.postorder:
+            opens[c] += 1
+            closes[d] += 1
+        return " ".join("(" * opens[i] + token + ")" * closes[i]
+                        for i, token in enumerate(self.tokens, start=1))
 
-        return render(self.root)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.postorder == other.postorder and self.tokens == other.tokens
+
+    def __hash__(self) -> int:
+        return hash((self.postorder, self.tokens))
+
+    def __repr__(self) -> str:
+        return f"ConstituencyTree(root={self.root!r})"
 
 
 def postprocess_steps(
     raw: RawTree, segmentation: Sequence[Sequence[str]]
 ) -> ConstituencyTree:
-    """Apply steps 1-4 (labels, wrapping, subword split, flattening) in one walk.
+    """Apply steps 1-4 (labels, wrapping, subword split, flattening) in one
+    loop over the raw postorder.
 
     ``segmentation`` holds one subword list per leaf word, in leaf order.  A
-    word becomes its subwords, a phrase left with one child becomes that
-    child, and the same walk counts the words.  EOS is not attached here;
-    see :func:`postprocess`.
+    word of two or more subwords becomes a phrase, a phrase of two or more
+    children keeps its span, and a phrase of one child is dropped, which is
+    the flattening; the same loop counts the words.  EOS is not attached
+    here; see :func:`postprocess`.
     """
+    postorder: list[Span] = []
+    tokens: list[str] = []
+    starts: list[int] = []  # tokens before each subtree not yet joined to its phrase
+    n_words = len(segmentation)
     words = 0
-
-    def convert(node: RawTree | str) -> Phrase | str:
-        nonlocal words
-        if isinstance(node, str):
+    for item in raw.postorder:
+        if isinstance(item, str):
+            starts.append(len(tokens))
             words += 1
-            if words > len(segmentation):
-                return node  # counted only; the count check below rejects the tree
-            subwords = tuple(segmentation[words - 1])
+            if words > n_words:
+                continue  # counted only; the count check below rejects the tree
+            subwords = segmentation[words - 1]
             if not subwords:
-                raise AlignmentError(f"word {node!r} maps to no subwords")
-            return subwords[0] if len(subwords) == 1 else Phrase(subwords)
-        children = tuple(map(convert, node.children))
-        return children[0] if len(children) == 1 else Phrase(children)
-
-    root = convert(raw)
-    if words != len(segmentation):
+                raise AlignmentError(f"word {item!r} maps to no subwords")
+            tokens += subwords
+            if len(subwords) > 1:
+                postorder.append((starts[-1] + 1, len(tokens)))
+        elif item[1] > 1:  # the phrase starts where its first child does
+            del starts[1 - item[1] :]
+            postorder.append((starts[-1] + 1, len(tokens)))
+    if words != n_words:
         raise AlignmentError(
-            f"reference tree has {words} words but the subwords form {len(segmentation)}"
+            f"reference tree has {words} words but the subwords form {n_words}"
         )
-    return ConstituencyTree(root)
+    return ConstituencyTree._from_postorder(tuple(postorder), tuple(tokens))
 
 
 def attach_eos(tree: ConstituencyTree, eos: str = DEFAULT_EOS) -> ConstituencyTree:
-    """Add EOS as one more child of the root, beside the existing phrases."""
-    if isinstance(tree.root, str):
-        return ConstituencyTree(Phrase((tree.root, eos)))
-    return ConstituencyTree(Phrase(tree.root.children + (eos,)))
+    """Add EOS as one more child of the root: the root's span (1, m), last
+    in the postorder, widens to (1, m+1), and a lone leaf becomes the
+    phrase (1, 2)."""
+    return ConstituencyTree._from_postorder(
+        tree.postorder[:-1] + ((1, tree.n + 1),), tree.tokens + (eos,)
+    )
 
 
 def postprocess(

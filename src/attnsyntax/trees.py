@@ -335,16 +335,21 @@ def cky_parse(table: PhraseTable, n: int) -> SpanTree:
 
 def _balanced_tree(n: int, odd_unit_first: bool) -> SpanTree:
     """Pair adjacent units each round until one is left.  With an odd
-    number of units, the first or the last one waits for the next round."""
+    number of units, the first or the last one waits for the next round.
+    Each pairing records its split, and the tree is built once from them."""
     if n < 1:
         raise ValueError(f"sentence length must be >= 1, got {n}")
-    units = [SpanTree.leaf(i) for i in range(1, n + 1)]
+    units = [(i, i) for i in range(1, n + 1)]
+    split: dict[Span, int] = {}
     while len(units) > 1:
         start = len(units) % 2 if odd_unit_first else 0
         stop = start + len(units) // 2 * 2
-        pairs = [SpanTree.node(units[i], units[i + 1]) for i in range(start, stop, 2)]
+        pairs = []
+        for (a, k), (_, b) in zip(units[start:stop:2], units[start + 1 : stop : 2]):
+            split[a, b] = k
+            pairs.append((a, b))
         units = units[:start] + pairs + units[stop:]
-    return units[0]
+    return tree_from_splits(n, lambda a, b: split[a, b])
 
 
 def lbal_tree(n: int) -> SpanTree:

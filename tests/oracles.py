@@ -8,8 +8,9 @@ the chart parser they are checking.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 from hypothesis import strategies as st
@@ -41,6 +42,7 @@ from attnsyntax.attn_io import (
 )
 from attnsyntax.phrases import head_phrases, pool_phrases
 from attnsyntax.selection import SelectionStep, SelectionTrace
+from attnsyntax.treebank import BRACKET_TOKEN, MAX_TREE_DEPTH
 from attnsyntax.trees import _unescape_token
 
 
@@ -442,3 +444,170 @@ def parse_span_tree_recursive(line: str) -> tuple[SpanTree, tuple[str, ...]]:
     if pos != len(items):
         raise TreeParseError(f"trailing content after tree at item {pos + 1}")
     return tree, tuple(tokens)
+
+
+# --- reference trees as nested nodes --------------------------------------
+# The node-per-phrase pipeline that the postorder tuples of ``RawTree`` and
+# ``ConstituencyTree`` replaced: a stack reader building one ``RawNode`` per
+# phrase, one recursive walk building ``Phrase`` nodes, and one recursive
+# walk over those for n, the spans and the boundary arrays.
+
+
+@dataclass
+class RawNode:
+    """Labeled n-ary node as the nested reader builds it; leaves are words."""
+
+    label: str | None
+    children: list[Union["RawNode", str]]
+
+
+def read_bracketed_nodes(text: str) -> RawNode:
+    """The stack reader with one ``RawNode`` per phrase, kept as the
+    reference for ``read_bracketed``'s results, messages and offsets."""
+    open_phrases: list[RawNode] = []  # outermost first
+    tree: RawNode | None = None
+    for match in BRACKET_TOKEN.finditer(text):
+        value = match.group()
+        if not open_phrases:  # before the tree or after it
+            if tree is not None:
+                raise TreeParseError(f"trailing content at offset {match.start()}")
+            if value != "(":
+                raise TreeParseError(f"expected '(' at offset {match.start()}")
+        if value == "(":
+            if len(open_phrases) == MAX_TREE_DEPTH:
+                raise TreeParseError(
+                    f"phrases nested deeper than {MAX_TREE_DEPTH} levels "
+                    f"at offset {match.start()}"
+                )
+            open_phrases.append(RawNode(None, []))
+        elif value == ")":
+            phrase = open_phrases.pop()
+            if not phrase.children:
+                raise TreeParseError(f"empty phrase at offset {match.start()}")
+            if open_phrases:
+                open_phrases[-1].children.append(phrase)
+            else:
+                tree = phrase
+        else:
+            phrase = open_phrases[-1]
+            if phrase.label is None and not phrase.children:  # right after '('
+                phrase.label = value
+            else:
+                phrase.children.append(value)
+    if tree is None:
+        if open_phrases:
+            raise TreeParseError(f"unbalanced '(' at offset {len(text)}")
+        raise TreeParseError("empty input at offset 0")
+    return tree
+
+
+def raw_tree_of(node: RawNode | str) -> RawTree | str:
+    """The same tree through ``RawTree``'s nested constructor."""
+    if isinstance(node, str):
+        return node
+    return RawTree(node.label, [raw_tree_of(child) for child in node.children])
+
+
+def raw_node_of(tree: RawTree | str) -> RawNode | str:
+    """A ``RawTree`` read back through its ``label`` and ``children`` views."""
+    if isinstance(tree, str):
+        return tree
+    return RawNode(tree.label, [raw_node_of(child) for child in tree.children])
+
+
+@dataclass(frozen=True)
+class NestedConstituencyTree:
+    """A post-processed reference tree as nested ``Phrase`` nodes, its views
+    computed by one recursive walk."""
+
+    root: Phrase | str
+
+    def leaves(self) -> tuple[str, ...]:
+        out: list[str] = []
+
+        def walk(node: Phrase | str) -> None:
+            if isinstance(node, str):
+                out.append(node)
+            else:
+                for child in node.children:
+                    walk(child)
+
+        walk(self.root)
+        return tuple(out)
+
+    @property
+    def n(self) -> int:
+        return self._walk[0]
+
+    def spans(self) -> frozenset[Span]:
+        return self._walk[1]
+
+    def boundaries(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return self._walk[2], self._walk[3]
+
+    @cached_property
+    def _walk(self) -> tuple[int, frozenset[Span], tuple[int, ...], tuple[int, ...]]:
+        postorder: list[Span] = []
+
+        def walk(node: Phrase | str, start: int) -> int:
+            if isinstance(node, str):
+                return start + 1
+            pos = start
+            for child in node.children:
+                pos = walk(child, pos)
+            postorder.append((start + 1, pos))
+            return pos
+
+        n = walk(self.root, 0)
+        first_end, last_start = [n] * (n + 1), [0] * (n + 1)
+        for c, d in reversed(postorder):
+            first_end[c + 1 : d + 1] = [d] * (d - c)
+            last_start[c:d] = [c] * (d - c)
+        return n, frozenset(postorder), tuple(first_end), tuple(last_start)
+
+    def to_bracketed(self) -> str:
+        def render(node: Phrase | str) -> str:
+            if isinstance(node, str):
+                return node
+            return "(" + " ".join(map(render, node.children)) + ")"
+
+        return render(self.root)
+
+
+def postprocess_steps_walk(
+    raw: RawNode, segmentation: Sequence[Sequence[str]]
+) -> NestedConstituencyTree:
+    """The one recursive walk that ``postprocess_steps``'s postorder loop
+    replaced: a word becomes its subwords, a phrase left with one child
+    becomes that child, and the walk counts the words."""
+    words = 0
+
+    def convert(node: RawNode | str) -> Phrase | str:
+        nonlocal words
+        if isinstance(node, str):
+            words += 1
+            if words > len(segmentation):
+                return node  # counted only; the count check below rejects the tree
+            subwords = tuple(segmentation[words - 1])
+            if not subwords:
+                raise AlignmentError(f"word {node!r} maps to no subwords")
+            return subwords[0] if len(subwords) == 1 else Phrase(subwords)
+        children = tuple(map(convert, node.children))
+        return children[0] if len(children) == 1 else Phrase(children)
+
+    root = convert(raw)
+    if words != len(segmentation):
+        raise AlignmentError(
+            f"reference tree has {words} words but the subwords form {len(segmentation)}"
+        )
+    return NestedConstituencyTree(root)
+
+
+def postprocess_walk(
+    raw: RawNode, segmentation: Sequence[Sequence[str]], eos: str = "EOS"
+) -> NestedConstituencyTree:
+    """``postprocess_steps_walk``, then EOS as one more child of the root."""
+    tree = postprocess_steps_walk(raw, segmentation)
+    if isinstance(tree.root, str):
+        return NestedConstituencyTree(Phrase((tree.root, eos)))
+    return NestedConstituencyTree(Phrase(tree.root.children + (eos,)))

@@ -9,8 +9,11 @@ import pytest
 
 from attnsyntax import (
     AttentionDump,
+    ConstituencyTree,
     EvalReport,
     HeadMask,
+    Phrase,
+    RawTree,
     extract_tree,
     gold_tree_for_dump,
     read_bracketed,
@@ -28,6 +31,8 @@ BAD_REFERENCES = [
     pytest.param("(S (X a))", "reference tree has 1 words but the subwords form",
                  id="word-count"),
     pytest.param("(S (NP a) (VP b", "unbalanced '(' at offset 15", id="unbalanced"),
+    # one word where the sentence has several: the parse error still wins
+    pytest.param("(S (NP a)", "unbalanced '(' at offset 9", id="unbalanced-and-misaligned"),
 ]
 
 # whitespace that ``str.splitlines()`` breaks lines at; inside a reference
@@ -222,6 +227,28 @@ class TestEval:
         assert run_cli(
             ["eval", "--extracted", trees, "--gold", gold, "--per-sentence"], capsys
         ) == expected
+
+    def test_builds_no_tree_nodes(self, toy_dump_path, toy_gold_path, tmp_path, capsys,
+                                  monkeypatch):
+        """Reference lines become span tuples without any node objects:
+        evaluating the toy corpus calls no nested tree constructor."""
+        trees = tmp_path / "trees.txt"
+        assert run_cli(["extract", "--dump", toy_dump_path, "--out", trees], capsys)[0] == 0
+        built = []
+        for cls in (RawTree, Phrase, ConstituencyTree):
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        code, _, err = run_cli(
+            ["eval", "--extracted", trees, "--gold", toy_gold_path, "--per-sentence"], capsys
+        )
+        assert code == 0, err
+        assert built == []
+        ConstituencyTree(Phrase(("a", "b")))
+        RawTree("X", ["a"])
+        assert built == ["Phrase", "ConstituencyTree", "RawTree"]  # the counting works
 
     @pytest.mark.parametrize("line, message", BAD_REFERENCES)
     def test_bad_reference_names_the_sentence(self, line, message, toy_dump_path,

@@ -14,14 +14,21 @@ from attnsyntax import (
     postprocess,
     postprocess_steps,
     read_bracketed,
+    score,
 )
 from attnsyntax.treebank import BRACKET_TOKEN, MAX_TREE_DEPTH
+from attnsyntax.trees import tree_from_splits
 
 from oracles import (
     BRACKET_LINES,
     lex_by_chars,
     postprocess_steps_two_walks,
+    postprocess_steps_walk,
+    postprocess_walk,
     raw_leaves,
+    raw_node_of,
+    raw_tree_of,
+    read_bracketed_nodes,
     read_bracketed_recursive,
 )
 
@@ -301,3 +308,93 @@ class TestConstituencyTreeCache:
         assert warm == cold and hash(warm) == hash(cold)
         assert repr(warm) == repr(cold)
         assert warm != ConstituencyTree(Phrase(("a", "b", "c", "d", "e", "EOS")))
+
+
+def _outcome(fn, *args):
+    """``(result, None)``, or ``(None, exception)`` when ``fn`` raises a
+    parse or alignment error."""
+    try:
+        return fn(*args), None
+    except (TreeParseError, AlignmentError) as exc:
+        return None, exc
+
+
+# how many subwords a word maps to: 0 (an error) in one word of ten
+_SUBWORD_COUNT = st.sampled_from([0] + [1, 2, 3] * 3)
+
+
+class TestPostorderMatchesNestedWalk:
+    """The postorder reader and post-processing loop against the node-per-
+    phrase reader and recursive walks kept in ``oracles``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(BRACKET_LINES, st.data())
+    def test_same_trees_views_and_errors(self, text, data):
+        expected, error = _outcome(read_bracketed_nodes, text)
+        got, got_error = _outcome(read_bracketed, text)
+        assert (type(got_error), str(got_error)) == (type(error), str(error))
+        if error is not None:
+            return
+        assert got == raw_tree_of(expected)
+        assert raw_node_of(got) == expected
+        # mostly the right number of words, sometimes one too few or too many
+        n_words = max(0, len(raw_leaves(expected)) + data.draw(_COUNT_ERROR))
+        segmentation = [
+            [f"w{i}.{j}" for j in range(data.draw(_SUBWORD_COUNT))] for i in range(n_words)
+        ]
+        for ours, nested in ((postprocess_steps, postprocess_steps_walk),
+                             (postprocess, postprocess_walk)):
+            reference, error = _outcome(nested, expected, segmentation)
+            tree, got_error = _outcome(ours, got, segmentation)
+            assert (type(got_error), str(got_error)) == (type(error), str(error))
+            if error is not None:
+                continue
+            assert tree.n == reference.n
+            assert tree.spans() == reference.spans()
+            assert tree.boundaries() == reference.boundaries()
+            assert tree.leaves() == reference.leaves()
+            assert tree.to_bracketed() == reference.to_bracketed()
+            assert tree.root == reference.root
+            assert ConstituencyTree(reference.root) == tree
+
+
+class TestDeepTrees:
+    DEPTH = 5000
+
+    def test_views_and_score_of_a_deep_phrase(self):
+        root = "w0"
+        for i in range(1, self.DEPTH + 1):
+            root = Phrase((root, f"w{i}"))
+        tree = ConstituencyTree(root)
+        n = self.DEPTH + 1
+        assert tree.n == n
+        assert tree.leaves() == tuple(f"w{i}" for i in range(n))
+        assert tree.spans() == frozenset((1, d) for d in range(2, n + 1))
+        assert tree.to_bracketed() == (
+            "(" * self.DEPTH + "w0 " + " ".join(f"w{i})" for i in range(1, n))
+        )
+        first_end, last_start = tree.boundaries()
+        assert first_end[2:] == tuple(range(2, n + 1))
+        assert last_start[1:n] == (1,) * (n - 1)
+        assert ConstituencyTree(tree.root) == tree
+        report = score(tree_from_splits(n, lambda a, b: b - 1), tree)
+        assert report.extracted_consistent == report.extracted_phrases_total == n - 2
+        assert report.gold_consistent == report.gold_phrases_total == n - 2
+
+    def test_postprocessing_a_deep_raw_tree(self):
+        raw = RawTree("X", ["w0"])
+        for i in range(1, self.DEPTH + 1):
+            raw = RawTree("X", [raw, f"w{i}"])
+        segmentation = [[f"w{i}"] for i in range(self.DEPTH + 1)]
+        expected = "w0"
+        for i in range(1, self.DEPTH + 1):
+            expected = Phrase((expected, f"w{i}"))
+        assert postprocess_steps(raw, segmentation) == ConstituencyTree(expected)
+
+
+class TestEmptyPhrases:
+    def test_nested_constructors_reject_a_phrase_without_children(self):
+        with pytest.raises(ValueError, match="at least one child"):
+            RawTree("X", [])
+        with pytest.raises(ValueError, match="at least one child"):
+            ConstituencyTree(Phrase(("a", Phrase(()))))
