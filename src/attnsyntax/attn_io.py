@@ -19,6 +19,7 @@ layer/head ids) is 1-based inclusive; only the raw arrays stay 0-based.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -202,18 +203,55 @@ def load_dump(
     return dumps
 
 
-def dump_record(dump: AttentionDump) -> str:
-    """Serialize one dump as a single JSON line (floats round-trip exactly)."""
-    payload = {
-        "id": dump.sentence_id,
-        "subwords": list(dump.subwords),
-        "attn": dump.matrices.tolist(),
-    }
-    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+# orjson and ``repr`` both write the shortest round-trip digits of a double
+# and differ only in layout: orjson writes [1e-5, 1e-4) positionally
+# (``0.00001234`` for ``1.234e-05``) and exponents without sign or padding
+# (``1e-7``, ``1e16`` for ``1e-07``, ``1e+16``).  Both patterns start with a
+# literal so the regex engine scans for it instead of trying every byte.
+_ORJSON_E_05 = re.compile(rb"0\.0000([1-9][0-9]*)")
+_ORJSON_EXPONENT = re.compile(rb"e(-?)([0-9]+)")
+
+
+def _repr_e_05(match: re.Match) -> bytes:
+    start = match.start()
+    if start and match.string[start - 1] in b"0123456789.":  # inside 10.00001
+        return match[0]
+    digits = match[1]
+    point = b"." if len(digits) > 1 else b""
+    return digits[:1] + point + digits[1:] + b"e-05"
+
+
+def _repr_exponent(match: re.Match) -> bytes:
+    exponent = int(match[2])
+    return b"e%+03d" % (-exponent if match[1] else exponent)
+
+
+def dump_record(dump: AttentionDump) -> bytes:
+    """Serialize one dump as a single UTF-8 JSON line, without its newline.
+
+    The bytes equal ``json.dumps(record, ensure_ascii=False,
+    separators=(",", ":"))`` encoded as UTF-8: floats keep ``repr``'s
+    layout and round-trip exactly.  A NaN or infinite weight raises
+    DumpValidationError, since ``load_dump`` would reject the line.
+    """
+    matrices = np.ascontiguousarray(dump.matrices, dtype=np.float64)
+    if not np.isfinite(matrices).all():
+        raise DumpValidationError(
+            f"sentence {dump.sentence_id!r}: non-finite attention weight"
+        )
+    head = json.dumps(
+        {"id": dump.sentence_id, "subwords": list(dump.subwords)},
+        ensure_ascii=False,
+        separators=(",", ":"),
+    )
+    attn = orjson.dumps(matrices, option=orjson.OPT_SERIALIZE_NUMPY)
+    attn = _ORJSON_EXPONENT.sub(_repr_exponent, _ORJSON_E_05.sub(_repr_e_05, attn))
+    # the head's closing brace moves after "attn", the last key
+    return b"".join((head[:-1].encode(), b',"attn":', attn, b"}"))
 
 
 def write_dump(dumps: Iterable[AttentionDump], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for dump in dumps:
             fh.write(dump_record(dump))
-            fh.write("\n")
+            fh.write(b"\n")

@@ -21,8 +21,6 @@ phrase: a ``RawTree`` holds words and ``(label, arity)`` phrases, a
 
 from __future__ import annotations
 
-import itertools
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -99,16 +97,25 @@ class RawTree:
 MAX_TREE_DEPTH = 500
 
 
-# The one tokenizer of bracketed trees, reference and extracted alike: a
-# parenthesis, or a run of anything else up to whitespace or a parenthesis.
-# For str patterns ``\s`` matches exactly the characters for which
-# ``str.isspace()`` is true, the ones ``str.split()`` splits on.
-BRACKET_TOKEN = re.compile(r"[()]|[^\s()]+")
+def bracket_tokens(text: str) -> list[str]:
+    """The one tokenizer of bracketed trees, reference and extracted alike:
+    each parenthesis, and each run of anything else up to whitespace or a
+    parenthesis.  ``str.split()`` splits on exactly the characters for
+    which ``str.isspace()`` is true."""
+    return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
 def _offset(text: str, index: int) -> int:
-    """Character offset of token ``index`` (0-based) of ``text``."""
-    return next(itertools.islice(BRACKET_TOKEN.finditer(text), index, None)).start()
+    """Character offset of token ``index`` (0-based) of ``text``.
+
+    Tokens hold no whitespace, so each one's first occurrence after the end
+    of the previous one is where it starts.
+    """
+    end = 0
+    for token in bracket_tokens(text)[: index + 1]:
+        start = text.find(token, end)
+        end = start + len(token)
+    return start
 
 
 def read_bracketed(text: str) -> RawTree:
@@ -122,7 +129,7 @@ def read_bracketed(text: str) -> RawTree:
     # per open phrase, outermost first: its label and the children begun in it
     labels: list[str | None] = []
     arities: list[int] = []
-    for i, token in enumerate(BRACKET_TOKEN.findall(text)):
+    for i, token in enumerate(bracket_tokens(text)):
         if token == "(":
             if arities:
                 if len(arities) == MAX_TREE_DEPTH:

@@ -20,7 +20,7 @@ from .attn_io import AttentionDump, Span
 from .errors import TreeParseError
 from .masks import HeadMask
 from .phrases import PhraseTable, build_phrase_table
-from .treebank import BRACKET_TOKEN
+from .treebank import bracket_tokens
 
 
 @dataclass(frozen=True, eq=False, repr=False, init=False)
@@ -164,7 +164,7 @@ def parse_span_tree(line: str) -> tuple[SpanTree, tuple[str, ...]]:
     ``)``; the parse keeps its own stack, so a tree of any depth is read.
     """
     tokens: list[str] = []
-    items = BRACKET_TOKEN.findall(line)
+    items = bracket_tokens(line)
     if not items:
         raise TreeParseError("empty tree line")
     preorder: list[Span | None] = []
@@ -189,7 +189,7 @@ def parse_span_tree(line: str) -> tuple[SpanTree, tuple[str, ...]]:
                 )
             preorder[slot] = (first, len(tokens))
         else:
-            tokens.append(_unescape_token(item))
+            tokens.append(item)
             preorder.append((len(tokens), len(tokens)))
         if open_nodes:
             open_nodes[-1][2] += 1
@@ -197,6 +197,8 @@ def parse_span_tree(line: str) -> tuple[SpanTree, tuple[str, ...]]:
             done = True
     if not done:
         raise TreeParseError("unbalanced '(': end of line before ')'")
+    if "-LRB-" in line or "-RRB-" in line:
+        tokens = [_unescape_token(token) for token in tokens]
     return SpanTree._from_preorder(tuple(preorder)), tuple(tokens)
 
 

@@ -8,6 +8,7 @@ the chart parser they are checking.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Sequence, Union
@@ -42,7 +43,7 @@ from attnsyntax.attn_io import (
 )
 from attnsyntax.phrases import head_phrases, pool_phrases
 from attnsyntax.selection import SelectionStep, SelectionTrace
-from attnsyntax.treebank import BRACKET_TOKEN, MAX_TREE_DEPTH
+from attnsyntax.treebank import MAX_TREE_DEPTH
 from attnsyntax.trees import _unescape_token
 
 
@@ -291,6 +292,17 @@ def load_dump_json(
     return dumps
 
 
+def dump_record_json(dump: AttentionDump) -> str:
+    """The ``json.dumps`` writer that orjson's numpy serializer replaced,
+    kept as the reference for ``dump_record``'s bytes."""
+    payload = {
+        "id": dump.sentence_id,
+        "subwords": list(dump.subwords),
+        "attn": dump.matrices.tolist(),
+    }
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+
+
 _TREE_LINES = st.recursive(
     st.sampled_from(["a", "bc", "-LRB-"]),
     lambda kids: st.tuples(st.sampled_from(["", "S ", "NP "]), st.lists(kids, min_size=1, max_size=3)).map(
@@ -303,6 +315,13 @@ _TREE_LINES = st.recursive(
 BRACKET_LINES = st.tuples(
     _TREE_LINES, st.integers(0, 40), st.sampled_from(["", "(", ")", " x", "()", " "])
 ).map(lambda t: t[0][: t[1]] + t[2] + t[0][t[1] + 1 :])
+
+
+# The token pattern that ``treebank.bracket_tokens`` replaced, kept as its
+# reference: a parenthesis, or a run of anything else up to whitespace or a
+# parenthesis.  For str patterns ``\s`` matches exactly the characters for
+# which ``str.isspace()`` is true.
+BRACKET_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def lex_by_chars(text: str) -> Iterator[tuple[str, str, int]]:

@@ -21,7 +21,7 @@ from attnsyntax import (
 )
 from attnsyntax.cli import main
 
-from oracles import load_dump_json
+from oracles import dump_record_json, load_dump_json
 
 
 def _write_record(path, subwords, attn, sentence_id="s1"):
@@ -299,6 +299,120 @@ class TestDecoderMatchesJsonOracle:
             load_dump_json(path, **kwargs)
         assert ours.type is reference.type
         assert str(ours.value).split(":")[0] == str(reference.value).split(":")[0]
+
+
+def _square_dump(values, sentence_id="s1"):
+    """Any float64 values as one 1x1-head dump, padded with 0.5 to N x N."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    n = int(np.ceil(np.sqrt(values.size)))
+    matrix = np.full(n * n, 0.5)
+    matrix[: values.size] = values
+    subwords = tuple(f"w{i}" for i in range(n - 1)) + ("EOS",)
+    return AttentionDump(sentence_id, subwords, matrix.reshape(1, 1, n, n))
+
+
+def _assert_writes_like_json(dump):
+    assert dump_record(dump) == dump_record_json(dump).encode("utf-8")
+
+
+def _nextafter_both_ways(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+_FINITE_BITS = st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+).filter(np.isfinite)
+_WRITER_FLOATS = st.one_of(
+    _FINITE_BITS,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e-6, 1e-3),
+    st.floats(1e15, 1e17),
+)
+# quotes, backslashes, control characters, line separators, non-ASCII
+_AWKWARD_TEXT = ['"', "\\", 'a"b\\c', "\x00\x01\x1f\x7f", "\n\t\r", "\u2028\u2029",
+                 "é", "语言", "🙂", "\\u0041", "</script>"]
+
+
+class TestWriterMatchesJsonOracle:
+    """dump_record (orjson's numpy serializer plus the layout rewrite)
+    against the json.dumps writer in ``oracles``, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_WRITER_FLOATS, min_size=1, max_size=40))
+    def test_finite_floats(self, values):
+        _assert_writes_like_json(_square_dump(values))
+
+    def test_layout_boundaries(self):
+        values = [
+            *_nextafter_both_ways(1e-5), *_nextafter_both_ways(1e-4),
+            *_nextafter_both_ways(1e16), *_nextafter_both_ways(-1e-5),
+            1.234e-5, 9.99e-5, 1e-6, 1.5e-7, 1e-9,  # exponents of one digit
+            1e-10, 2.5e-42, 1e-99, 1e17, 1e22, 3e99,  # two digits
+            1e-100, 2.2250738585072014e-308, 1e100, 1.7976931348623157e308,  # three
+            5e-324, -5e-324, 0.0, -0.0, 1.0, 0.1, 1 / 3, 9999999999999998.0,
+            10.00001, 100.00009, -10.00001, 20.000012, 1000.00005,  # digit before 0.0000
+        ]
+        _assert_writes_like_json(_square_dump(values))
+        assert b"1e-05" in dump_record(_square_dump([1e-5]))
+        assert b"1e+16" in dump_record(_square_dump([1e16]))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("layers,heads", [(1, 1), (2, 3)])
+    def test_small_shapes(self, n, layers, heads):
+        subwords = ("EOS",) * n
+        dump = AttentionDump("s1", subwords, np.ones((layers, heads, n, n)))
+        _assert_writes_like_json(dump)
+
+    def test_non_contiguous_input(self):
+        matrices = random_attention_baseline(3, 7, 2, 3).matrices.transpose(0, 1, 3, 2)
+        dump = AttentionDump("s1", ("a",) * 6 + ("EOS",), matrices)
+        assert not dump.matrices.flags.c_contiguous
+        _assert_writes_like_json(dump)
+
+    def test_big_endian_input(self):
+        native = random_attention_baseline(4, 5, 1, 2, sentence_id="s1")
+        big = native.matrices.astype(">f8")
+        assert dump_record(AttentionDump("s1", native.subwords, big)) == dump_record(native)
+        # orjson writes a ">f8" array's raw bytes as if they were native
+        # (1.0 comes out as 3.03865e-319), so the writer must convert it
+        # even when the array reaches it past the constructor
+        dump = AttentionDump("s1", native.subwords, native.matrices)
+        object.__setattr__(dump, "matrices", big)
+        _assert_writes_like_json(dump)
+        assert dump_record(dump) == dump_record(native)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(_AWKWARD_TEXT), st.text(max_size=8)),
+        st.lists(st.one_of(st.sampled_from(_AWKWARD_TEXT), st.text(max_size=6)), max_size=4),
+    )
+    def test_ids_and_subwords(self, sentence_id, words):
+        subwords = tuple(words) + ("EOS",)
+        n = len(subwords)
+        dump = AttentionDump(sentence_id, subwords, np.full((1, 2, n, n), 1.0 / n))
+        _assert_writes_like_json(dump)
+
+    def test_benchmark_shaped_record(self):
+        dump = random_attention_baseline(1, 48, 6, 16)
+        _assert_writes_like_json(dump)
+
+    def test_written_file_is_the_json_lines(self, tmp_path):
+        dumps = [random_attention_baseline(seed, 6, 2, 2, sentence_id=f"é{seed}")
+                 for seed in range(3)]
+        path = tmp_path / "d.jsonl"
+        write_dump(dumps, path)
+        expected = "".join(dump_record_json(d) + "\n" for d in dumps)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, bad):
+        matrices = random_attention_baseline(5, 4, 2, 2).matrices.copy()
+        matrices[1, 0, 2, 3] = bad
+        dump = AttentionDump("s7", ("a", "b", "c", "EOS"), matrices)
+        with pytest.raises(DumpValidationError, match="sentence 's7': non-finite"):
+            dump_record(dump)
+        with pytest.raises(DumpValidationError, match="'s7'"):
+            write_dump([dump], tmp_path / "d.jsonl")
 
 
 class TestSubwordMap:

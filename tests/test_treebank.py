@@ -16,11 +16,12 @@ from attnsyntax import (
     read_bracketed,
     score,
 )
-from attnsyntax.treebank import BRACKET_TOKEN, MAX_TREE_DEPTH
+from attnsyntax.treebank import MAX_TREE_DEPTH, _offset, bracket_tokens
 from attnsyntax.trees import tree_from_splits
 
 from oracles import (
     BRACKET_LINES,
+    BRACKET_TOKEN,
     lex_by_chars,
     postprocess_steps_two_walks,
     postprocess_steps_walk,
@@ -214,7 +215,7 @@ class TestPostprocessProperties:
 # separators (U+200B and U+FEFF are not whitespace)
 _LEX_TEXT = st.text(
     alphabet=st.sampled_from(list("()ab-@ \t\n\r\x0b\x0c") + [
-        "\x1c", "\x1f", "\x85", "\xa0", "\u1680", "\u2003", "\u2028",
+        "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u1680", "\u2003", "\u2028",
         "\u202f", "\u3000", "\u200b", "\ufeff", "é", "语",
     ]) | st.characters(),
     max_size=40,
@@ -228,14 +229,22 @@ _COUNT_ERROR = st.sampled_from([0] * 8 + [-1, 1])
 
 
 class TestOnePassMatchesReference:
-    """The shared token pattern and the one-walk post-processing against
-    the character loop and the two-walk version in ``oracles``."""
+    """The shared tokenizer and the one-walk post-processing against the
+    token pattern, the character loop and the two-walk version in
+    ``oracles``."""
 
     @settings(max_examples=300, deadline=None)
     @given(_LEX_TEXT)
     def test_tokens_and_offsets(self, text):
-        tokens = [(match.group(), match.start()) for match in BRACKET_TOKEN.finditer(text)]
-        assert tokens == [(value, offset) for _, value, offset in lex_by_chars(text)]
+        tokens = bracket_tokens(text)
+        offsets = [_offset(text, i) for i in range(len(tokens))]
+        expected = [(value, offset) for _, value, offset in lex_by_chars(text)]
+        assert list(zip(tokens, offsets)) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(_LEX_TEXT)
+    def test_tokens_equal_the_pattern(self, text):
+        assert bracket_tokens(text) == BRACKET_TOKEN.findall(text)
 
     @settings(max_examples=300, deadline=None)
     @given(BRACKET_LINES, st.data())

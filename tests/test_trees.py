@@ -75,6 +75,17 @@ class TestSpanTree:
         _, tokens = parse_span_tree(line)
         assert tokens == ("(", ")x")
 
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_escaped_token_at_first_middle_and_last_leaf(self, position):
+        tokens = ["a", "b", "c", "d", "e"]
+        tokens[position] = "(x)"
+        tree = rbal_tree(len(tokens))
+        line = tree.to_bracketed(tokens)
+        assert line.count("-LRB-x-RRB-") == 1
+        parsed, parsed_tokens = parse_span_tree(line)
+        assert parsed == tree
+        assert parsed_tokens == tuple(tokens)
+
     def test_parse_rejects_nonbinary(self):
         with pytest.raises(TreeParseError, match="binary"):
             parse_span_tree("(a b c)")
