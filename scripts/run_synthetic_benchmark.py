@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from attnsyntax import (
+    ConstituencyTree,
     EvalReport,
     HeadMask,
     extract_tree,
@@ -26,7 +27,7 @@ from attnsyntax import (
     random_attention_baseline,
     random_binary_tree,
     rbal_tree,
-    score_spans,
+    score,
 )
 from attnsyntax.cli import _int_at_least, _positive_int
 from attnsyntax.scoring import CountingPolicy
@@ -56,18 +57,21 @@ def main() -> None:
     for i in range(args.sentences):
         n = int(rng.integers(lo, args.length + 1))
         reference = random_binary_tree(rng, n)
-        gold = set(reference.spans())
-
         dump = planted_dump(reference, sentence_id=f"bench-{i}")
+        # a laminar span set sorted by (end, -start) is in postorder
+        phrases = sorted((s for s in reference.preorder if s[0] < s[1]),
+                         key=lambda s: (s[1], -s[0]))
+        gold = ConstituencyTree(tuple(phrases), dump.subwords)
+
         tree = extract_tree(dump, HeadMask.all_heads(dump.layers, dump.heads))
-        pooled["planted"].append(score_spans(tree.spans(), gold, n, counting))
+        pooled["planted"].append(score(tree, gold, counting))
 
         random_dump = random_attention_baseline([args.seed, i], n, args.layers, args.heads)
         tree = extract_tree(random_dump, HeadMask.all_heads(args.layers, args.heads))
-        pooled["rand.attn"].append(score_spans(tree.spans(), gold, n, counting))
+        pooled["rand.attn"].append(score(tree, gold, counting))
 
-        pooled["lbal"].append(score_spans(lbal_tree(n).spans(), gold, n, counting))
-        pooled["rbal"].append(score_spans(rbal_tree(n).spans(), gold, n, counting))
+        pooled["lbal"].append(score(lbal_tree(n), gold, counting))
+        pooled["rbal"].append(score(rbal_tree(n), gold, counting))
     elapsed = time.monotonic() - start
 
     print(f"sentences={args.sentences} length={lo}..{args.length} "

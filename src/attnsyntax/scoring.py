@@ -13,8 +13,6 @@ span crosses a child of the smallest node around it.  Precision: an
 extracted span (a, b) crosses no reference span exactly when
 ``first_end[a] >= b and last_start[b] <= a``, two arrays a reference tree
 computes once however often it is scored (``ConstituencyTree.boundaries``).
-``score_spans`` compares two arbitrary span sets pair by pair and is the
-reference for both rules.
 """
 
 from __future__ import annotations
@@ -23,9 +21,6 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from .attn_io import Span
 from .errors import AlignmentError
 from .treebank import ConstituencyTree
 from .trees import SpanTree
@@ -38,18 +33,6 @@ class CountingPolicy(enum.Enum):
 
     ALL = "all"
     NONTRIVIAL = "nontrivial"
-
-
-def crosses(e: Span, p: Span) -> bool:
-    """True when the spans overlap without one containing the other."""
-    (a1, b1), (a2, b2) = e, p
-    overlap = a1 <= b2 and a2 <= b1
-    nested = (a1 <= a2 and b2 <= b1) or (a2 <= a1 and b1 <= b2)
-    return overlap and not nested
-
-
-def is_consistent(e: Span, phrase_spans: Iterable[Span]) -> bool:
-    return not any(crosses(e, p) for p in phrase_spans)
 
 
 @dataclass(frozen=True)
@@ -97,56 +80,13 @@ class EvalReport:
         return total
 
 
-def _span_array(spans: Iterable[Span]) -> np.ndarray:
-    """Distinct spans as an (m, 2) int64 array of (start, end) rows."""
-    return np.array(list(set(spans)), dtype=np.int64).reshape(-1, 2)
-
-
-def _countable(spans: np.ndarray, n: int, counting: CountingPolicy) -> np.ndarray:
-    """Boolean mask of the spans the counting policy counts."""
-    if counting is CountingPolicy.ALL:
-        return np.ones(len(spans), dtype=bool)
-    a, b = spans[:, 0], spans[:, 1]
-    return (b > a) & ~((a == 1) & (b == n))
-
-
-def score_spans(
-    extracted_spans: Iterable[Span],
-    gold_spans: Iterable[Span],
-    n: int,
-    counting: CountingPolicy = CountingPolicy.NONTRIVIAL,
-) -> EvalReport:
-    """Score two span sets over the same 1..n index space.
-
-    Crossing is always checked against the full span set of the other side;
-    the counting policy only filters which spans are counted.  The checks
-    are one |E| x |G| array comparison, elementwise the same as ``crosses``.
-    """
-    extracted = _span_array(extracted_spans)
-    gold = _span_array(gold_spans)
-    a1, b1 = extracted[:, :1], extracted[:, 1:]  # column vectors: rows are E
-    a2, b2 = gold[:, 0], gold[:, 1]  # row vectors: columns are G
-    overlap = (a1 <= b2) & (a2 <= b1)
-    nested = ((a1 <= a2) & (b2 <= b1)) | ((a2 <= a1) & (b1 <= b2))
-    crossing = overlap & ~nested
-    countable_extracted = _countable(extracted, n, counting)
-    countable_gold = _countable(gold, n, counting)
-    return EvalReport(
-        extracted_phrases_total=int(countable_extracted.sum()),
-        extracted_consistent=int((countable_extracted & ~crossing.any(axis=1)).sum()),
-        gold_phrases_total=int(countable_gold.sum()),
-        gold_consistent=int((countable_gold & ~crossing.any(axis=0)).sum()),
-    )
-
-
 def score(
     extracted: SpanTree,
     gold: ConstituencyTree,
     counting: CountingPolicy = CountingPolicy.NONTRIVIAL,
 ) -> EvalReport:
     """Per-sentence report for an extracted tree against a reference tree,
-    by the module docstring's two O(1) rules; the counts equal
-    ``score_spans`` on the two span sets."""
+    by the module docstring's two O(1) rules."""
     preorder = extracted.preorder
     start, end = preorder[0]
     n = end - start + 1

@@ -15,8 +15,7 @@ additional top-level child so both sides cover the same subword positions.
 
 Both kinds of tree are flat tuples in postorder, children before their
 phrase: a ``RawTree`` holds words and ``(label, arity)`` phrases, a
-``ConstituencyTree`` its phrase spans and leaf tokens.  The nested views
-(``children``, ``root``) are rebuilt from them on request.
+``ConstituencyTree`` its phrase spans and leaf tokens.
 """
 
 from __future__ import annotations
@@ -32,68 +31,23 @@ from .errors import AlignmentError, TreeParseError
 RawItem = Union[str, tuple[Union[str, None], int]]
 
 
-@dataclass(frozen=True, eq=False, repr=False, init=False)
+@dataclass(frozen=True)
 class RawTree:
     """Labeled n-ary phrase as read from a treebank line; leaves are words.
 
     The tree is one tuple, ``postorder``: each phrase's children, then the
     phrase as ``(label, arity)``, label None when it has none; a word is
-    its ``str``.  ``label`` and ``children`` are views of that tuple, and
-    equality is the tuple's.
+    its ``str``.
     """
 
     postorder: tuple[RawItem, ...]
 
-    def __init__(self, label: str | None, children: Sequence[Union["RawTree", str]]) -> None:
-        if not children:
-            raise ValueError("a phrase needs at least one child")
-        postorder: list[RawItem] = []
-        for child in children:
-            if isinstance(child, RawTree):
-                postorder += child.postorder
-            else:
-                postorder.append(child)
-        postorder.append((label, len(children)))
-        object.__setattr__(self, "postorder", tuple(postorder))
 
-    @staticmethod
-    def _from_postorder(postorder: tuple[RawItem, ...]) -> "RawTree":
-        """Wrap a postorder the caller built correctly, unchecked."""
-        tree = object.__new__(RawTree)
-        object.__setattr__(tree, "postorder", postorder)
-        return tree
-
-    @property
-    def label(self) -> str | None:
-        return self.postorder[-1][0]
-
-    @property
-    def children(self) -> list[Union["RawTree", str]]:
-        postorder = self.postorder
-        starts: list[int] = []  # where each subtree not yet joined to its phrase begins
-        for i, item in enumerate(postorder[:-1]):
-            if isinstance(item, str):
-                starts.append(i)
-            else:  # the phrase begins where its first child does
-                del starts[len(starts) + 1 - item[1] :]
-        ends = starts[1:] + [len(postorder) - 1]
-        return [postorder[a] if b == a + 1 else RawTree._from_postorder(postorder[a:b])
-                for a, b in zip(starts, ends)]
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.postorder == other.postorder
-
-    def __repr__(self) -> str:
-        return f"RawTree(label={self.label!r}, children={self.children!r})"
-
-
-# Nothing in this module recurses, but ``repr`` of a RawTree and the
-# equality, hashing and ``repr`` of Phrase nodes do, one frame per level.
-# Limiting how deep a reference line may nest keeps them within Python's
-# recursion limit (1000 frames by default) for every tree read from a
-# file, and rejects a deeper line with a located error.
+# A reference tree's boundary arrays (``ConstituencyTree.boundaries``) fill
+# O(n * depth) entries: on a chain of phrases they take 0.003 s at depth
+# 500, 0.2 s at 5000 and 3 s at 20000 (2-core x86-64, Python 3.11.7).
+# Limiting how deep a reference line may nest bounds what ``eval`` spends
+# on one hostile line, and rejects a deeper line with a located error.
 MAX_TREE_DEPTH = 500
 
 
@@ -159,81 +113,24 @@ def read_bracketed(text: str) -> RawTree:
         raise TreeParseError(f"unbalanced '(' at offset {len(text)}")
     if not postorder:
         raise TreeParseError("empty input at offset 0")
-    return RawTree._from_postorder(tuple(postorder))
+    return RawTree(tuple(postorder))
 
 
 @dataclass(frozen=True)
-class Phrase:
-    """Unlabeled n-ary phrase; children are phrases or subword leaves."""
-
-    children: tuple[Union["Phrase", str], ...]
-
-
-@dataclass(frozen=True, eq=False, repr=False, init=False)
 class ConstituencyTree:
     """Post-processed reference tree, viewed as a laminar span set.
 
     The tree is two tuples: ``postorder``, the 1-based inclusive span of
     every phrase with children before their phrase, and ``tokens``, its
-    leaves.  ``root`` and the other views derive from them, and equality
-    and hashing are theirs.  It is built from a nested ``root`` or, without
-    any node objects, by ``postprocess_steps``.
+    leaves.  The constructor does not check them.  ``boundaries`` needs
+    the spans laminar, within 1..len(tokens) and in postorder, which for a
+    laminar set is ascending end, then descending start.  ``attach_eos``
+    needs a tree of more than one token to end with its root
+    (1, len(tokens)).  ``postprocess_steps`` builds trees that hold both.
     """
 
     postorder: tuple[Span, ...]
     tokens: tuple[str, ...]
-
-    def __init__(self, root: Phrase | str) -> None:
-        postorder: list[Span] = []
-        tokens: list[str] = []
-        starts: list[int] = []  # tokens before each open phrase, outermost first
-        todo: list[Phrase | str | None] = [root]  # None closes the innermost open phrase
-        while todo:
-            node = todo.pop()
-            if node is None:
-                postorder.append((starts.pop() + 1, len(tokens)))
-            elif isinstance(node, str):
-                tokens.append(node)
-            else:
-                if not node.children:
-                    raise ValueError("a phrase needs at least one child")
-                starts.append(len(tokens))
-                todo.append(None)
-                todo += reversed(node.children)
-        object.__setattr__(self, "postorder", tuple(postorder))
-        object.__setattr__(self, "tokens", tuple(tokens))
-
-    @staticmethod
-    def _from_postorder(
-        postorder: tuple[Span, ...], tokens: tuple[str, ...]
-    ) -> "ConstituencyTree":
-        """Wrap spans and tokens the caller built correctly, unchecked."""
-        tree = object.__new__(ConstituencyTree)
-        object.__setattr__(tree, "postorder", postorder)
-        object.__setattr__(tree, "tokens", tokens)
-        return tree
-
-    @property
-    def root(self) -> Phrase | str:
-        """The tree as nested phrases.  A phrase's children are the subtrees
-        read before it that start inside it and are not yet in a phrase."""
-        tokens = self.tokens
-        if not self.postorder:
-            return tokens[0]
-        subtrees: list[tuple[int, Phrase | str]] = []  # (first position, subtree)
-        read = 0
-        for c, d in self.postorder:
-            subtrees += ((i, tokens[i - 1]) for i in range(read + 1, d + 1))
-            read = d  # ends never decrease along a postorder
-            first = len(subtrees)
-            while first and subtrees[first - 1][0] >= c:
-                first -= 1
-            children = tuple(node for _, node in subtrees[first:])
-            subtrees[first:] = [(c, Phrase(children))]
-        return subtrees[0][1]
-
-    def leaves(self) -> tuple[str, ...]:
-        return self.tokens
 
     @property
     def n(self) -> int:
@@ -283,17 +180,6 @@ class ConstituencyTree:
         return " ".join("(" * opens[i] + token + ")" * closes[i]
                         for i, token in enumerate(self.tokens, start=1))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.postorder == other.postorder and self.tokens == other.tokens
-
-    def __hash__(self) -> int:
-        return hash((self.postorder, self.tokens))
-
-    def __repr__(self) -> str:
-        return f"ConstituencyTree(root={self.root!r})"
-
 
 def postprocess_steps(
     raw: RawTree, segmentation: Sequence[Sequence[str]]
@@ -331,16 +217,14 @@ def postprocess_steps(
         raise AlignmentError(
             f"reference tree has {words} words but the subwords form {n_words}"
         )
-    return ConstituencyTree._from_postorder(tuple(postorder), tuple(tokens))
+    return ConstituencyTree(tuple(postorder), tuple(tokens))
 
 
 def attach_eos(tree: ConstituencyTree, eos: str = DEFAULT_EOS) -> ConstituencyTree:
     """Add EOS as one more child of the root: the root's span (1, m), last
     in the postorder, widens to (1, m+1), and a lone leaf becomes the
     phrase (1, 2)."""
-    return ConstituencyTree._from_postorder(
-        tree.postorder[:-1] + ((1, tree.n + 1),), tree.tokens + (eos,)
-    )
+    return ConstituencyTree(tree.postorder[:-1] + ((1, tree.n + 1),), tree.tokens + (eos,))
 
 
 def postprocess(

@@ -23,7 +23,7 @@ from .phrases import PhraseTable, build_phrase_table
 from .treebank import bracket_tokens
 
 
-@dataclass(frozen=True, eq=False, repr=False, init=False)
+@dataclass(frozen=True, init=False)
 class SpanTree:
     """Strictly binary tree over 1-based inclusive subword spans.
 
@@ -100,51 +100,28 @@ class SpanTree:
         """Spans of all nodes, leaves included."""
         return frozenset(self.preorder)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.preorder == other.preorder
-
-    def __hash__(self) -> int:
-        return hash(self.preorder)
-
-    def __repr__(self) -> str:
-        """The dataclass form, ``SpanTree(span=(a, b), left=..., right=...)``."""
-        return self._render(
-            lambda i: f"SpanTree(span={(i, i)!r}, left=None, right=None)",
-            lambda span: f"SpanTree(span={span!r}, left=",
-            ", right=",
-        )
-
     def to_bracketed(self, tokens: Sequence[str]) -> str:
-        """Render with leaves replaced by tokens; parens inside tokens are escaped."""
+        """Render with leaves replaced by tokens; parens inside tokens are
+        escaped.  One pass over ``preorder``, so any depth is rendered."""
         if len(tokens) < self.span[1]:
             raise ValueError(
                 f"need {self.span[1]} tokens to render span {self.span}, got {len(tokens)}"
             )
-        return self._render(lambda i: _escape_token(tokens[i - 1]), lambda span: "(", " ")
-
-    def _render(
-        self, leaf: Callable[[int], str], opening: Callable[[Span], str], separator: str
-    ) -> str:
-        """Preorder text: ``leaf(i)`` for leaf i, and for a node
-        ``opening(span)``, its left child, ``separator``, its right child
-        and ``)``.  One pass over ``preorder``, so any depth is rendered."""
         parts: list[str] = []
         open_ends: list[int] = []  # ends of the nodes opened and not yet closed
         for a, b in self.preorder:
             if a < b:
-                parts.append(opening((a, b)))
+                parts.append("(")
                 open_ends.append(b)
                 continue
-            parts.append(leaf(a))
+            parts.append(_escape_token(tokens[a - 1]))
             # leaf a ends every open node that ends at a; the next entry
             # is the right child of the innermost node still open
             while open_ends and open_ends[-1] == a:
                 open_ends.pop()
                 parts.append(")")
             if open_ends:
-                parts.append(separator)
+                parts.append(" ")
         return "".join(parts)
 
 

@@ -3,7 +3,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from attnsyntax import AttentionDump, ConstituencyTree, Phrase, baluster_matrix, load_dump
+from attnsyntax import AttentionDump, ConstituencyTree, load_dump
+from attnsyntax.synth import baluster_matrix
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -45,7 +46,6 @@ def two_head_fixture() -> tuple[AttentionDump, ConstituencyTree]:
     matrices = np.stack([baluster_matrix(n, [(1, 2), (3, 4)]), np.eye(n)])[None]
     dump = AttentionDump("fixture", ("a", "b", "c", "d", "e", "EOS"), matrices)
     dump.validate()
-    gold = ConstituencyTree(
-        Phrase((Phrase(("a", "b")), Phrase(("c", "d")), "e", "EOS"))
-    )
+    # ((a b) (c d) e EOS)
+    gold = ConstituencyTree(((1, 2), (3, 4), (1, 6)), ("a", "b", "c", "d", "e", "EOS"))
     return dump, gold

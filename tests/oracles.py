@@ -18,33 +18,32 @@ from hypothesis import strategies as st
 
 from attnsyntax import (
     AlignmentError,
-    Chart,
     ConstituencyTree,
-    CountingPolicy,
     EvalReport,
-    Phrase,
-    PhraseTable,
     RawTree,
-    Span,
     SpanTree,
     TreeParseError,
-    cky_parse,
-    crosses,
+    score,
+)
+from attnsyntax.scoring import CountingPolicy
+from attnsyntax.attn_io import (
+    AttentionDump,
+    DEFAULT_MAX_RECORD_BYTES,
+    DumpParseError,
+    Span,
+    _dump_from_record,
+)
+from attnsyntax.phrases import (
+    PhraseTable,
     equalize,
     find_balusters,
     harden,
-    score,
+    head_phrases,
+    pool_phrases,
 )
-from attnsyntax.attn_io import (
-    DEFAULT_MAX_RECORD_BYTES,
-    AttentionDump,
-    DumpParseError,
-    _dump_from_record,
-)
-from attnsyntax.phrases import head_phrases, pool_phrases
 from attnsyntax.selection import SelectionStep, SelectionTrace
 from attnsyntax.treebank import MAX_TREE_DEPTH
-from attnsyntax.trees import _unescape_token
+from attnsyntax.trees import Chart, _unescape_token, cky_parse
 
 
 def all_binary_trees(n: int) -> tuple[SpanTree, ...]:
@@ -219,9 +218,18 @@ def rbal_tree_right_to_left(n: int) -> SpanTree:
     return units[0]
 
 
+def crosses(e: Span, p: Span) -> bool:
+    """True when the spans overlap without one containing the other."""
+    (a1, b1), (a2, b2) = e, p
+    overlap = a1 <= b2 and a2 <= b1
+    nested = (a1 <= a2 and b2 <= b1) or (a2 <= a1 and b1 <= b2)
+    return overlap and not nested
+
+
 def score_spans_pairwise(extracted_spans, gold_spans, n: int,
                          counting: CountingPolicy) -> EvalReport:
-    """Consistency counts by checking ``crosses`` pair by pair."""
+    """Consistency counts by checking ``crosses`` pair by pair: the
+    reference for both of ``score``'s O(1) rules, over any two span sets."""
     extracted, gold = set(extracted_spans), set(gold_spans)
 
     def counted(spans):
@@ -253,16 +261,19 @@ def random_phrase_table(
     return PhraseTable(sentence_id, entries)
 
 
+def gold_from_spans(spans, n: int, tokens=None) -> ConstituencyTree:
+    """The reference tree over n tokens whose phrases are the laminar span
+    set ``spans``, single positions left out.  Sorting a laminar set by
+    (end, -start) puts it in postorder."""
+    phrases = sorted({(a, b) for a, b in spans if a < b}, key=lambda s: (s[1], -s[0]))
+    if tokens is None:
+        tokens = [f"t{i}" for i in range(1, n + 1)]
+    return ConstituencyTree(tuple(phrases), tuple(tokens))
+
+
 def gold_from_span_tree(tree: SpanTree, tokens=None) -> ConstituencyTree:
     """View a binary span tree as a reference tree (for self-comparisons)."""
-
-    def convert(node: SpanTree):
-        if node.is_leaf:
-            i = node.span[0]
-            return tokens[i - 1] if tokens is not None else f"t{i}"
-        return Phrase((convert(node.left), convert(node.right)))
-
-    return ConstituencyTree(convert(tree))
+    return gold_from_spans(tree.preorder, tree.n, tokens)
 
 
 def load_dump_json(
@@ -345,8 +356,10 @@ def lex_by_chars(text: str) -> Iterator[tuple[str, str, int]]:
             yield ("atom", text[start:i], start)
 
 
-def raw_leaves(tree: RawTree) -> list[str]:
+def raw_leaves(tree: "RawTree | RawNode") -> list[str]:
     """Leaf words of a raw tree in left-to-right order."""
+    if isinstance(tree, RawTree):
+        tree = raw_node_of(tree)
     out: list[str] = []
     for child in tree.children:
         if isinstance(child, str):
@@ -358,7 +371,7 @@ def raw_leaves(tree: RawTree) -> list[str]:
 
 def postprocess_steps_two_walks(
     raw: RawTree, segmentation: Sequence[Sequence[str]]
-) -> ConstituencyTree:
+) -> "NestedConstituencyTree":
     """The post-processing that the one-walk ``postprocess_steps`` replaced:
     count the words, wrap and split every word into a phrase of its
     subwords, then flatten every phrase with one child in a second walk."""
@@ -373,7 +386,7 @@ def postprocess_steps_two_walks(
             raise AlignmentError(f"word {word!r} maps to no subwords")
     parts = iter(segmentation)
 
-    def strip_wrap_split(node: RawTree | str) -> Phrase:
+    def strip_wrap_split(node: RawNode | str) -> Phrase:
         if isinstance(node, str):
             return Phrase(tuple(next(parts)))
         return Phrase(tuple(map(strip_wrap_split, node.children)))
@@ -386,7 +399,7 @@ def postprocess_steps_two_walks(
             return children[0]
         return Phrase(children)
 
-    return ConstituencyTree(flatten(strip_wrap_split(raw)))
+    return NestedConstituencyTree(flatten(strip_wrap_split(raw_node_of(raw))))
 
 
 def read_bracketed_recursive(text: str) -> RawTree:
@@ -400,7 +413,7 @@ def read_bracketed_recursive(text: str) -> RawTree:
         raise TreeParseError("empty input at offset 0")
     pos = 0
 
-    def parse_node() -> RawTree:
+    def parse_node() -> RawNode:
         nonlocal pos
         label = None
         if pos < len(items) and items[pos][0] == "atom":
@@ -415,7 +428,7 @@ def read_bracketed_recursive(text: str) -> RawTree:
             if kind == "close":
                 if not children:
                     raise TreeParseError(f"empty phrase at offset {offset}")
-                return RawTree(label, children)
+                return RawNode(label, children)
             children.append(parse_node() if kind == "open" else value)
 
     kind, _, offset = items[0]
@@ -425,7 +438,7 @@ def read_bracketed_recursive(text: str) -> RawTree:
     tree = parse_node()
     if pos != len(items):
         raise TreeParseError(f"trailing content at offset {items[pos][2]}")
-    return tree
+    return raw_tree_of(tree)
 
 
 def parse_span_tree_recursive(line: str) -> tuple[SpanTree, tuple[str, ...]]:
@@ -470,6 +483,13 @@ def parse_span_tree_recursive(line: str) -> tuple[SpanTree, tuple[str, ...]]:
 # ``ConstituencyTree`` replaced: a stack reader building one ``RawNode`` per
 # phrase, one recursive walk building ``Phrase`` nodes, and one recursive
 # walk over those for n, the spans and the boundary arrays.
+
+
+@dataclass(frozen=True)
+class Phrase:
+    """Unlabeled n-ary phrase; children are phrases or subword leaves."""
+
+    children: tuple[Union["Phrase", str], ...]
 
 
 @dataclass
@@ -520,18 +540,36 @@ def read_bracketed_nodes(text: str) -> RawNode:
     return tree
 
 
-def raw_tree_of(node: RawNode | str) -> RawTree | str:
-    """The same tree through ``RawTree``'s nested constructor."""
-    if isinstance(node, str):
-        return node
-    return RawTree(node.label, [raw_tree_of(child) for child in node.children])
+def raw_tree_of(node: RawNode) -> RawTree:
+    """The same tree as a ``RawTree``'s postorder, by one recursive walk."""
+    postorder: list = []
+
+    def walk(node: RawNode | str) -> None:
+        if isinstance(node, str):
+            postorder.append(node)
+        else:
+            for child in node.children:
+                walk(child)
+            postorder.append((node.label, len(node.children)))
+
+    walk(node)
+    return RawTree(tuple(postorder))
 
 
-def raw_node_of(tree: RawTree | str) -> RawNode | str:
-    """A ``RawTree`` read back through its ``label`` and ``children`` views."""
-    if isinstance(tree, str):
-        return tree
-    return RawNode(tree.label, [raw_node_of(child) for child in tree.children])
+def raw_node_of(tree: RawTree) -> RawNode:
+    """A ``RawTree``'s postorder read back as nested nodes: a phrase
+    ``(label, arity)`` takes the last ``arity`` subtrees before it."""
+    subtrees: list[RawNode | str] = []
+    for item in tree.postorder:
+        if isinstance(item, str):
+            subtrees.append(item)
+        else:
+            label, arity = item
+            children = subtrees[len(subtrees) - arity :]
+            del subtrees[len(subtrees) - arity :]
+            subtrees.append(RawNode(label, children))
+    (root,) = subtrees
+    return root
 
 
 @dataclass(frozen=True)
@@ -564,8 +602,13 @@ class NestedConstituencyTree:
     def boundaries(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return self._walk[2], self._walk[3]
 
+    def flat(self) -> ConstituencyTree:
+        """The same tree as ``ConstituencyTree``'s two tuples."""
+        return ConstituencyTree(self._walk[4], self.leaves())
+
     @cached_property
-    def _walk(self) -> tuple[int, frozenset[Span], tuple[int, ...], tuple[int, ...]]:
+    def _walk(self) -> tuple[int, frozenset[Span], tuple[int, ...], tuple[int, ...],
+                             tuple[Span, ...]]:
         postorder: list[Span] = []
 
         def walk(node: Phrase | str, start: int) -> int:
@@ -582,7 +625,7 @@ class NestedConstituencyTree:
         for c, d in reversed(postorder):
             first_end[c + 1 : d + 1] = [d] * (d - c)
             last_start[c:d] = [c] * (d - c)
-        return n, frozenset(postorder), tuple(first_end), tuple(last_start)
+        return n, frozenset(postorder), tuple(first_end), tuple(last_start), tuple(postorder)
 
     def to_bracketed(self) -> str:
         def render(node: Phrase | str) -> str:
@@ -622,11 +665,16 @@ def postprocess_steps_walk(
     return NestedConstituencyTree(root)
 
 
+def attach_eos_nested(tree: NestedConstituencyTree, eos: str = "EOS") -> NestedConstituencyTree:
+    """EOS as one more child of the root, a lone leaf becoming a phrase."""
+    if isinstance(tree.root, str):
+        return NestedConstituencyTree(Phrase((tree.root, eos)))
+    return NestedConstituencyTree(Phrase(tree.root.children + (eos,)))
+
+
 def postprocess_walk(
     raw: RawNode, segmentation: Sequence[Sequence[str]], eos: str = "EOS"
 ) -> NestedConstituencyTree:
     """``postprocess_steps_walk``, then EOS as one more child of the root."""
-    tree = postprocess_steps_walk(raw, segmentation)
-    if isinstance(tree.root, str):
-        return NestedConstituencyTree(Phrase((tree.root, eos)))
-    return NestedConstituencyTree(Phrase(tree.root.children + (eos,)))
+    return attach_eos_nested(postprocess_steps_walk(raw, segmentation), eos)
+

@@ -10,32 +10,30 @@ import time
 import numpy as np
 
 from attnsyntax import (
-    CountingPolicy,
     EvalReport,
     HeadMask,
     SpanTree,
-    cky_parse,
     extract_tree,
-    greedy_ablation,
-    greedy_addition,
-    harden,
     lbal_tree,
-    pgm_bytes,
     planted_dump,
-    postprocess_steps,
     random_attention_baseline,
     random_binary_tree,
     rbal_tree,
     read_bracketed,
     score,
-    score_spans,
-    build_phrase_table,
 )
+from attnsyntax.phrases import build_phrase_table, harden
+from attnsyntax.render import pgm_bytes
+from attnsyntax.scoring import CountingPolicy
+from attnsyntax.selection import greedy_ablation, greedy_addition
+from attnsyntax.treebank import postprocess_steps
+from attnsyntax.trees import cky_parse
 from attnsyntax.cli import main
 
 from oracles import (
     all_binary_trees,
     gold_from_span_tree,
+    gold_from_spans,
     random_phrase_table,
     recursion_score,
 )
@@ -175,7 +173,7 @@ def test_c07_metric_properties():
         ),
         SpanTree.leaf(4),
     )
-    crossing = score_spans(extracted.spans(), {(1, 4), (2, 4), (3, 4)}, 4)
+    crossing = score(extracted, gold_from_spans({(1, 4), (2, 4), (3, 4)}, 4))
     ok = ok and (crossing.extracted_consistent, crossing.extracted_phrases_total) == (0, 2)
     ok = ok and (crossing.gold_consistent, crossing.gold_phrases_total) == (0, 2)
 
@@ -217,18 +215,18 @@ def test_c09_baseline_ordering_on_synthetic_corpus():
     for i in range(n_sentences):
         n = int(rng.integers(5, 21))
         gold_tree = random_binary_tree(rng, n)
-        gold = set(gold_tree.spans())
+        gold = gold_from_span_tree(gold_tree)
 
         dump = planted_dump(gold_tree, sentence_id=f"bench-{i}")
         planted = extract_tree(dump, HeadMask.all_heads(dump.layers, dump.heads))
-        pooled["planted"].append(score_spans(planted.spans(), gold, n))
+        pooled["planted"].append(score(planted, gold))
 
         random_dump = random_attention_baseline([seed, i], n, layers, heads)
         random_tree = extract_tree(random_dump, HeadMask.all_heads(layers, heads))
-        pooled["rand"].append(score_spans(random_tree.spans(), gold, n))
+        pooled["rand"].append(score(random_tree, gold))
 
-        pooled["lbal"].append(score_spans(lbal_tree(n).spans(), gold, n))
-        pooled["rbal"].append(score_spans(rbal_tree(n).spans(), gold, n))
+        pooled["lbal"].append(score(lbal_tree(n), gold))
+        pooled["rbal"].append(score(rbal_tree(n), gold))
 
     f1 = {k: 100.0 * EvalReport.aggregate(v).f1 for k, v in pooled.items()}
     elapsed = time.monotonic() - start

@@ -13,12 +13,11 @@ from attnsyntax import (
     DumpParseError,
     DumpValidationError,
     SegmentationError,
-    dump_record,
     load_dump,
     random_attention_baseline,
-    word_groups,
     write_dump,
 )
+from attnsyntax.attn_io import dump_record, word_groups
 from attnsyntax.cli import main
 
 from oracles import dump_record_json, load_dump_json

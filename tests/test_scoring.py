@@ -6,17 +6,25 @@ from hypothesis import strategies as st
 from attnsyntax import (
     AlignmentError,
     ConstituencyTree,
-    CountingPolicy,
     EvalReport,
-    Phrase,
     SpanTree,
-    crosses,
-    is_consistent,
     random_binary_tree,
     score,
-    score_spans,
 )
-from oracles import all_binary_trees, gold_from_span_tree, score_spans_pairwise
+from attnsyntax.scoring import CountingPolicy
+from oracles import (
+    all_binary_trees,
+    crosses,
+    gold_from_span_tree,
+    gold_from_spans,
+    score_spans_pairwise,
+)
+
+NONTRIVIAL = CountingPolicy.NONTRIVIAL
+
+
+def is_consistent(e, phrase_spans) -> bool:
+    return not any(crosses(e, p) for p in phrase_spans)
 
 
 def tree_of(shape) -> SpanTree:
@@ -28,6 +36,8 @@ def tree_of(shape) -> SpanTree:
 
 
 class TestConsistency:
+    """The crossing predicate of ``oracles``, the reference for ``score``."""
+
     def test_partial_overlap_crosses(self):
         assert not is_consistent((1, 2), {(2, 4)})
 
@@ -131,7 +141,7 @@ class TestScore:
             return tree
 
         extracted = binarize(1, n)
-        report = score_spans(extracted.spans(), gold_spans, n)
+        report = score(extracted, gold_from_spans(gold_spans, n))
         assert report.precision == 1.0
 
     def test_symmetry_of_counts_for_binary_trees(self):
@@ -139,8 +149,8 @@ class TestScore:
         for _ in range(50):
             n = int(rng.integers(2, 12))
             a, b = random_binary_tree(rng, n), random_binary_tree(rng, n)
-            forward = score_spans(a.spans(), b.spans(), n)
-            backward = score_spans(b.spans(), a.spans(), n)
+            forward = score(a, gold_from_span_tree(b))
+            backward = score(b, gold_from_span_tree(a))
             assert forward.extracted_consistent == backward.gold_consistent
             assert forward.extracted_phrases_total == backward.gold_phrases_total
 
@@ -155,8 +165,10 @@ class TestScore:
             addition = (a, int(rng.integers(a, n + 1)))
             if not is_consistent(addition, extracted.spans()):
                 continue  # the property conditions on a non-crossing addition
-            base = score_spans(extracted.spans(), gold, n)
-            extended = score_spans(extracted.spans(), gold | {addition}, n)
+            # the extended span set need not be laminar, so no reference
+            # tree holds it: the counts are the pairwise reference's
+            base = score_spans_pairwise(extracted.spans(), gold, n, NONTRIVIAL)
+            extended = score_spans_pairwise(extracted.spans(), gold | {addition}, n, NONTRIVIAL)
             assert extended.extracted_consistent == base.extracted_consistent
             checked += 1
         assert checked > 20
@@ -186,20 +198,30 @@ def _random_spans(rng, n, count):
     return [(int(a), int(rng.integers(a, n + 1))) for a in starts]
 
 
+def _laminar(spans):
+    """Each span, in order, that crosses none of the spans kept before it."""
+    kept = []
+    for span in spans:
+        if is_consistent(span, kept):
+            kept.append(span)
+    return kept
+
+
 class TestScoreSpansMatchesPairwise:
-    """The array comparison counts exactly what ``crosses`` pair by pair does."""
+    """``score`` counts exactly what ``crosses`` pair by pair does."""
 
     @pytest.mark.parametrize("counting", list(CountingPolicy))
     def test_random_span_sets(self, counting):
+        # references that no post-processed tree gives: any laminar set of
+        # arbitrary spans, with or without the root
         rng = np.random.default_rng(21)
         for _ in range(300):
             n = int(rng.integers(1, 20))
-            extracted = _random_spans(rng, n, int(rng.integers(0, 2 * n + 1)))
-            gold = _random_spans(rng, n, int(rng.integers(0, 2 * n + 1)))
-            if rng.random() < 0.3:
-                extracted += [(1, n)] + extracted[: len(extracted) // 2]
-            assert score_spans(extracted, gold, n, counting) == score_spans_pairwise(
-                extracted, gold, n, counting
+            extracted = random_binary_tree(rng, n)
+            spans = _random_spans(rng, n, int(rng.integers(0, 2 * n + 1)))
+            gold = gold_from_spans(_laminar(spans), n)
+            assert score(extracted, gold, counting) == score_spans_pairwise(
+                extracted.spans(), gold.spans(), n, counting
             )
 
     @pytest.mark.parametrize("counting", list(CountingPolicy))
@@ -207,72 +229,73 @@ class TestScoreSpansMatchesPairwise:
         rng = np.random.default_rng(22)
         for _ in range(100):
             n = int(rng.integers(1, 30))
-            a, b = random_binary_tree(rng, n).spans(), random_binary_tree(rng, n).spans()
-            assert score_spans(a, b, n, counting) == score_spans_pairwise(a, b, n, counting)
+            a, b = random_binary_tree(rng, n), random_binary_tree(rng, n)
+            gold = gold_from_span_tree(b)
+            assert score(a, gold, counting) == score_spans_pairwise(
+                a.spans(), gold.spans(), n, counting
+            )
 
     def test_empty_sides(self):
+        # a reference without phrases, and a one-subword sentence, whose
+        # extracted tree has no span counted under NONTRIVIAL
         for counting in CountingPolicy:
-            assert score_spans([], [(1, 2)], 3, counting) == score_spans_pairwise(
-                [], [(1, 2)], 3, counting
-            )
-            assert score_spans([(2, 3)], [], 3, counting) == score_spans_pairwise(
-                [(2, 3)], [], 3, counting
-            )
+            for n in (1, 2, 3):
+                gold = gold_from_spans((), n)
+                for extracted in all_binary_trees(n):
+                    assert score(extracted, gold, counting) == score_spans_pairwise(
+                        extracted.spans(), (), n, counting
+                    )
+            assert score(SpanTree.leaf(1), gold_from_spans((), 1)) == EvalReport(0, 0, 0, 0)
 
 
-def _vary_reference(node, rng, budget):
-    """Remove random internal phrases (their children join the parent) and
-    split random words into 2 or 3 subwords, adding at most ``budget[0]``
-    subwords in all."""
-    if isinstance(node, str):
-        extra = min(int(rng.integers(0, 3)), budget[0])
-        budget[0] -= extra
-        return node if not extra else Phrase(tuple(f"{node}.{j}" for j in range(extra + 1)))
-    children = []
-    for child in node.children:
-        child = _vary_reference(child, rng, budget)
-        if isinstance(child, Phrase) and rng.random() < 0.3:
-            children += child.children
-        else:
-            children.append(child)
-    return Phrase(tuple(children))
+def _vary_reference(word_tree: SpanTree, rng, budget: int):
+    """The phrases of a binary tree over words, with random words split
+    into 2 or 3 subwords (at most ``budget`` added in all) and each phrase
+    but the root removed with probability 0.3; and the subword count."""
+    ends = []  # subword span of each word
+    for _ in range(word_tree.n):
+        start = ends[-1][1] + 1 if ends else 1
+        extra = min(int(rng.integers(0, 3)), budget)
+        budget -= extra
+        ends.append((start, start + extra))
+    phrases = {(ends[a - 1][0], ends[b - 1][1]) for a, b in word_tree.preorder}
+    n = ends[-1][1]
+    return [s for s in phrases if s[0] < s[1] and (s == (1, n) or rng.random() >= 0.3)], n
 
 
-def _binarize(node, start, rng) -> SpanTree:
-    """A random binary tree over the phrase's positions from ``start`` on
-    that keeps every phrase: children pair up in random adjacent order."""
-    if isinstance(node, str):
-        return SpanTree.leaf(start)
+def _binarize(phrases, a, b, rng) -> SpanTree:
+    """A random binary tree over a..b that keeps every phrase of the
+    laminar set ``phrases`` inside (a, b): the widest phrases inside it and
+    the positions outside those pair up in random adjacent order."""
     units = []
-    for child in node.children:
-        units.append(_binarize(child, start, rng))
-        start = units[-1].span[1] + 1
+    i = a
+    while i <= b:
+        d = max((d for c, d in phrases if c == i and d <= b and (c, d) != (a, b)), default=i)
+        units.append(_binarize(phrases, i, d, rng) if d > i else SpanTree.leaf(i))
+        i = d + 1
     while len(units) > 1:
-        i = int(rng.integers(0, len(units) - 1))
-        units[i : i + 2] = [SpanTree.node(units[i], units[i + 1])]
+        j = int(rng.integers(0, len(units) - 1))
+        units[j : j + 2] = [SpanTree.node(units[j], units[j + 1])]
     return units[0]
 
 
 class TestScoreMatchesSpanSets:
-    """``score``'s two O(1) rules count exactly what the span-set routines do."""
+    """``score``'s two O(1) rules count exactly what the pairwise span-set
+    reference does."""
 
     @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from(list(CountingPolicy)))
     @settings(max_examples=400, deadline=None)
     def test_random_trees_against_varied_references(self, words, seed, counting):
         rng = np.random.default_rng(seed)
-        word_tree = random_binary_tree(rng, words)
-        gold = ConstituencyTree(
-            _vary_reference(gold_from_span_tree(word_tree).root, rng, [80 - words])
-        )
-        n = gold.n
+        phrases, n = _vary_reference(random_binary_tree(rng, words), rng, 80 - words)
+        gold = gold_from_spans(phrases, n)
         assert 1 <= n <= 80
         if rng.random() < 0.5:
             extracted = random_binary_tree(rng, n)
         else:  # consistent with every reference span
-            extracted = _binarize(gold.root, 1, rng)
-        expected = score_spans(extracted.spans(), gold.spans(), n, counting)
+            extracted = _binarize(gold.spans(), 1, n, rng)
+        expected = score_spans_pairwise(extracted.spans(), gold.spans(), n, counting)
         assert score(extracted, gold, counting) == expected
-        assert expected == score_spans_pairwise(extracted.spans(), gold.spans(), n, counting)
 
     @pytest.mark.parametrize("counting", list(CountingPolicy))
     def test_every_tree_against_every_reference(self, counting):
@@ -281,14 +304,14 @@ class TestScoreMatchesSpanSets:
             golds = [gold_from_span_tree(tree) for tree in trees]
             for extracted in trees:
                 for gold in golds:
-                    assert score(extracted, gold, counting) == score_spans(
+                    assert score(extracted, gold, counting) == score_spans_pairwise(
                         extracted.spans(), gold.spans(), n, counting
                     )
 
     def test_nested_span_sharing_an_end_is_consistent(self):
         # (2, 3) lies inside the reference phrase (1, 3), which ends where
         # it does; (1, 2) lies inside (1, 3) and starts where it does
-        gold = ConstituencyTree(Phrase((Phrase(("a", "b", "c")), "d")))
+        gold = ConstituencyTree(((1, 3), (1, 4)), ("a", "b", "c", "d"))
         for shape in ((1, (2, 3)), ((1, 2), 3)):
             report = score(tree_of((shape, 4)), gold)
             assert (report.extracted_consistent, report.extracted_phrases_total) == (2, 2)
@@ -296,7 +319,7 @@ class TestScoreMatchesSpanSets:
 
     def test_boundaries_keep_the_innermost_phrase(self):
         # phrases (1, 6), (2, 5), (3, 4) nest; position 4 lies in all three
-        gold = ConstituencyTree(Phrase(("a", Phrase(("b", Phrase(("c", "d")), "e")), "f")))
+        gold = ConstituencyTree(((3, 4), (2, 5), (1, 6)), ("a", "b", "c", "d", "e", "f"))
         first_end, last_start = gold.boundaries()
         assert first_end[1:] == (6, 6, 5, 4, 5, 6)
         assert last_start[1:] == (1, 2, 3, 2, 1, 0)

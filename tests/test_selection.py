@@ -4,16 +4,14 @@ import pytest
 from attnsyntax import (
     AlignmentError,
     AttentionDump,
-    CountingPolicy,
     HeadMask,
-    baluster_matrix,
     extract_tree,
-    greedy_ablation,
-    greedy_addition,
-    layer_distribution,
     random_binary_tree,
     score,
 )
+from attnsyntax.scoring import CountingPolicy
+from attnsyntax.selection import greedy_ablation, greedy_addition, layer_distribution
+from attnsyntax.synth import baluster_matrix
 from attnsyntax import selection
 from oracles import gold_from_span_tree, greedy_by_candidates
 

@@ -6,22 +6,29 @@ from hypothesis import strategies as st
 from attnsyntax import (
     AlignmentError,
     ConstituencyTree,
-    Phrase,
     RawTree,
     TreeParseError,
-    attach_eos,
     gold_tree_for_dump,
-    postprocess,
-    postprocess_steps,
     read_bracketed,
     score,
 )
-from attnsyntax.treebank import MAX_TREE_DEPTH, _offset, bracket_tokens
+from attnsyntax.treebank import (
+    MAX_TREE_DEPTH,
+    _offset,
+    attach_eos,
+    bracket_tokens,
+    postprocess,
+    postprocess_steps,
+)
 from attnsyntax.trees import tree_from_splits
 
 from oracles import (
     BRACKET_LINES,
     BRACKET_TOKEN,
+    NestedConstituencyTree,
+    Phrase,
+    RawNode,
+    attach_eos_nested,
     lex_by_chars,
     postprocess_steps_two_walks,
     postprocess_steps_walk,
@@ -37,14 +44,12 @@ from oracles import (
 class TestReadBracketed:
     def test_nested_labels(self):
         tree = read_bracketed("(S (VP vinegrowers suffer))")
-        assert tree.label == "S"
-        (vp,) = tree.children
-        assert isinstance(vp, RawTree) and vp.label == "VP"
-        assert vp.children == ["vinegrowers", "suffer"]
+        assert tree.postorder == ("vinegrowers", "suffer", ("VP", 2), ("S", 1))
+        assert raw_node_of(tree) == RawNode("S", [RawNode("VP", ["vinegrowers", "suffer"])])
 
     def test_single_child(self):
         tree = read_bracketed("(X a)")
-        assert tree.label == "X" and tree.children == ["a"]
+        assert tree == RawTree(("a", ("X", 1)))
 
     def test_unbalanced_reports_eof_offset(self):
         text = "((a b)"
@@ -65,9 +70,8 @@ class TestReadBracketed:
 
     def test_unlabeled_node(self):
         tree = read_bracketed("( (vinegrowers suffer) )")
-        assert tree.label is None
-        (inner,) = tree.children
-        assert inner.label == "vinegrowers"  # first atom reads as a label
+        # the first atom after '(' reads as a label
+        assert tree.postorder == ("suffer", ("vinegrowers", 1), (None, 1))
         assert raw_leaves(tree) == ["suffer"]
 
     def test_too_deep_is_a_located_error(self):
@@ -82,7 +86,7 @@ class TestReadBracketed:
         words = [f"w{i}" for i in range(MAX_TREE_DEPTH + 1)]
         text = "".join(f"(X {w} " for w in words[:-1]) + words[-1] + ")" * MAX_TREE_DEPTH
         tree = gold_tree_for_dump(read_bracketed(text), words + ["EOS"])
-        assert tree.leaves() == (*words, "EOS")
+        assert tree.tokens == (*words, "EOS")
         assert len(tree.spans()) == MAX_TREE_DEPTH
 
     @settings(max_examples=200, deadline=None)
@@ -106,14 +110,14 @@ class TestPostprocess:
         raw = read_bracketed("(S (VP vinegrowers suffer))")
         tree = postprocess_steps(raw, SEGMENTATION)
         assert tree.to_bracketed() == "((vin- e- growers) suffer)"
-        assert tree.leaves() == ("vin-", "e-", "growers", "suffer")
+        assert tree.tokens == ("vin-", "e-", "growers", "suffer")
         assert tree.spans() == frozenset({(1, 3), (1, 4)})
 
     def test_worked_example_with_eos(self):
         raw = read_bracketed("(S (VP vinegrowers suffer))")
         tree = postprocess(raw, SEGMENTATION)
         assert tree.to_bracketed() == "((vin- e- growers) suffer EOS)"
-        assert tree.leaves() == ("vin-", "e-", "growers", "suffer", "EOS")
+        assert tree.tokens == ("vin-", "e-", "growers", "suffer", "EOS")
         assert tree.spans() == frozenset({(1, 3), (1, 5)})
 
     def test_single_word_collapses_to_leaf(self):
@@ -144,11 +148,11 @@ class TestPostprocess:
             postprocess_steps(raw, [[]])
 
     def test_attach_eos_to_leaf_root(self):
-        tree = ConstituencyTree("hello")
+        tree = ConstituencyTree((), ("hello",))
         assert attach_eos(tree).to_bracketed() == "(hello EOS)"
 
 
-def _random_raw(rng, depth=0) -> RawTree:
+def _random_raw(rng, depth=0) -> RawNode:
     n_children = int(rng.integers(1, 4))
     children = []
     for _ in range(n_children):
@@ -156,14 +160,7 @@ def _random_raw(rng, depth=0) -> RawTree:
             children.append(f"w{int(rng.integers(0, 100))}")
         else:
             children.append(_random_raw(rng, depth + 1))
-    return RawTree(f"L{int(rng.integers(0, 5))}", children)
-
-
-def _collect_phrases(node, out):
-    if isinstance(node, Phrase):
-        out.append(node)
-        for child in node.children:
-            _collect_phrases(child, out)
+    return RawNode(f"L{int(rng.integers(0, 5))}", children)
 
 
 class TestPostprocessProperties:
@@ -171,16 +168,16 @@ class TestPostprocessProperties:
     @settings(max_examples=60, deadline=None)
     def test_no_unary_nodes_and_laminar(self, seed):
         rng = np.random.default_rng(seed)
-        raw = _random_raw(rng)
+        raw = raw_tree_of(_random_raw(rng))
         words = raw_leaves(raw)
         segmentation = [
             [w] if rng.random() < 0.5 else [f"{w}@@", f"{w}b"] for w in words
         ]
         tree = postprocess(raw, segmentation)
 
-        phrases: list[Phrase] = []
-        _collect_phrases(tree.root, phrases)
-        assert all(len(p.children) >= 2 for p in phrases)
+        # a phrase of one child would repeat that child's span or cover one token
+        assert len(set(tree.postorder)) == len(tree.postorder)
+        assert all(a < b for a, b in tree.postorder)
 
         spans = sorted(tree.spans())
         for i, e in enumerate(spans):
@@ -195,19 +192,14 @@ class TestPostprocessProperties:
     @settings(max_examples=40, deadline=None)
     def test_steps_are_idempotent(self, seed):
         rng = np.random.default_rng(seed)
-        raw = _random_raw(rng)
+        raw = raw_tree_of(_random_raw(rng))
         words = raw_leaves(raw)
         first = postprocess_steps(raw, [[w] for w in words])
-
-        def as_raw(node) -> RawTree | str:
-            if isinstance(node, str):
-                return node
-            return RawTree(None, [as_raw(c) for c in node.children])
-
-        reparsed = as_raw(first.root)
-        if isinstance(reparsed, str):
+        if first.n == 1:
             return  # a bare word is already in normal form
-        second = postprocess_steps(reparsed, [[w] for w in first.leaves()])
+        # the same phrases, each labeled X, read back as a raw tree
+        reparsed = read_bracketed(first.to_bracketed().replace("(", "(X "))
+        second = postprocess_steps(reparsed, [[w] for w in first.tokens])
         assert second == first
 
 
@@ -263,12 +255,12 @@ class TestOnePassMatchesReference:
                 postprocess_steps(raw, segmentation)
             return
         got = postprocess_steps(raw, segmentation)
-        assert got == expected
         for ours, reference in ((got, expected),
-                                (postprocess(raw, segmentation), attach_eos(expected))):
-            assert ours == reference
+                                (postprocess(raw, segmentation), attach_eos_nested(expected))):
+            assert ours == reference.flat()
             assert ours.n == len(reference.leaves())
             assert ours.spans() == _spans_by_leaf_counts(reference.root)
+        assert attach_eos(got) == attach_eos_nested(expected).flat()
 
 
 def _spans_by_leaf_counts(root) -> frozenset:
@@ -277,7 +269,7 @@ def _spans_by_leaf_counts(root) -> frozenset:
 
     def visit(node, start):
         if isinstance(node, Phrase):
-            out.add((start + 1, start + len(ConstituencyTree(node).leaves())))
+            out.add((start + 1, start + len(NestedConstituencyTree(node).leaves())))
             for child in node.children:
                 start = visit(child, start)
             return start
@@ -292,7 +284,7 @@ class TestGoldTreeForDump:
         subwords = ("vin@@", "e-@@", "growers", "suffer", "EOS")
         raw = read_bracketed("(S (VP vinegrowers suffer))")
         tree = gold_tree_for_dump(raw, subwords)
-        assert tree.leaves() == subwords
+        assert tree.tokens == subwords
         assert tree.spans() == frozenset({(1, 3), (1, 5)})
 
     def test_word_count_mismatch(self):
@@ -302,21 +294,24 @@ class TestGoldTreeForDump:
 
 
 class TestConstituencyTreeCache:
-    ROOT = Phrase((Phrase(("a", "b")), Phrase(("c", Phrase(("d", "e")))), "EOS"))
+    # ((a b) (c (d e)) EOS)
+    POSTORDER = ((1, 2), (4, 5), (3, 5), (1, 6))
+    TOKENS = ("a", "b", "c", "d", "e", "EOS")
 
     def test_walks_once_and_repeats_values(self):
-        tree = ConstituencyTree(self.ROOT)
+        tree = ConstituencyTree(self.POSTORDER, self.TOKENS)
         spans = tree.spans()
         assert spans == frozenset({(1, 2), (3, 5), (4, 5), (1, 6)})
         assert tree.spans() is spans
-        assert tree.n == 6 and tree.n == len(tree.leaves())
+        assert tree.n == 6
 
     def test_equality_and_hash_ignore_the_cache(self):
-        warm, cold = ConstituencyTree(self.ROOT), ConstituencyTree(self.ROOT)
-        warm.spans(), warm.n
+        warm = ConstituencyTree(self.POSTORDER, self.TOKENS)
+        cold = ConstituencyTree(self.POSTORDER, self.TOKENS)
+        warm.spans(), warm.boundaries()
         assert warm == cold and hash(warm) == hash(cold)
         assert repr(warm) == repr(cold)
-        assert warm != ConstituencyTree(Phrase(("a", "b", "c", "d", "e", "EOS")))
+        assert warm != ConstituencyTree(((1, 6),), self.TOKENS)
 
 
 def _outcome(fn, *args):
@@ -361,23 +356,20 @@ class TestPostorderMatchesNestedWalk:
             assert tree.n == reference.n
             assert tree.spans() == reference.spans()
             assert tree.boundaries() == reference.boundaries()
-            assert tree.leaves() == reference.leaves()
+            assert tree.tokens == reference.leaves()
             assert tree.to_bracketed() == reference.to_bracketed()
-            assert tree.root == reference.root
-            assert ConstituencyTree(reference.root) == tree
+            assert tree == reference.flat()
 
 
 class TestDeepTrees:
     DEPTH = 5000
 
     def test_views_and_score_of_a_deep_phrase(self):
-        root = "w0"
-        for i in range(1, self.DEPTH + 1):
-            root = Phrase((root, f"w{i}"))
-        tree = ConstituencyTree(root)
         n = self.DEPTH + 1
+        tree = ConstituencyTree(tuple((1, d) for d in range(2, n + 1)),
+                                tuple(f"w{i}" for i in range(n)))
         assert tree.n == n
-        assert tree.leaves() == tuple(f"w{i}" for i in range(n))
+        assert tree.tokens == tuple(f"w{i}" for i in range(n))
         assert tree.spans() == frozenset((1, d) for d in range(2, n + 1))
         assert tree.to_bracketed() == (
             "(" * self.DEPTH + "w0 " + " ".join(f"w{i})" for i in range(1, n))
@@ -385,25 +377,16 @@ class TestDeepTrees:
         first_end, last_start = tree.boundaries()
         assert first_end[2:] == tuple(range(2, n + 1))
         assert last_start[1:n] == (1,) * (n - 1)
-        assert ConstituencyTree(tree.root) == tree
         report = score(tree_from_splits(n, lambda a, b: b - 1), tree)
         assert report.extracted_consistent == report.extracted_phrases_total == n - 2
         assert report.gold_consistent == report.gold_phrases_total == n - 2
 
     def test_postprocessing_a_deep_raw_tree(self):
-        raw = RawTree("X", ["w0"])
+        # (X (X ... (X (X w0) w1) ... ) w5000): the innermost phrase is unary
+        postorder = ["w0", ("X", 1)]
         for i in range(1, self.DEPTH + 1):
-            raw = RawTree("X", [raw, f"w{i}"])
+            postorder += [f"w{i}", ("X", 2)]
         segmentation = [[f"w{i}"] for i in range(self.DEPTH + 1)]
-        expected = "w0"
-        for i in range(1, self.DEPTH + 1):
-            expected = Phrase((expected, f"w{i}"))
-        assert postprocess_steps(raw, segmentation) == ConstituencyTree(expected)
-
-
-class TestEmptyPhrases:
-    def test_nested_constructors_reject_a_phrase_without_children(self):
-        with pytest.raises(ValueError, match="at least one child"):
-            RawTree("X", [])
-        with pytest.raises(ValueError, match="at least one child"):
-            ConstituencyTree(Phrase(("a", Phrase(()))))
+        expected = ConstituencyTree(tuple((1, d) for d in range(2, self.DEPTH + 2)),
+                                    tuple(f"w{i}" for i in range(self.DEPTH + 1)))
+        assert postprocess_steps(RawTree(tuple(postorder)), segmentation) == expected

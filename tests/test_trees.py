@@ -8,21 +8,18 @@ from hypothesis import strategies as st
 
 from attnsyntax import trees
 from attnsyntax import (
-    Chart,
     HeadMask,
-    PhraseTable,
     SpanTree,
     TreeParseError,
-    cky_chart,
-    cky_parse,
     extract_tree,
     lbal_tree,
-    parse_span_tree,
     planted_dump,
     random_attention_baseline,
     random_binary_tree,
     rbal_tree,
 )
+from attnsyntax.phrases import PhraseTable
+from attnsyntax.trees import Chart, cky_chart, cky_parse, parse_span_tree
 from oracles import (
     BRACKET_LINES,
     all_binary_trees,
@@ -121,9 +118,7 @@ class TestSpanTree:
         for i in range(n - 1, 0, -1):
             right = SpanTree.node(SpanTree.leaf(i), right)
         assert tree != right
-        text = repr(tree)
-        assert text.startswith(f"SpanTree(span=(1, {n}), left=SpanTree(span=(1, {n - 1}), ")
-        assert text.count("SpanTree(") == 2 * n - 1
+        assert repr(tree) == f"SpanTree(preorder={tree.preorder!r})"
 
     def test_equality_hash_and_repr_of_small_trees(self):
         rng = np.random.default_rng(9)
@@ -136,10 +131,7 @@ class TestSpanTree:
             chain = chain_left(n)
             assert (chain == tree) == (repr(chain) == repr(tree))
         pair = SpanTree.node(SpanTree.leaf(1), SpanTree.leaf(2))
-        assert repr(pair) == (
-            "SpanTree(span=(1, 2), left=SpanTree(span=(1, 1), left=None, right=None), "
-            "right=SpanTree(span=(2, 2), left=None, right=None))"
-        )
+        assert repr(pair) == "SpanTree(preorder=((1, 2), (1, 1), (2, 2)))"
         assert pair != (1, 2) and pair != SpanTree.leaf(1)
 
     @settings(max_examples=200, deadline=None)
