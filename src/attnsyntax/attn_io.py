@@ -19,9 +19,11 @@ layer/head ids) is 1-based inclusive; only the raw arrays stay 0-based.
 from __future__ import annotations
 
 import json
-import re
+import os
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 import orjson
@@ -203,27 +205,21 @@ def load_dump(
     return dumps
 
 
-# orjson and ``repr`` both write the shortest round-trip digits of a double
-# and differ only in layout: orjson writes [1e-5, 1e-4) positionally
-# (``0.00001234`` for ``1.234e-05``) and exponents without sign or padding
-# (``1e-7``, ``1e16`` for ``1e-07``, ``1e+16``).  Both patterns start with a
-# literal so the regex engine scans for it instead of trying every byte.
-_ORJSON_E_05 = re.compile(rb"0\.0000([1-9][0-9]*)")
-_ORJSON_EXPONENT = re.compile(rb"e(-?)([0-9]+)")
-
-
-def _repr_e_05(match: re.Match) -> bytes:
-    start = match.start()
-    if start and match.string[start - 1] in b"0123456789.":  # inside 10.00001
-        return match[0]
-    digits = match[1]
-    point = b"." if len(digits) > 1 else b""
-    return digits[:1] + point + digits[1:] + b"e-05"
-
-
-def _repr_exponent(match: re.Match) -> bytes:
-    exponent = int(match[2])
-    return b"e%+03d" % (-exponent if match[1] else exponent)
+@contextmanager
+def atomic_output(path) -> Iterator[BinaryIO]:
+    """Yield a binary file that replaces ``path`` only when the block exits
+    normally; on any exception ``path`` is left as it was.  The file gets
+    the mode that ``open()`` gives under the current umask."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".attnsyntax-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.chmod(tmp, 0o666 & ~os.umask(os.umask(0)))  # mkstemp's is 0o600
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def dump_record(dump: AttentionDump) -> bytes:
@@ -231,27 +227,43 @@ def dump_record(dump: AttentionDump) -> bytes:
 
     The bytes equal ``json.dumps(record, ensure_ascii=False,
     separators=(",", ":"))`` encoded as UTF-8: floats keep ``repr``'s
-    layout and round-trip exactly.  A NaN or infinite weight raises
-    DumpValidationError, since ``load_dump`` would reject the line.
+    layout and round-trip exactly.  A NaN or infinite weight, or a lone
+    surrogate in the id or a subword, raises DumpValidationError, since
+    ``load_dump`` would reject the line.
     """
+    sid = dump.sentence_id
     matrices = np.ascontiguousarray(dump.matrices, dtype=np.float64)
     if not np.isfinite(matrices).all():
+        raise DumpValidationError(f"sentence {sid!r}: non-finite attention weight")
+    try:
+        head = json.dumps({"id": sid, "subwords": list(dump.subwords)},
+                          ensure_ascii=False, separators=(",", ":")).encode()
+    except UnicodeEncodeError as exc:
+        surrogate = exc.object[exc.start]
         raise DumpValidationError(
-            f"sentence {dump.sentence_id!r}: non-finite attention weight"
-        )
-    head = json.dumps(
-        {"id": dump.sentence_id, "subwords": list(dump.subwords)},
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
-    attn = orjson.dumps(matrices, option=orjson.OPT_SERIALIZE_NUMPY)
-    attn = _ORJSON_EXPONENT.sub(_repr_exponent, _ORJSON_E_05.sub(_repr_e_05, attn))
+            f"sentence {sid!r}: lone surrogate {surrogate!r} in the id or a subword") from None
+    # orjson writes the same shortest round-trip digits as ``repr`` but lays
+    # out 0 < |x| < 1e-4 and |x| >= 1e16 differently (0.00001234, 1e-7, 1e16):
+    # those go to orjson as NaN, written as null (the only "n" it writes here,
+    # so memchr finds each), and their repr goes in at each null in C order.
+    magnitude = np.abs(matrices)
+    odd = ((magnitude > 0.0) & (magnitude < 1e-4)) | (magnitude >= 1e16)
+    masked = np.where(odd, np.nan, matrices) if odd.any() else matrices
+    attn = orjson.dumps(masked, option=orjson.OPT_SERIALIZE_NUMPY)
     # the head's closing brace moves after "attn", the last key
-    return b"".join((head[:-1].encode(), b',"attn":', attn, b"}"))
+    parts = [head[:-1], b',"attn":']
+    view, start = memoryview(attn), 0
+    for value in matrices[odd].tolist():
+        end = attn.index(b"n", start)
+        parts += (view[start:end], repr(value).encode())
+        start = end + 4
+    parts += (view[start:], b"}")
+    return b"".join(parts)
 
 
 def write_dump(dumps: Iterable[AttentionDump], path) -> None:
-    with open(path, "wb") as fh:
+    """Write dumps as JSON lines, replacing ``path`` only once all are written."""
+    with atomic_output(path) as fh:
         for dump in dumps:
             fh.write(dump_record(dump))
             fh.write(b"\n")

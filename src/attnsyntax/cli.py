@@ -15,10 +15,9 @@ import json
 import logging
 import os
 import sys
-import tempfile
 from typing import Callable, Sequence
 
-from .attn_io import AttentionDump, load_dump
+from .attn_io import AttentionDump, atomic_output, load_dump
 from .errors import AlignmentError, AttnSyntaxError, TreeParseError
 from .masks import HeadMask
 from .phrases import build_phrase_table
@@ -94,19 +93,8 @@ def _write_output(path: str | None, data: str | bytes) -> None:
         return
     if isinstance(data, str):
         data = data.encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".attnsyntax-")
-    try:
-        # mkstemp makes the file private; give it the mode that open() gives
-        # under the current umask (read by setting it and setting it back)
-        os.chmod(tmp, 0o666 & ~os.umask(os.umask(0)))
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_output(path) as fh:
+        fh.write(data)
 
 
 def _read_lines(path: str) -> list[str]:

@@ -1,8 +1,11 @@
 import json
+import os
+import stat
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -311,7 +314,15 @@ def _square_dump(values, sentence_id="s1"):
 
 
 def _assert_writes_like_json(dump):
-    assert dump_record(dump) == dump_record_json(dump).encode("utf-8")
+    line = dump_record(dump)
+    assert line == dump_record_json(dump).encode("utf-8")
+    assert b"null" not in line.rpartition(b',"attn":')[2]
+
+
+def _masked(matrices) -> int:
+    """How many weights orjson lays out differently from ``repr``."""
+    magnitude = np.abs(matrices)
+    return int((((magnitude > 0) & (magnitude < 1e-4)) | (magnitude >= 1e16)).sum())
 
 
 def _nextafter_both_ways(x):
@@ -333,8 +344,13 @@ _AWKWARD_TEXT = ['"', "\\", 'a"b\\c', "\x00\x01\x1f\x7f", "\n\t\r", "\u2028\u202
 
 
 class TestWriterMatchesJsonOracle:
-    """dump_record (orjson's numpy serializer plus the layout rewrite)
+    """dump_record (orjson's numpy serializer plus the ``repr`` splice)
     against the json.dumps writer in ``oracles``, byte for byte."""
+
+    def test_orjson_writes_nan_as_null(self):
+        # the splice relies on this: a masked weight reaches orjson as NaN
+        nan = np.array([1.0, np.nan])
+        assert orjson.dumps(nan, option=orjson.OPT_SERIALIZE_NUMPY) == b"[1.0,null]"
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_WRITER_FLOATS, min_size=1, max_size=40))
@@ -354,6 +370,38 @@ class TestWriterMatchesJsonOracle:
         _assert_writes_like_json(_square_dump(values))
         assert b"1e-05" in dump_record(_square_dump([1e-5]))
         assert b"1e+16" in dump_record(_square_dump([1e16]))
+
+    def test_every_weight_masked(self):
+        values = [1e-5, -1e-5, 9.99e-5, -np.nextafter(1e-4, 0), 1e-7, -2.5e-42,
+                  5e-324, -5e-324, 1e-310, -2.2250738585072009e-308,  # subnormals
+                  1e16, -1e16, 3e17, -1e22, 1.7976931348623157e308, -1e100]
+        dump = _square_dump(values)
+        assert _masked(dump.matrices) == dump.matrices.size == 16
+        _assert_writes_like_json(dump)
+        assert dump_record(dump).rpartition(b',"attn":')[2].count(b"e") == 16
+
+    def test_no_weight_masked(self):
+        values = [1e-4, -1e-4, 0.0, -0.0, 0.5, 1 / 3, 9999999999999998.0,
+                  -np.nextafter(1e16, 0), 0.00012345]
+        dump = _square_dump(values)
+        assert _masked(dump.matrices) == 0
+        _assert_writes_like_json(dump)
+        assert b"e" not in dump_record(dump).rpartition(b',"attn":')[2]
+
+    def test_masked_at_both_ends(self):
+        values = [1e-7, 2e-7, 0.25, 0.5, 0.125, 0.5, 0.75, -3e-5, -2e17]
+        dump = _square_dump(values)
+        assert dump.matrices[0, 0, 0, 0] == 1e-7 and dump.matrices[0, 0, -1, -1] == -2e17
+        _assert_writes_like_json(dump)
+        matrices = np.full((2, 2, 3, 3), 1 / 3)
+        matrices[0, 0, 0, 0] = matrices[-1, -1, -1, -1] = 1e-6
+        _assert_writes_like_json(AttentionDump("s1", ("a", "b", "EOS"), matrices))
+
+    def test_thousands_masked(self):
+        dump = random_attention_baseline(1, 48, 6, 16)
+        scaled = AttentionDump(dump.sentence_id, dump.subwords, dump.matrices * 0.01)
+        assert 1000 < _masked(scaled.matrices) < scaled.matrices.size
+        _assert_writes_like_json(scaled)
 
     @pytest.mark.parametrize("n", [0, 1])
     @pytest.mark.parametrize("layers,heads", [(1, 1), (2, 3)])
@@ -396,8 +444,13 @@ class TestWriterMatchesJsonOracle:
         _assert_writes_like_json(dump)
 
     def test_written_file_is_the_json_lines(self, tmp_path):
-        dumps = [random_attention_baseline(seed, 6, 2, 2, sentence_id=f"é{seed}")
-                 for seed in range(3)]
+        dumps = []
+        for seed in range(3):
+            dump = random_attention_baseline(seed, 6, 2, 2)
+            matrices = dump.matrices * 1e-3
+            matrices[0, 0, 0, 0] = 1e16 * (seed + 1)
+            dumps.append(AttentionDump(f"é{seed}", dump.subwords, matrices))
+            assert 0 < _masked(matrices) < matrices.size
         path = tmp_path / "d.jsonl"
         write_dump(dumps, path)
         expected = "".join(dump_record_json(d) + "\n" for d in dumps)
@@ -412,6 +465,72 @@ class TestWriterMatchesJsonOracle:
             dump_record(dump)
         with pytest.raises(DumpValidationError, match="'s7'"):
             write_dump([dump], tmp_path / "d.jsonl")
+
+    @pytest.mark.parametrize("sentence_id,subwords,named", [
+        ("s\ud800", ("a", "EOS"), r"sentence 's\\ud800': lone surrogate '\\ud800'"),
+        ("s2", ("a\udc80b", "EOS"), r"sentence 's2': lone surrogate '\\udc80'"),
+    ])
+    def test_lone_surrogate_rejected(self, tmp_path, sentence_id, subwords, named):
+        dump = AttentionDump(sentence_id, subwords, np.full((1, 1, 2, 2), 0.5))
+        with pytest.raises(DumpValidationError, match=named):
+            dump_record(dump)
+        with pytest.raises(DumpValidationError, match=named):
+            write_dump([dump], tmp_path / "d.jsonl")
+
+
+class TestWriteDumpIsAtomic:
+    """A write that fails partway leaves the path as it was before."""
+
+    @staticmethod
+    def _good(count):
+        return [random_attention_baseline(seed, 5, 1, 2) for seed in range(count)]
+
+    @staticmethod
+    def _rejected():
+        matrices = np.full((1, 1, 2, 2), 0.5)
+        matrices[0, 0, 1, 1] = np.nan
+        return AttentionDump("bad", ("a", "EOS"), matrices)
+
+    @staticmethod
+    def _raising(dumps):
+        yield from dumps
+        raise RuntimeError("source failed")
+
+    def test_rejected_last_record_leaves_no_file(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(DumpValidationError, match="'bad'"):
+            write_dump(self._good(3) + [self._rejected()], path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rejected_last_record_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_dump(self._good(2), path)
+        before = path.read_bytes()
+        with pytest.raises(DumpValidationError, match="'bad'"):
+            write_dump(self._good(3) + [self._rejected()], path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_raising_generator_leaves_no_file(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_dump(self._raising(self._good(3)), path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_raising_generator_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_dump(self._raising(self._good(3)), path)
+        assert path.read_bytes() == b"kept\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_file_gets_the_mode_open_gives(self, tmp_path):
+        umask = os.umask(os.umask(0))
+        path = tmp_path / "d.jsonl"
+        write_dump(self._good(1), path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        assert len(load_dump(path)) == 1
 
 
 class TestSubwordMap:
