@@ -242,10 +242,10 @@ def dump_record(dump: AttentionDump) -> bytes:
         surrogate = exc.object[exc.start]
         raise DumpValidationError(
             f"sentence {sid!r}: lone surrogate {surrogate!r} in the id or a subword") from None
-    # orjson writes the same shortest round-trip digits as ``repr`` but lays
-    # out 0 < |x| < 1e-4 and |x| >= 1e16 differently (0.00001234, 1e-7, 1e16):
-    # those go to orjson as NaN, written as null (the only "n" it writes here,
-    # so memchr finds each), and their repr goes in at each null in C order.
+    # orjson writes repr's shortest digits but lays out 0 < |x| < 1e-4 and
+    # |x| >= 1e16 differently (0.00001234, 1e-7, 1e16).  Those go to orjson as
+    # NaN (an input NaN, refused above, can never pose as one) and come out as
+    # null, its only "n" here; their repr goes in at each null in C order.
     magnitude = np.abs(matrices)
     odd = ((magnitude > 0.0) & (magnitude < 1e-4)) | (magnitude >= 1e16)
     masked = np.where(odd, np.nan, matrices) if odd.any() else matrices
