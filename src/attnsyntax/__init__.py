@@ -20,7 +20,7 @@ from .errors import (
 from .masks import HeadMask
 from .scoring import EvalReport, score
 from .synth import planted_dump, random_attention_baseline, random_binary_tree
-from .treebank import ConstituencyTree, RawTree, gold_tree_for_dump, read_bracketed
+from .treebank import ConstituencyTree, gold_tree_for_dump, read_bracketed
 from .trees import SpanTree, extract_tree, lbal_tree, rbal_tree
 
 __version__ = "0.1.0"
@@ -34,7 +34,6 @@ __all__ = [
     "DumpValidationError",
     "EvalReport",
     "HeadMask",
-    "RawTree",
     "SegmentationError",
     "SpanTree",
     "TreeParseError",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -209,9 +210,22 @@ def load_dump(
 def atomic_output(path) -> Iterator[BinaryIO]:
     """Yield a binary file that replaces ``path`` only when the block exits
     normally; on any exception ``path`` is left as it was.  The file gets
-    the mode that ``open()`` gives under the current umask."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".attnsyntax-")
+    the mode that ``open()`` gives under the current umask.
+
+    A symlink is followed, so its final target is replaced and the link
+    stays.  An existing target that is not a regular file (a FIFO, a
+    device) cannot be replaced and is written directly instead.
+    """
+    path = os.path.realpath(path)
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".attnsyntax-")
     try:
         with os.fdopen(fd, "wb") as fh:
             os.chmod(tmp, 0o666 & ~os.umask(os.umask(0)))  # mkstemp's is 0o600

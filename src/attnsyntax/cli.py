@@ -114,8 +114,8 @@ def _extract_one(dump: AttentionDump, heads_spec: str) -> tuple[str, dict]:
     record = {
         "id": dump.sentence_id,
         "phrases": [
-            {"span": [a, b], "raw": table.raw_weight(a, b), "equalized": table.weight(a, b)}
-            for a, b in table.spans()
+            {"span": [a, b], "raw": raw, "equalized": equalized}
+            for (a, b), (raw, equalized) in table.items()
         ],
     }
     return tree.to_bracketed(dump.subwords), record

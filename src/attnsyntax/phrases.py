@@ -19,42 +19,17 @@ from .attn_io import AttentionDump, Span
 from .masks import Head, HeadMask
 
 
-@dataclass(frozen=True)
-class HardenedMatrix:
-    """Per output row: the 1-based argmax column and the retained maximum."""
+def harden(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Keep each row's maximal weight, zeroing the rest; ties go leftmost.
 
-    argmax_col: np.ndarray  # (N,) int64
-    weight: np.ndarray  # (N,) float64
-
-    def __post_init__(self) -> None:
-        cols = np.asarray(self.argmax_col, dtype=np.int64)
-        weight = np.asarray(self.weight, dtype=np.float64)
-        if cols.shape != weight.shape or cols.ndim != 1:
-            raise ValueError("argmax_col and weight must be equal-length vectors")
-        cols.setflags(write=False)
-        weight.setflags(write=False)
-        object.__setattr__(self, "argmax_col", cols)
-        object.__setattr__(self, "weight", weight)
-
-    @property
-    def n(self) -> int:
-        return int(self.argmax_col.shape[0])
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense NxN matrix with the single retained weight per row."""
-        out = np.zeros((self.n, self.n))
-        out[np.arange(self.n), self.argmax_col - 1] = self.weight
-        return out
-
-
-def harden(matrix: np.ndarray) -> HardenedMatrix:
-    """Keep each row's maximal weight, zeroing the rest; ties go leftmost."""
+    Returns ``(cols, weight)``: per output row the 1-based argmax column
+    and the retained maximum.
+    """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     cols = m.argmax(axis=1)  # first occurrence = leftmost tie-break
-    weight = m[np.arange(m.shape[0]), cols]
-    return HardenedMatrix(cols + 1, weight)
+    return cols + 1, m[np.arange(m.shape[0]), cols]
 
 
 @dataclass(frozen=True)
@@ -66,16 +41,12 @@ class Baluster:
     target_col: int
     mean_weight: float
 
-    @property
-    def length(self) -> int:
-        return self.span[1] - self.span[0] + 1
 
-
-def find_balusters(hardened: HardenedMatrix, head: Head) -> list[Baluster]:
-    """Maximal same-column runs of length >= 2, in row order."""
-    cols = hardened.argmax_col
-    weight = hardened.weight
-    n = hardened.n
+def find_balusters(hardened: tuple[np.ndarray, np.ndarray], head: Head) -> list[Baluster]:
+    """Maximal same-column runs of length >= 2 of ``harden``'s result, in
+    row order."""
+    cols, weight = hardened
+    n = len(cols)
     out: list[Baluster] = []
     start = 0
     for i in range(1, n + 1):
@@ -92,32 +63,6 @@ def find_balusters(hardened: HardenedMatrix, head: Head) -> list[Baluster]:
             )
         start = i
     return out
-
-
-@dataclass(frozen=True)
-class PhraseTable:
-    """Per-sentence map from spans to (raw, equalized) weights; absent = 0."""
-
-    sentence_id: str
-    entries: Mapping[Span, tuple[float, float]]
-
-    @classmethod
-    def empty(cls, sentence_id: str) -> "PhraseTable":
-        return cls(sentence_id, {})
-
-    def spans(self) -> list[Span]:
-        return sorted(self.entries)
-
-    def weight(self, a: int, b: int) -> float:
-        entry = self.entries.get((a, b))
-        return entry[1] if entry is not None else 0.0
-
-    def raw_weight(self, a: int, b: int) -> float:
-        entry = self.entries.get((a, b))
-        return entry[0] if entry is not None else 0.0
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def equalize(raw: Mapping[Span, float]) -> dict[Span, float]:
@@ -151,24 +96,25 @@ def head_phrases(dump: AttentionDump, head: Head) -> HeadPhrases:
     )
 
 
-def pool_phrases(sentence_id: str, per_head: Mapping[Head, HeadPhrases]) -> PhraseTable:
+def pool_phrases(per_head: Mapping[Head, HeadPhrases]) -> dict[Span, tuple[float, float]]:
     """Sum the phrase weights of the given heads and equalize per length.
 
-    Heads are visited in sorted order so the floating-point sums do not
-    depend on how the mapping was assembled.  No heads give an empty table.
+    The phrase table maps each span, in ascending order, to its (raw,
+    equalized) weight; an absent span weighs 0.  Heads are visited in
+    sorted order so the floating-point sums do not depend on how the
+    mapping was assembled.  No heads give an empty table.
     """
     raw: dict[Span, float] = {}
     for head in sorted(per_head):
         for span, weight in per_head[head]:
             raw[span] = raw.get(span, 0.0) + weight
     equalized = equalize(raw)
-    entries = {span: (raw[span], equalized[span]) for span in sorted(raw)}
-    return PhraseTable(sentence_id, entries)
+    return {span: (raw[span], equalized[span]) for span in sorted(raw)}
 
 
-def build_phrase_table(dump: AttentionDump, mask: HeadMask) -> PhraseTable:
+def build_phrase_table(dump: AttentionDump, mask: HeadMask) -> dict[Span, tuple[float, float]]:
     """Sum baluster weights over the masked heads and equalize per length."""
     if not mask.heads:
         raise ValueError("empty head mask")
     per_head = {head: head_phrases(dump, head) for head in mask.sorted_heads()}
-    return pool_phrases(dump.sentence_id, per_head)
+    return pool_phrases(per_head)

@@ -29,6 +29,15 @@ def pgm_bytes(matrix: np.ndarray) -> bytes:
     return f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()
 
 
+def hardened_matrix(matrix: np.ndarray) -> np.ndarray:
+    """Dense copy of a square matrix with only each row's ``harden``
+    maximum kept (ties go leftmost) and every other weight zeroed."""
+    cols, weight = harden(matrix)
+    out = np.zeros((cols.size, cols.size))
+    out[np.arange(cols.size), cols - 1] = weight
+    return out
+
+
 def sidecar_text(subwords: Sequence[str]) -> str:
     """Row/column labels, one subword per line."""
     return "\n".join(subwords) + "\n"
@@ -54,5 +63,5 @@ def render_head(
         )
     matrix = dump.matrix(layer, head)
     if hardened:
-        matrix = harden(matrix).to_matrix()
+        matrix = hardened_matrix(matrix)
     return pgm_bytes(matrix)

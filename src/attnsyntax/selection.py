@@ -119,7 +119,7 @@ def _check_dev_set(
 
 
 def _dev_scores(
-    dumps: Sequence[AttentionDump],
+    lengths: Sequence[int],
     golds: Sequence[ConstituencyTree],
     phrases: Sequence[Mapping[Head, HeadPhrases]],
     masks: Sequence[frozenset[Head]],
@@ -135,10 +135,10 @@ def _dev_scores(
     pooling them in this order gives the same totals as mask by mask.
     """
     totals = [EvalReport()] * len(masks)
-    for dump, gold, per_head in zip(dumps, golds, phrases):
+    for n, gold, per_head in zip(lengths, golds, phrases):
         for i, heads in enumerate(masks):
-            table = pool_phrases(dump.sentence_id, {head: per_head[head] for head in heads})
-            totals[i] = totals[i].merged(score(cky_parse(table, dump.n), gold, counting))
+            table = pool_phrases({head: per_head[head] for head in heads})
+            totals[i] = totals[i].merged(score(cky_parse(table, n), gold, counting))
     return [total.precision if objective == "precision" else total.f1 for total in totals]
 
 
@@ -156,18 +156,19 @@ def _greedy(
     all_pairs = HeadMask.all_heads(layers, heads).sorted_heads()
     # harden and scan every (sentence, head) once; evaluations only pool
     phrases = [{head: head_phrases(dump, head) for head in all_pairs} for dump in dumps]
+    lengths = [dump.n for dump in dumps]
 
     adding = strategy == "addition"
     current: set[Head] = set() if adding else set(all_pairs)
     evaluations = 1
-    [initial_score] = _dev_scores(dumps, golds, phrases, [frozenset(current)], objective, counting)
+    [initial_score] = _dev_scores(lengths, golds, phrases, [frozenset(current)], objective, counting)
     n_steps = len(all_pairs) if adding else len(all_pairs) - 1
 
     steps: list[SelectionStep] = []
     for step in range(1, n_steps + 1):
         candidates = sorted(set(all_pairs) - current if adding else current)
         trials = [frozenset(current | {h} if adding else current - {h}) for h in candidates]
-        values = _dev_scores(dumps, golds, phrases, trials, objective, counting)
+        values = _dev_scores(lengths, golds, phrases, trials, objective, counting)
         evaluations += len(candidates)
         best: tuple[float, Head] | None = None
         for value, head in zip(values, candidates):

@@ -27,20 +27,11 @@ from typing import Sequence, Union
 from .attn_io import DEFAULT_EOS, Span, word_groups
 from .errors import AlignmentError, TreeParseError
 
-# one entry of a RawTree's postorder: a word, or a phrase as (label, arity)
+# A labeled n-ary reference tree as read from a treebank line, one tuple in
+# postorder: each phrase's children, then the phrase as ``(label, arity)``,
+# label None when it has none; a word is its ``str``.
 RawItem = Union[str, tuple[Union[str, None], int]]
-
-
-@dataclass(frozen=True)
-class RawTree:
-    """Labeled n-ary phrase as read from a treebank line; leaves are words.
-
-    The tree is one tuple, ``postorder``: each phrase's children, then the
-    phrase as ``(label, arity)``, label None when it has none; a word is
-    its ``str``.
-    """
-
-    postorder: tuple[RawItem, ...]
+RawTree = tuple[RawItem, ...]
 
 
 # A reference tree's boundary arrays (``ConstituencyTree.boundaries``) fill
@@ -113,7 +104,7 @@ def read_bracketed(text: str) -> RawTree:
         raise TreeParseError(f"unbalanced '(' at offset {len(text)}")
     if not postorder:
         raise TreeParseError("empty input at offset 0")
-    return RawTree(tuple(postorder))
+    return tuple(postorder)
 
 
 @dataclass(frozen=True)
@@ -198,7 +189,7 @@ def postprocess_steps(
     starts: list[int] = []  # tokens before each subtree not yet joined to its phrase
     n_words = len(segmentation)
     words = 0
-    for item in raw.postorder:
+    for item in raw:
         if isinstance(item, str):
             starts.append(len(tokens))
             words += 1

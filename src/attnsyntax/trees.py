@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .attn_io import AttentionDump, Span
 from .errors import TreeParseError
 from .masks import HeadMask
-from .phrases import PhraseTable, build_phrase_table
+from .phrases import build_phrase_table
 from .treebank import bracket_tokens
 
 
@@ -179,19 +179,6 @@ def parse_span_tree(line: str) -> tuple[SpanTree, tuple[str, ...]]:
     return SpanTree._from_preorder(tuple(preorder)), tuple(tokens)
 
 
-@dataclass(frozen=True)
-class Chart:
-    """Filled CKY tables: scores for all spans, best splits for b > a."""
-
-    scores: np.ndarray  # (n+1, n+1); scores[a, b] valid for 1 <= a <= b <= n
-    splits: np.ndarray  # (n+1, n+1) int64; splits[a, b] valid for b > a
-    n: int
-
-    def tree(self) -> SpanTree:
-        """The best tree over 1..n, read off the splits."""
-        return tree_from_splits(self.n, self.splits.item)
-
-
 def tree_from_splits(n: int, split_of: Callable[[int, int], int]) -> SpanTree:
     """The tree over 1..n in which each span (a, b) with a < b has the
     children (a, k) and (k+1, b), k = ``split_of(a, b)``, which must lie
@@ -257,8 +244,12 @@ def _gather_plan(n: int) -> Iterable[PlanEntry]:
     return (_plan_entry(n, length) for length in range(2, n + 1))
 
 
-def cky_chart(table: PhraseTable, n: int) -> Chart:
+def cky_chart(table: Mapping[Span, tuple[float, float]], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Fill the chart bottom-up, one span length at a time.
+
+    ``table`` maps spans to (raw, equalized) weights as ``pool_phrases``
+    builds it; w is the equalized one.  Returns the read-only (n+1) x (n+1)
+    arrays ``(scores, splits)``: scores[a, b] for a <= b, splits[a, b] for b > a.
 
     All spans of one length are filled in a single array step: for starts
     a, splits k and ends b = a + length - 1, each candidate is summed in
@@ -284,10 +275,10 @@ def cky_chart(table: PhraseTable, n: int) -> Chart:
     if n < 1:
         raise ValueError(f"sentence length must be >= 1, got {n}")
     weights = np.zeros((n + 1, n + 1))
-    for a, b in table.spans():
+    for (a, b), (_, weight) in table.items():
         if not (1 <= a <= b <= n):
             raise ValueError(f"phrase span ({a},{b}) outside sentence 1..{n}")
-        weights[a, b] = table.weight(a, b)
+        weights[a, b] = weight
     scores = np.zeros((n + 1, n + 1))
     splits = np.zeros((n + 1, n + 1), dtype=np.int64)
     scores.flat[n + 2 :: n + 2] = 1.0  # the leaves [i, i]
@@ -304,12 +295,13 @@ def cky_chart(table: PhraseTable, n: int) -> Chart:
         k[cells] = last_split - best
     scores.setflags(write=False)
     splits.setflags(write=False)
-    return Chart(scores, splits, n)
+    return scores, splits
 
 
-def cky_parse(table: PhraseTable, n: int) -> SpanTree:
+def cky_parse(table: Mapping[Span, tuple[float, float]], n: int) -> SpanTree:
     """The highest-scoring binary tree over 1..n for this phrase table."""
-    return cky_chart(table, n).tree()
+    _, splits = cky_chart(table, n)
+    return tree_from_splits(n, splits.item)
 
 
 def _balanced_tree(n: int, odd_unit_first: bool) -> SpanTree:

@@ -20,7 +20,6 @@ from attnsyntax import (
     AlignmentError,
     ConstituencyTree,
     EvalReport,
-    RawTree,
     SpanTree,
     TreeParseError,
     score,
@@ -34,7 +33,6 @@ from attnsyntax.attn_io import (
     _dump_from_record,
 )
 from attnsyntax.phrases import (
-    PhraseTable,
     equalize,
     find_balusters,
     harden,
@@ -42,8 +40,11 @@ from attnsyntax.phrases import (
     pool_phrases,
 )
 from attnsyntax.selection import SelectionStep, SelectionTrace
-from attnsyntax.treebank import MAX_TREE_DEPTH
-from attnsyntax.trees import Chart, _unescape_token, cky_parse
+from attnsyntax.treebank import MAX_TREE_DEPTH, RawTree
+from attnsyntax.trees import _unescape_token, cky_parse
+
+# a phrase table as ``pool_phrases`` builds it: span -> (raw, equalized) weight
+PhraseWeights = dict[Span, tuple[float, float]]
 
 
 def all_binary_trees(n: int) -> tuple[SpanTree, ...]:
@@ -78,9 +79,9 @@ def recursion_score(tree: SpanTree, weight_of: Callable[[Span], float]) -> float
 
 
 def best_tree_by_enumeration(
-    table: PhraseTable, n: int
+    table: PhraseWeights, n: int
 ) -> tuple[float, SpanTree]:
-    weight_of = lambda span: table.weight(*span)
+    weight_of = lambda span: equalized_weight(table, span)
     best_score, best = -1.0, None
     for tree in all_binary_trees(n):
         value = recursion_score(tree, weight_of)
@@ -90,7 +91,7 @@ def best_tree_by_enumeration(
     return best_score, best
 
 
-def phrase_table_one_pass(dump, mask) -> PhraseTable:
+def phrase_table_one_pass(dump, mask) -> PhraseWeights:
     """Harden, scan and sum head by head in one loop, then equalize: the
     reference for pooling per-head phrases computed ahead of time."""
     raw: dict[Span, float] = {}
@@ -100,20 +101,34 @@ def phrase_table_one_pass(dump, mask) -> PhraseTable:
             if baluster.mean_weight > 0.0:
                 raw[baluster.span] = raw.get(baluster.span, 0.0) + baluster.mean_weight
     equalized = equalize(raw)
-    entries = {span: (raw[span], equalized[span]) for span in sorted(raw)}
-    return PhraseTable(dump.sentence_id, entries)
+    return {span: (raw[span], equalized[span]) for span in sorted(raw)}
 
 
-def cky_chart_by_cells(table: PhraseTable, n: int) -> Chart:
+def hardened_by_rows(matrix) -> np.ndarray:
+    """Each row's leftmost maximum kept and every other weight zeroed, one
+    row and one column at a time: the reference for the dense hardened
+    matrix that ``render`` draws."""
+    m = np.asarray(matrix, dtype=np.float64)
+    out = np.zeros_like(m)
+    for i, row in enumerate(m):
+        best = 0
+        for j in range(1, len(row)):
+            if row[j] > row[best]:
+                best = j
+        out[i, best] = row[best]
+    return out
+
+
+def cky_chart_by_cells(table: PhraseWeights, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The chart filled one (a, b) cell at a time, the reference for the
     vectorized ``cky_chart``: same addition order, ties to the larger k."""
     if n < 1:
         raise ValueError(f"sentence length must be >= 1, got {n}")
     weights = np.zeros((n + 1, n + 1))
-    for a, b in table.spans():
+    for a, b in sorted(table):
         if not (1 <= a <= b <= n):
             raise ValueError(f"phrase span ({a},{b}) outside sentence 1..{n}")
-        weights[a, b] = table.weight(a, b)
+        weights[a, b] = table[a, b][1]
     scores = np.zeros((n + 1, n + 1))
     splits = np.zeros((n + 1, n + 1), dtype=np.int64)
     for i in range(1, n + 1):
@@ -128,7 +143,7 @@ def cky_chart_by_cells(table: PhraseTable, n: int) -> Chart:
             splits[a, b] = a + best
     scores.setflags(write=False)
     splits.setflags(write=False)
-    return Chart(scores, splits, n)
+    return scores, splits
 
 
 def greedy_by_candidates(strategy: str, dumps, golds, objective: str = "precision",
@@ -143,7 +158,7 @@ def greedy_by_candidates(strategy: str, dumps, golds, objective: str = "precisio
     def dev_score(mask):
         reports = []
         for dump, gold, per_head in zip(dumps, golds, phrases):
-            table = pool_phrases(dump.sentence_id, {head: per_head[head] for head in mask})
+            table = pool_phrases({head: per_head[head] for head in mask})
             reports.append(score(cky_parse(table, dump.n), gold, counting))
         total = EvalReport.aggregate(reports)
         return total.precision if objective == "precision" else total.f1
@@ -171,15 +186,14 @@ def greedy_by_candidates(strategy: str, dumps, golds, objective: str = "precisio
                           tuple(steps), evaluations)
 
 
-def tree_from_splits_recursive(chart: Chart, a: int = 1, b: int | None = None) -> SpanTree:
-    """The recursive ``Chart.tree`` that the explicit-stack reader replaced."""
-    if b is None:
-        b = chart.n
+def tree_from_splits_recursive(splits: np.ndarray, a: int, b: int) -> SpanTree:
+    """The recursive reader of a chart's splits that the explicit-stack
+    ``tree_from_splits`` replaced: the tree over a..b."""
     if a == b:
         return SpanTree.leaf(a)
-    k = int(chart.splits[a, b])
-    return SpanTree.node(tree_from_splits_recursive(chart, a, k),
-                         tree_from_splits_recursive(chart, k + 1, b))
+    k = int(splits[a, b])
+    return SpanTree.node(tree_from_splits_recursive(splits, a, k),
+                         tree_from_splits_recursive(splits, k + 1, b))
 
 
 def lbal_tree_left_to_right(n: int) -> SpanTree:
@@ -249,16 +263,21 @@ def score_spans_pairwise(extracted_spans, gold_spans, n: int,
 
 
 def random_phrase_table(
-    rng: np.random.Generator, n: int, density: float = 0.35,
-    sentence_id: str = "synthetic",
-) -> PhraseTable:
+    rng: np.random.Generator, n: int, density: float = 0.35
+) -> PhraseWeights:
     entries = {}
     for a in range(1, n):
         for b in range(a + 1, n + 1):
             if rng.random() < density:
                 w = float(rng.uniform(0.05, 3.0))
                 entries[(a, b)] = (w, w)
-    return PhraseTable(sentence_id, entries)
+    return entries
+
+
+def equalized_weight(table: PhraseWeights, span: Span) -> float:
+    """A span's equalized weight in a phrase table, 0 when it is absent."""
+    entry = table.get(span)
+    return entry[1] if entry is not None else 0.0
 
 
 def gold_from_spans(spans, n: int, tokens=None) -> ConstituencyTree:
@@ -358,7 +377,7 @@ def lex_by_chars(text: str) -> Iterator[tuple[str, str, int]]:
 
 def raw_leaves(tree: "RawTree | RawNode") -> list[str]:
     """Leaf words of a raw tree in left-to-right order."""
-    if isinstance(tree, RawTree):
+    if isinstance(tree, tuple):
         tree = raw_node_of(tree)
     out: list[str] = []
     for child in tree.children:
@@ -541,7 +560,7 @@ def read_bracketed_nodes(text: str) -> RawNode:
 
 
 def raw_tree_of(node: RawNode) -> RawTree:
-    """The same tree as a ``RawTree``'s postorder, by one recursive walk."""
+    """The same tree as a ``RawTree`` postorder tuple, by one recursive walk."""
     postorder: list = []
 
     def walk(node: RawNode | str) -> None:
@@ -553,14 +572,14 @@ def raw_tree_of(node: RawNode) -> RawTree:
             postorder.append((node.label, len(node.children)))
 
     walk(node)
-    return RawTree(tuple(postorder))
+    return tuple(postorder)
 
 
 def raw_node_of(tree: RawTree) -> RawNode:
-    """A ``RawTree``'s postorder read back as nested nodes: a phrase
+    """A ``RawTree`` postorder tuple read back as nested nodes: a phrase
     ``(label, arity)`` takes the last ``arity`` subtrees before it."""
     subtrees: list[RawNode | str] = []
-    for item in tree.postorder:
+    for item in tree:
         if isinstance(item, str):
             subtrees.append(item)
         else:

@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -478,6 +479,10 @@ class TestWriterMatchesJsonOracle:
             write_dump([dump], tmp_path / "d.jsonl")
 
 
+def _dump_bytes(dumps):
+    return b"".join(dump_record(dump) + b"\n" for dump in dumps)
+
+
 class TestWriteDumpIsAtomic:
     """A write that fails partway leaves the path as it was before."""
 
@@ -531,6 +536,41 @@ class TestWriteDumpIsAtomic:
         write_dump(self._good(1), path)
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
         assert len(load_dump(path)) == 1
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.jsonl"
+        target.write_bytes(b"old\n")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        write_dump(self._good(2), link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == _dump_bytes(self._good(2))
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_dangling_symlink_creates_its_target(self, tmp_path):
+        link = tmp_path / "link.jsonl"
+        link.symlink_to("target.jsonl")
+        write_dump(self._good(1), link)
+        assert link.is_symlink()
+        assert (tmp_path / "target.jsonl").read_bytes() == _dump_bytes(self._good(1))
+
+    def test_fifo_receives_the_bytes_and_stays_a_fifo(self, tmp_path):
+        fifo = tmp_path / "d.fifo"
+        os.mkfifo(fifo)
+        received = []
+        # the reader's open blocks until a writer opens the FIFO; a writer
+        # that replaced the FIFO instead would leave it blocked, so it is a
+        # daemon thread and the join has a timeout
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        dumps = self._good(80)  # 86 KB, more than a pipe's 64 KiB buffer
+        write_dump(dumps, fifo)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert received == [_dump_bytes(dumps)]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
 
 
 class TestSubwordMap:

@@ -12,8 +12,6 @@ from attnsyntax import (
 )
 from attnsyntax.synth import baluster_matrix
 from attnsyntax.phrases import (
-    HardenedMatrix,
-    PhraseTable,
     build_phrase_table,
     equalize,
     find_balusters,
@@ -21,25 +19,26 @@ from attnsyntax.phrases import (
     head_phrases,
     pool_phrases,
 )
-from oracles import phrase_table_one_pass
+from attnsyntax.render import hardened_matrix
+from oracles import equalized_weight, phrase_table_one_pass
 
 
 class TestHarden:
     def test_keeps_row_maximum(self):
         m = np.array([[0.1, 0.7, 0.2], [0.3, 0.3, 0.4], [1.0, 0.0, 0.0]])
-        h = harden(m)
-        assert list(h.argmax_col) == [2, 3, 1]
-        assert list(h.weight) == [0.7, 0.4, 1.0]
+        cols, weight = harden(m)
+        assert list(cols) == [2, 3, 1]
+        assert list(weight) == [0.7, 0.4, 1.0]
 
     def test_identity_keeps_diagonal(self):
-        h = harden(np.eye(4))
-        assert list(h.argmax_col) == [1, 2, 3, 4]
-        assert list(h.weight) == [1.0] * 4
+        cols, weight = harden(np.eye(4))
+        assert list(cols) == [1, 2, 3, 4]
+        assert list(weight) == [1.0] * 4
 
     def test_tie_breaks_leftmost(self):
-        h = harden(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]))
-        assert list(h.argmax_col) == [1, 2, 3]
-        assert h.weight[0] == 0.5
+        cols, weight = harden(np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]))
+        assert list(cols) == [1, 2, 3]
+        assert weight[0] == 0.5
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -51,25 +50,23 @@ class TestHarden:
         n = int(rng.integers(2, 12))
         m = rng.dirichlet(np.ones(n), size=n)
         once = harden(m)
-        twice = harden(once.to_matrix())
-        assert np.array_equal(once.argmax_col, twice.argmax_col)
-        assert np.array_equal(once.weight, twice.weight)
+        twice = harden(hardened_matrix(m))
+        assert np.array_equal(once[0], twice[0])
+        assert np.array_equal(once[1], twice[1])
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_single_nonzero_per_row(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
         m = rng.dirichlet(np.ones(n), size=n)
-        dense = harden(m).to_matrix()
+        dense = hardened_matrix(m)
         assert np.all((dense > 0).sum(axis=1) == 1)
         assert np.allclose(dense.max(axis=1), m.max(axis=1))
 
 
 class TestFindBalusters:
     def test_two_runs(self):
-        h = HardenedMatrix(
-            np.array([2, 2, 2, 5, 5]), np.array([0.9, 0.8, 1.0, 0.6, 0.6])
-        )
+        h = (np.array([2, 2, 2, 5, 5]), np.array([0.9, 0.8, 1.0, 0.6, 0.6]))
         balusters = find_balusters(h, (1, 1))
         assert [(b.span, b.target_col) for b in balusters] == [((1, 3), 2), ((4, 5), 5)]
         assert balusters[0].mean_weight == pytest.approx(0.9)
@@ -93,7 +90,7 @@ class TestFindBalusters:
         for _ in range(50):
             n = int(rng.integers(2, 15))
             cols = rng.integers(1, n + 1, size=n)
-            h = HardenedMatrix(cols, rng.uniform(0.2, 1.0, size=n))
+            h = (cols, rng.uniform(0.2, 1.0, size=n))
             balusters = find_balusters(h, (1, 1))
             last_end = 0
             for b in balusters:
@@ -117,8 +114,7 @@ class TestBuildPhraseTable:
             ["a", "b", "EOS"],
         )
         table = build_phrase_table(dump, HeadMask.all_heads(1, 2))
-        assert table.raw_weight(1, 2) == pytest.approx(1.4)
-        assert table.weight(1, 2) == pytest.approx(1.0)  # only phrase of its length
+        assert table[1, 2] == (pytest.approx(1.4), 1.0)  # only phrase of its length
 
     def test_equalization_two_lengths(self):
         # ( (1,2) with raw 0.5 ) and ( (3,4) with raw 0.7 + 0.8 = 1.5 )
@@ -131,23 +127,22 @@ class TestBuildPhraseTable:
             ["a", "b", "c", "d", "EOS"],
         )
         table = build_phrase_table(dump, HeadMask.all_heads(1, 3))
-        assert table.raw_weight(1, 2) == pytest.approx(0.5)
-        assert table.raw_weight(3, 4) == pytest.approx(1.5)
-        assert table.weight(1, 2) == pytest.approx(0.5)
-        assert table.weight(3, 4) == pytest.approx(1.5)
+        assert list(table) == [(1, 2), (3, 4)]
+        assert table[1, 2] == (pytest.approx(0.5), pytest.approx(0.5))
+        assert table[3, 4] == (pytest.approx(1.5), pytest.approx(1.5))
 
     def test_single_phrase_equalizes_to_one(self):
         dump = _dump_from_heads(
             [baluster_matrix(4, [(2, 4)], weight=0.77)], ["a", "b", "c", "EOS"]
         )
         table = build_phrase_table(dump, HeadMask.all_heads(1, 1))
-        assert table.weight(2, 4) == 1.0
+        assert table[2, 4][1] == 1.0
 
     def test_absent_span_weighs_zero(self):
         dump = _dump_from_heads([np.eye(3)], ["a", "b", "EOS"])
         table = build_phrase_table(dump, HeadMask.all_heads(1, 1))
-        assert len(table) == 0
-        assert table.weight(1, 2) == 0.0
+        assert table == {}
+        assert equalized_weight(table, (1, 2)) == 0.0
 
     def test_empty_mask_rejected(self, identity_dump):
         with pytest.raises(ValueError, match="empty"):
@@ -166,8 +161,8 @@ class TestBuildPhraseTable:
         dump = random_attention_baseline(seed, n, layers=2, heads=3)
         table = build_phrase_table(dump, HeadMask.all_heads(2, 3))
         by_length = {}
-        for a, b in table.spans():
-            by_length.setdefault(b - a + 1, []).append(table.weight(a, b))
+        for (a, b), (_, weight) in table.items():
+            by_length.setdefault(b - a + 1, []).append(weight)
         for weights in by_length.values():
             assert abs(np.mean(weights) - 1.0) <= 1e-9
 
@@ -179,8 +174,8 @@ class TestBuildPhraseTable:
             smaller = build_phrase_table(
                 dump, HeadMask(frozenset({(1, 1), (2, 2)}), (2, 2))
             )
-            for a, b in smaller.spans():
-                assert smaller.raw_weight(a, b) <= full.raw_weight(a, b) + 1e-15
+            for span, (raw, _) in smaller.items():
+                assert raw <= full[span][0] + 1e-15
 
     def test_mask_order_does_not_matter(self):
         dump = random_attention_baseline(11, 12, layers=2, heads=3)
@@ -188,7 +183,7 @@ class TestBuildPhraseTable:
         backward = HeadMask(frozenset([(2, 2), (1, 3), (1, 1)]), (2, 3))
         t1 = build_phrase_table(dump, forward)
         t2 = build_phrase_table(dump, backward)
-        assert t1.entries == t2.entries
+        assert list(t1.items()) == list(t2.items())
 
 
 class TestPooledHeadPhrases:
@@ -214,14 +209,14 @@ class TestPooledHeadPhrases:
                 picks = rng.permutation(len(all_heads))[:size]
                 heads = [all_heads[i] for i in picks]
                 mask = HeadMask(frozenset(heads), universe)
-                pooled = pool_phrases(dump.sentence_id, {h: cached[h] for h in heads})
+                pooled = pool_phrases({h: cached[h] for h in heads})
                 for expected in (build_phrase_table(dump, mask),
                                  phrase_table_one_pass(dump, mask)):
-                    assert pooled == expected
-                    assert list(pooled.entries.items()) == list(expected.entries.items())
+                    assert list(pooled.items()) == list(expected.items())
+                assert list(pooled) == sorted(pooled)
 
     def test_no_heads_pool_to_empty_table(self):
-        assert pool_phrases("s", {}) == PhraseTable.empty("s")
+        assert pool_phrases({}) == {}
 
     def test_head_phrases_are_positive_balusters_in_row_order(self):
         dump = _dump_from_heads(

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from attnsyntax.phrases import harden
-from attnsyntax.render import image_name, pgm_bytes, render_head, sidecar_text
+from attnsyntax import AttentionDump
+from attnsyntax.render import hardened_matrix, image_name, pgm_bytes, render_head, sidecar_text
+from oracles import hardened_by_rows
 
 IDENTITY_P5 = b"P5\n3 3\n255\n" + bytes(
     [255, 0, 0, 0, 255, 0, 0, 0, 255]
@@ -36,12 +37,44 @@ class TestRenderHead:
         assert render_head(identity_dump, 1, 1) == pgm_bytes(identity_dump.matrix(1, 1))
 
     def test_hardened_variant(self, identity_dump):
-        expected = pgm_bytes(harden(identity_dump.matrix(1, 1)).to_matrix())
+        expected = pgm_bytes(hardened_by_rows(identity_dump.matrix(1, 1)))
         assert render_head(identity_dump, 1, 1, hardened=True) == expected
 
     def test_out_of_range_lists_valid_ranges(self, identity_dump):
         with pytest.raises(ValueError, match="layers 1..1"):
             render_head(identity_dump, 3, 1)
+
+
+def _tied_and_zero_rows(rng, n):
+    """Rows drawn from a few levels, so maxima tie, with every third row
+    all zeros; dumps need not validate to be rendered."""
+    m = rng.integers(0, 3, size=(n, n)) / 2.0
+    m[::3] = 0.0
+    return m
+
+
+class TestHardenedMatrix:
+    """The dense hardened matrix against the row-by-row reference."""
+
+    def test_ties_go_leftmost(self):
+        m = np.array([[0.5, 0.5, 0.0], [0.0, 0.4, 0.4], [0.2, 0.0, 0.2]])
+        expected = np.array([[0.5, 0.0, 0.0], [0.0, 0.4, 0.0], [0.2, 0.0, 0.0]])
+        assert np.array_equal(hardened_matrix(m), expected)
+        assert np.array_equal(hardened_by_rows(m), expected)
+
+    def test_zero_row_stays_zero(self):
+        m = np.array([[0.0, 0.0], [0.3, 0.7]])
+        assert np.array_equal(hardened_matrix(m), np.array([[0.0, 0.0], [0.0, 0.7]]))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_rows_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        for m in (_tied_and_zero_rows(rng, n), rng.dirichlet(np.ones(n), size=n)):
+            expected = hardened_by_rows(m)
+            assert hardened_matrix(m).tobytes() == expected.tobytes()
+            dump = AttentionDump("m", tuple(f"t{i}" for i in range(n)), m[None, None])
+            assert render_head(dump, 1, 1, hardened=True) == pgm_bytes(expected)
 
 
 class TestNames:

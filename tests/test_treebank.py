@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from attnsyntax import (
     AlignmentError,
     ConstituencyTree,
-    RawTree,
     TreeParseError,
     gold_tree_for_dump,
     read_bracketed,
@@ -44,12 +43,12 @@ from oracles import (
 class TestReadBracketed:
     def test_nested_labels(self):
         tree = read_bracketed("(S (VP vinegrowers suffer))")
-        assert tree.postorder == ("vinegrowers", "suffer", ("VP", 2), ("S", 1))
+        assert tree == ("vinegrowers", "suffer", ("VP", 2), ("S", 1))
         assert raw_node_of(tree) == RawNode("S", [RawNode("VP", ["vinegrowers", "suffer"])])
 
     def test_single_child(self):
         tree = read_bracketed("(X a)")
-        assert tree == RawTree(("a", ("X", 1)))
+        assert tree == ("a", ("X", 1))
 
     def test_unbalanced_reports_eof_offset(self):
         text = "((a b)"
@@ -71,7 +70,7 @@ class TestReadBracketed:
     def test_unlabeled_node(self):
         tree = read_bracketed("( (vinegrowers suffer) )")
         # the first atom after '(' reads as a label
-        assert tree.postorder == ("suffer", ("vinegrowers", 1), (None, 1))
+        assert tree == ("suffer", ("vinegrowers", 1), (None, 1))
         assert raw_leaves(tree) == ["suffer"]
 
     def test_too_deep_is_a_located_error(self):
@@ -389,4 +388,4 @@ class TestDeepTrees:
         segmentation = [[f"w{i}"] for i in range(self.DEPTH + 1)]
         expected = ConstituencyTree(tuple((1, d) for d in range(2, self.DEPTH + 2)),
                                     tuple(f"w{i}" for i in range(self.DEPTH + 1)))
-        assert postprocess_steps(RawTree(tuple(postorder)), segmentation) == expected
+        assert postprocess_steps(tuple(postorder), segmentation) == expected

@@ -18,13 +18,13 @@ from attnsyntax import (
     random_binary_tree,
     rbal_tree,
 )
-from attnsyntax.phrases import PhraseTable
-from attnsyntax.trees import Chart, cky_chart, cky_parse, parse_span_tree
+from attnsyntax.trees import cky_chart, cky_parse, parse_span_tree, tree_from_splits
 from oracles import (
     BRACKET_LINES,
     all_binary_trees,
     best_tree_by_enumeration,
     cky_chart_by_cells,
+    equalized_weight,
     lbal_tree_left_to_right,
     parse_span_tree_recursive,
     random_phrase_table,
@@ -188,7 +188,7 @@ def _all_spans_table(n, weight_of):
             w = float(weight_of(a, b))
             if w:
                 entries[(a, b)] = (w, w)
-    return PhraseTable("s", entries)
+    return entries
 
 
 class TestChartMatchesCellLoop:
@@ -201,11 +201,12 @@ class TestChartMatchesCellLoop:
         slow = cky_chart_by_cells(table, n)
         first = cky_chart(table, n)
         m = n % 64 + 1
-        other = cky_chart(PhraseTable.empty("s"), m)
-        assert other.splits[1, m] == m - 1
-        for fast in (first, cky_chart(table, n)):
-            assert fast.scores.tobytes() == slow.scores.tobytes()
-            assert fast.splits.tobytes() == slow.splits.tobytes()
+        _, other_splits = cky_chart({}, m)
+        assert other_splits[1, m] == m - 1
+        for scores, splits in (first, cky_chart(table, n)):
+            assert scores.tobytes() == slow[0].tobytes()
+            assert splits.tobytes() == slow[1].tobytes()
+            assert not scores.flags.writeable and not splits.flags.writeable
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_random_tables(self, n):
@@ -216,7 +217,7 @@ class TestChartMatchesCellLoop:
     @pytest.mark.parametrize("n", range(1, 65))
     def test_tie_heavy_tables(self, n):
         rng = np.random.default_rng(2000 + n)
-        self.assert_same_chart(PhraseTable.empty("s"), n)
+        self.assert_same_chart({}, n)
         self.assert_same_chart(_all_spans_table(n, lambda a, b: 1.0), n)
         small = rng.integers(0, 3, size=(n + 1, n + 1))
         self.assert_same_chart(_all_spans_table(n, lambda a, b: small[a, b]), n)
@@ -237,11 +238,11 @@ class TestGatherPlanMemory:
         table_bytes = 8 * (n + 1) ** 2
         tracemalloc.start()
         try:
-            chart = cky_chart(PhraseTable.empty("s"), n)
+            _, splits = cky_chart({}, n)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert chart.splits[1, n] == n - 1
+        assert splits[1, n] == n - 1
         assert peak < 8 * table_bytes
         assert kept < 3 * table_bytes
 
@@ -253,11 +254,11 @@ class TestGatherPlanMemory:
         assert all(not array.flags.writeable for entry in plan for array in entry)
 
 
-def _chain_chart(n, split_of):
-    """A chart whose every span (a, b) splits at ``split_of(a, b)``; only
-    the splits are read when a tree is built."""
+def _chain_splits(n, split_of):
+    """A chart's splits array in which every span (a, b) splits at
+    ``split_of(a, b)``."""
     a, b = np.indices((n + 1, n + 1))
-    return Chart(np.zeros((1, 1)), split_of(a, b).astype(np.int64), n)
+    return split_of(a, b).astype(np.int64)
 
 
 class TestChartTree:
@@ -267,8 +268,9 @@ class TestChartTree:
     def test_matches_recursive_reader(self, n):
         rng = np.random.default_rng(3000 + n)
         for density in (0.1, 0.35, 0.9):
-            chart = cky_chart(random_phrase_table(rng, n, density), n)
-            tree, expected = chart.tree(), tree_from_splits_recursive(chart)
+            table = random_phrase_table(rng, n, density)
+            _, splits = cky_chart(table, n)
+            tree, expected = cky_parse(table, n), tree_from_splits_recursive(splits, 1, n)
             assert tree == expected
             assert hash(tree) == hash(expected) and repr(tree) == repr(expected)
 
@@ -288,7 +290,7 @@ class TestChartTree:
     def test_deeper_than_recursion_limit(self, chain):
         n = 1200
         split_of = (lambda a, b: b - 1) if chain == "left" else (lambda a, b: a)
-        tree = _chain_chart(n, split_of).tree()
+        tree = tree_from_splits(n, _chain_splits(n, split_of).item)
         leaves = {(i, i) for i in range(1, n + 1)}
         if chain == "left":
             internal = {(1, b) for b in range(2, n + 1)}
@@ -304,35 +306,36 @@ class TestChartTree:
 class TestCkyParse:
     def test_three_leaf_example(self):
         # single phrase (1,2) with weight 2 pulls the split to k=2
-        table = PhraseTable("s", {(1, 2): (2.0, 2.0)})
-        chart = cky_chart(table, 3)
-        assert chart.scores[1, 2] == 0.5
-        assert chart.scores[2, 3] == 0.5
-        assert chart.scores[1, 3] == 0.875
-        assert chart.tree() == SpanTree.node(
+        table = {(1, 2): (2.0, 2.0)}
+        scores, splits = cky_chart(table, 3)
+        assert scores[1, 2] == 0.5
+        assert scores[2, 3] == 0.5
+        assert scores[1, 3] == 0.875
+        assert splits[1, 3] == 2
+        assert cky_parse(table, 3) == SpanTree.node(
             SpanTree.node(SpanTree.leaf(1), SpanTree.leaf(2)), SpanTree.leaf(3)
         )
         best_score, _ = best_tree_by_enumeration(table, 3)
         assert best_score == 0.875
 
     def test_two_leaves_empty_table(self):
-        chart = cky_chart(PhraseTable.empty("s"), 2)
-        assert chart.tree() == SpanTree.node(SpanTree.leaf(1), SpanTree.leaf(2))
-        assert chart.scores[1, 2] == 0.5
+        scores, _ = cky_chart({}, 2)
+        assert cky_parse({}, 2) == SpanTree.node(SpanTree.leaf(1), SpanTree.leaf(2))
+        assert scores[1, 2] == 0.5
 
     def test_empty_table_gives_left_chain(self):
         # every split of an unweighted chart ties at the top score; the
         # tie-break yields the fully left-branching tree
-        tree = cky_parse(PhraseTable.empty("s"), 4)
+        tree = cky_parse({}, 4)
         assert tree == chain_left(4)
-        best_score, _ = best_tree_by_enumeration(PhraseTable.empty("s"), 4)
+        best_score, _ = best_tree_by_enumeration({}, 4)
         assert recursion_score(tree, lambda s: 0.0) == best_score
 
     def test_single_leaf(self):
-        assert cky_parse(PhraseTable.empty("s"), 1) == SpanTree.leaf(1)
+        assert cky_parse({}, 1) == SpanTree.leaf(1)
 
     def test_rejects_out_of_range_span(self):
-        table = PhraseTable("s", {(2, 5): (1.0, 1.0)})
+        table = {(2, 5): (1.0, 1.0)}
         with pytest.raises(ValueError, match="outside"):
             cky_parse(table, 4)
 
@@ -341,18 +344,18 @@ class TestCkyParse:
         for _ in range(25):
             n = int(rng.integers(2, 9))
             table = random_phrase_table(rng, n)
-            chart = cky_chart(table, n)
-            assert all(chart.scores[i, i] == 1.0 for i in range(1, n + 1))
+            scores, splits = cky_chart(table, n)
+            assert all(scores[i, i] == 1.0 for i in range(1, n + 1))
             for a in range(1, n):
                 for b in range(a + 1, n + 1):
-                    k = int(chart.splits[a, b])
+                    k = int(splits[a, b])
                     expected = (
-                        chart.scores[a, k]
-                        + chart.scores[k + 1, b]
-                        + table.weight(a, k)
-                        + table.weight(k + 1, b)
+                        scores[a, k]
+                        + scores[k + 1, b]
+                        + equalized_weight(table, (a, k))
+                        + equalized_weight(table, (k + 1, b))
                     ) / 4.0
-                    assert chart.scores[a, b] == expected
+                    assert scores[a, b] == expected
 
     def test_matches_enumeration_on_random_tables(self):
         rng = np.random.default_rng(3)
@@ -361,7 +364,7 @@ class TestCkyParse:
             table = random_phrase_table(rng, n)
             tree = cky_parse(table, n)
             best_score, _ = best_tree_by_enumeration(table, n)
-            got = recursion_score(tree, lambda s: table.weight(*s))
+            got = recursion_score(tree, lambda s: equalized_weight(table, s))
             assert abs(got - best_score) <= 1e-12
 
     def test_weight_scaling_preserves_structure_up_to_three_leaves(self):
@@ -374,9 +377,7 @@ class TestCkyParse:
             table = random_phrase_table(rng, n, density=0.8)
             reference = cky_parse(table, n).spans()
             for c in (0.5, 2.0, 10.0):
-                scaled = PhraseTable(
-                    "s", {s: (r * c, w * c) for s, (r, w) in table.entries.items()}
-                )
+                scaled = {s: (r * c, w * c) for s, (r, w) in table.items()}
                 assert cky_parse(scaled, n).spans() == reference
 
     def test_weight_scaling_can_change_the_optimal_tree(self):
@@ -390,9 +391,7 @@ class TestCkyParse:
             n = int(rng.integers(2, 9))
             table = random_phrase_table(rng, n)
             base = cky_parse(table, n).spans()
-            scaled = PhraseTable(
-                "s", {s: (r * 10.0, w * 10.0) for s, (r, w) in table.entries.items()}
-            )
+            scaled = {s: (r * 10.0, w * 10.0) for s, (r, w) in table.items()}
             if cky_parse(scaled, n).spans() != base:
                 flipped = (n, table, scaled)
                 break
@@ -401,7 +400,7 @@ class TestCkyParse:
         for t in (table, scaled):
             tree = cky_parse(t, n)
             best_score, _ = best_tree_by_enumeration(t, n)
-            assert abs(recursion_score(tree, lambda s: t.weight(*s)) - best_score) <= 1e-12
+            assert abs(recursion_score(tree, lambda s: equalized_weight(t, s)) - best_score) <= 1e-12
 
 
 class TestBalancedBaselines:
