@@ -20,7 +20,6 @@ import numpy as np
 from attnsyntax import (
     ConstituencyTree,
     EvalReport,
-    HeadMask,
     extract_tree,
     lbal_tree,
     planted_dump,
@@ -29,6 +28,7 @@ from attnsyntax import (
     rbal_tree,
     score,
 )
+from attnsyntax.attn_io import all_heads
 from attnsyntax.cli import _int_at_least, _positive_int
 from attnsyntax.scoring import CountingPolicy
 
@@ -63,11 +63,11 @@ def main() -> None:
                          key=lambda s: (s[1], -s[0]))
         gold = ConstituencyTree(tuple(phrases), dump.subwords)
 
-        tree = extract_tree(dump, HeadMask.all_heads(dump.layers, dump.heads))
+        tree = extract_tree(dump, all_heads(dump.layers, dump.heads))
         pooled["planted"].append(score(tree, gold, counting))
 
         random_dump = random_attention_baseline([args.seed, i], n, args.layers, args.heads)
-        tree = extract_tree(random_dump, HeadMask.all_heads(args.layers, args.heads))
+        tree = extract_tree(random_dump, all_heads(args.layers, args.heads))
         pooled["rand.attn"].append(score(tree, gold, counting))
 
         pooled["lbal"].append(score(lbal_tree(n), gold, counting))

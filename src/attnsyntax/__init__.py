@@ -17,7 +17,6 @@ from .errors import (
     SegmentationError,
     TreeParseError,
 )
-from .masks import HeadMask
 from .scoring import EvalReport, score
 from .synth import planted_dump, random_attention_baseline, random_binary_tree
 from .treebank import ConstituencyTree, gold_tree_for_dump, read_bracketed
@@ -33,7 +32,6 @@ __all__ = [
     "DumpParseError",
     "DumpValidationError",
     "EvalReport",
-    "HeadMask",
     "SegmentationError",
     "SpanTree",
     "TreeParseError",

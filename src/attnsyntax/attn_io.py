@@ -32,6 +32,7 @@ import orjson
 from .errors import DumpParseError, DumpValidationError, SegmentationError
 
 Span = tuple[int, int]
+Head = tuple[int, int]  # 1-based (layer, head)
 
 CONTINUATION = "@@"
 DEFAULT_EOS = "EOS"
@@ -41,7 +42,11 @@ DEFAULT_MAX_RECORD_BYTES = 64 * 1024 * 1024
 
 @dataclass(frozen=True)
 class AttentionDump:
-    """One sentence's subwords plus all layers x heads of NxN attention."""
+    """One sentence's subwords plus all layers x heads of NxN attention.
+
+    Construction checks the shape and then ``validate``'s content
+    invariants, so every dump that exists is valid.
+    """
 
     sentence_id: str
     subwords: tuple[str, ...]
@@ -68,6 +73,7 @@ class AttentionDump:
                 f"sentence {self.sentence_id!r}: {n} subwords but "
                 f"{rows}x{cols} attention matrices"
             )
+        self.validate()
 
     @property
     def n(self) -> int:
@@ -91,7 +97,8 @@ class AttentionDump:
         return self.matrices[layer - 1, head - 1]
 
     def validate(self, eos: str = DEFAULT_EOS) -> None:
-        """Check the content invariants the loader enforces on every record."""
+        """Check the content invariants; the constructor runs this with the
+        default EOS token."""
         sid = self.sentence_id
         if self.n < 1:
             raise DumpValidationError(f"sentence {sid!r}: no subwords")
@@ -121,6 +128,11 @@ class AttentionDump:
                 f"row sums to {sums[tuple(bad[0])]:.6f}, expected 1 "
                 f"within {ROW_SUM_TOLERANCE}"
             )
+
+
+def all_heads(layers: int, heads: int) -> tuple[Head, ...]:
+    """Every (layer, head) pair of a layers x heads universe, sorted."""
+    return tuple((layer, head) for layer in range(1, layers + 1) for head in range(1, heads + 1))
 
 
 def word_groups(subwords: Sequence[str]) -> list[Span]:
@@ -163,9 +175,7 @@ def _dump_from_record(record: object, lineno: int) -> AttentionDump:
         matrices = np.asarray(record["attn"], dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise DumpParseError(f"line {lineno}: 'attn' is not a rectangular numeric array: {exc}") from exc
-    dump = AttentionDump(sentence_id, tuple(subwords), matrices)
-    dump.validate()
-    return dump
+    return AttentionDump(sentence_id, tuple(subwords), matrices)
 
 
 def load_dump(
@@ -241,9 +251,10 @@ def dump_record(dump: AttentionDump) -> bytes:
 
     The bytes equal ``json.dumps(record, ensure_ascii=False,
     separators=(",", ":"))`` encoded as UTF-8: floats keep ``repr``'s
-    layout and round-trip exactly.  A NaN or infinite weight, or a lone
-    surrogate in the id or a subword, raises DumpValidationError, since
-    ``load_dump`` would reject the line.
+    layout and round-trip exactly.  A NaN or infinite weight (the
+    constructor rejects one, but a caller can turn writes back on for the
+    array it passed in), or a lone surrogate in the id or a subword,
+    raises DumpValidationError, since ``load_dump`` would reject the line.
     """
     sid = dump.sentence_id
     matrices = np.ascontiguousarray(dump.matrices, dtype=np.float64)
@@ -256,12 +267,12 @@ def dump_record(dump: AttentionDump) -> bytes:
         surrogate = exc.object[exc.start]
         raise DumpValidationError(
             f"sentence {sid!r}: lone surrogate {surrogate!r} in the id or a subword") from None
-    # orjson writes repr's shortest digits but lays out 0 < |x| < 1e-4 and
-    # |x| >= 1e16 differently (0.00001234, 1e-7, 1e16).  Those go to orjson as
-    # NaN (an input NaN, refused above, can never pose as one) and come out as
-    # null, its only "n" here; their repr goes in at each null in C order.
-    magnitude = np.abs(matrices)
-    odd = ((magnitude > 0.0) & (magnitude < 1e-4)) | (magnitude >= 1e16)
+    # orjson writes repr's shortest digits but lays out 0 < x < 1e-4
+    # differently (0.00001234, 1e-7); weights lie in [0, 1], so no others
+    # differ.  Those go to orjson as NaN (an input NaN, refused above, can
+    # never pose as one) and come out as null, its only "n" here; their
+    # repr goes in at each null in C order.
+    odd = (matrices > 0.0) & (matrices < 1e-4)
     masked = np.where(odd, np.nan, matrices) if odd.any() else matrices
     attn = orjson.dumps(masked, option=orjson.OPT_SERIALIZE_NUMPY)
     # the head's closing brace moves after "attn", the last key

@@ -17,12 +17,11 @@ import os
 import sys
 from typing import Callable, Sequence
 
-from .attn_io import AttentionDump, atomic_output, load_dump
+from .attn_io import AttentionDump, Head, all_heads, atomic_output, load_dump
 from .errors import AlignmentError, AttnSyntaxError, TreeParseError
-from .masks import HeadMask
 from .phrases import build_phrase_table
 from .scoring import CountingPolicy, EvalReport, score
-from .selection import greedy_ablation, greedy_addition, layer_distribution
+from .selection import greedy_ablation, greedy_addition, heads_spec, layer_distribution
 from .synth import random_attention_baseline
 from .treebank import ConstituencyTree, gold_tree_for_dump, read_bracketed
 from .render import image_name, render_head, sidecar_text
@@ -84,6 +83,32 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 _positive_int = _int_at_least(1)  # counts
 
 
+def _head_set(text: str) -> tuple[Head, ...] | None:
+    """argparse type for ``--heads``: None for ``all`` (every head of each
+    sentence), else the sorted distinct pairs of a comma list of 1-based
+    ``layer:head`` items.  Whether a pair lies in a sentence's universe is
+    checked per sentence, since records may differ in universe."""
+    text = text.strip()
+    if text == "all":
+        return None
+    pairs = set()
+    for item in text.split(","):
+        item = item.strip()
+        try:
+            layer, head = item.split(":")
+            pairs.add((int(layer), int(head)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad head spec item {item!r}: expected layer:head"
+            ) from None
+    return tuple(sorted(pairs))
+
+
+def _heads_for(dump: AttentionDump, heads: tuple[Head, ...] | None) -> tuple[Head, ...]:
+    """A parsed ``--heads`` for one sentence; None is all of its heads."""
+    return all_heads(dump.layers, dump.heads) if heads is None else heads
+
+
 def _write_output(path: str | None, data: str | bytes) -> None:
     """Write text or bytes to ``path`` atomically, text as UTF-8; with no
     path, write text to stdout."""
@@ -107,9 +132,8 @@ def _read_lines(path: str) -> list[str]:
 # --- extract ---------------------------------------------------------------
 
 
-def _extract_one(dump: AttentionDump, heads_spec: str) -> tuple[str, dict]:
-    mask = HeadMask.from_spec(heads_spec, dump.layers, dump.heads)
-    table = build_phrase_table(dump, mask)
+def _extract_one(dump: AttentionDump, heads: tuple[Head, ...] | None) -> tuple[str, dict]:
+    table = build_phrase_table(dump, _heads_for(dump, heads))
     tree = cky_parse(table, dump.n)
     record = {
         "id": dump.sentence_id,
@@ -241,8 +265,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
                 sentence_id=dump.sentence_id,
                 subwords=dump.subwords,
             )
-            mask = HeadMask.from_spec(args.heads, random.layers, random.heads)
-            tree = extract_tree(random, mask)
+            tree = extract_tree(random, _heads_for(random, args.heads))
         lines.append(tree.to_bracketed(dump.subwords))
     _write_output(args.out, "".join(line + "\n" for line in lines))
     return 0
@@ -265,10 +288,11 @@ def _cmd_select_heads(args: argparse.Namespace) -> int:
     ]
     search = greedy_addition if args.strategy == "add" else greedy_ablation
     trace = search(dumps, golds, objective=args.objective, counting=counting)
-    distribution = layer_distribution(trace.best_mask)
+    best = trace.best_mask
+    distribution = layer_distribution(best, trace.universe[0])
     text = (
         trace.to_text()
-        + f"best-mask: {trace.best_mask.to_spec()}\n"
+        + f"best-mask: {heads_spec(best, trace.universe)}\n"
         + "layer-distribution: "
         + " ".join(f"{100 * distribution[layer]:.0f}%" for layer in sorted(distribution))
         + "\n"
@@ -291,10 +315,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         known = ", ".join(sorted(by_id)[:10])
         raise ValueError(f"sentence id {args.sentence!r} not in dump (have: {known})")
     dump = by_id[args.sentence]
-    if args.all:
-        pairs = HeadMask.all_heads(dump.layers, dump.heads).sorted_heads()
-    else:
-        pairs = [(args.layer, args.head)]
+    pairs = all_heads(dump.layers, dump.heads) if args.all else [(args.layer, args.head)]
     os.makedirs(args.out_dir, exist_ok=True)
     for layer, head in pairs:
         stem = os.path.join(
@@ -327,7 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract one bracketed tree per sentence")
     add_common(p)
-    p.add_argument("--heads", default="all", help="'all' or comma list layer:head (1-based)")
+    p.add_argument("--heads", type=_head_set, default="all",
+                   help="'all' or comma list layer:head (1-based)")
     p.add_argument("--emit-phrases", default=None, metavar="PATH",
                    help="also write the phrase tables as JSON lines")
     p.add_argument("--keep-going", action="store_true",
@@ -347,7 +369,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--kind", choices=["lbal", "rbal", "rand.attn"], required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for rand.attn")
-    p.add_argument("--heads", default="all", help="head mask for rand.attn extraction")
+    p.add_argument("--heads", type=_head_set, default="all",
+                   help="heads for rand.attn extraction, as for extract")
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("select-heads", help="greedy head subset search on a dev set")

@@ -11,12 +11,11 @@ so that phrases of each length average to weight 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .attn_io import AttentionDump, Span
-from .masks import Head, HeadMask
+from .attn_io import AttentionDump, Head, Span
 
 
 def harden(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,9 +111,11 @@ def pool_phrases(per_head: Mapping[Head, HeadPhrases]) -> dict[Span, tuple[float
     return {span: (raw[span], equalized[span]) for span in sorted(raw)}
 
 
-def build_phrase_table(dump: AttentionDump, mask: HeadMask) -> dict[Span, tuple[float, float]]:
-    """Sum baluster weights over the masked heads and equalize per length."""
-    if not mask.heads:
+def build_phrase_table(dump: AttentionDump,
+                       heads: Iterable[Head]) -> dict[Span, tuple[float, float]]:
+    """Sum baluster weights over the given 1-based (layer, head) pairs and
+    equalize per length."""
+    per_head = {head: head_phrases(dump, head) for head in sorted(heads)}
+    if not per_head:
         raise ValueError("empty head mask")
-    per_head = {head: head_phrases(dump, head) for head in mask.sorted_heads()}
     return pool_phrases(per_head)

@@ -55,12 +55,7 @@ def image_name(sentence_id: str, layer: int, head: int, hardened: bool = False) 
 def render_head(
     dump: AttentionDump, layer: int, head: int, hardened: bool = False
 ) -> bytes:
-    """P5 bytes for one (layer, head) of a dump; bounds errors list the ranges."""
-    if not (1 <= layer <= dump.layers and 1 <= head <= dump.heads):
-        raise ValueError(
-            f"sentence {dump.sentence_id!r} has layers 1..{dump.layers} and "
-            f"heads 1..{dump.heads}; requested ({layer},{head})"
-        )
+    """P5 bytes for one 1-based (layer, head) of a dump."""
     matrix = dump.matrix(layer, head)
     if hardened:
         matrix = hardened_matrix(matrix)

@@ -13,11 +13,10 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
-from .attn_io import AttentionDump
+from .attn_io import AttentionDump, Head, all_heads
 from .errors import AlignmentError
-from .masks import Head, HeadMask
 from .phrases import HeadPhrases, head_phrases, pool_phrases
 from .scoring import CountingPolicy, EvalReport, score
 from .treebank import ConstituencyTree
@@ -46,15 +45,14 @@ class SelectionTrace:
     steps: tuple[SelectionStep, ...]
     evaluations: int  # dev-set evaluations performed, O((L*H)^2)
 
-    def mask_at(self, step: int) -> HeadMask:
-        """The mask in effect after the given 1-based step (0 = initial)."""
+    def mask_at(self, step: int) -> frozenset[Head]:
+        """The heads in effect after the given 1-based step (0 = initial)."""
         if not 0 <= step <= len(self.steps):
             raise ValueError(f"step {step} outside 0..{len(self.steps)}")
-        toggled = {s.head for s in self.steps[:step]}
+        toggled = frozenset(s.head for s in self.steps[:step])
         if self.strategy == "addition":
-            return HeadMask(frozenset(toggled), self.universe)
-        full = HeadMask.all_heads(*self.universe)
-        return HeadMask(full.heads - toggled, self.universe)
+            return toggled
+        return frozenset(all_heads(*self.universe)) - toggled
 
     @property
     def best_step(self) -> SelectionStep | None:
@@ -70,7 +68,7 @@ class SelectionTrace:
         return self.initial_score if best is None else best.score
 
     @property
-    def best_mask(self) -> HeadMask:
+    def best_mask(self) -> frozenset[Head]:
         best = self.best_step
         return self.mask_at(0 if best is None else best.step)
 
@@ -90,9 +88,17 @@ class SelectionTrace:
             )
         lines.append(
             f"best: size={len(self.best_mask)} {self.objective}={self.best_score:.6f} "
-            f"heads={self.best_mask.to_spec()}"
+            f"heads={heads_spec(self.best_mask, self.universe)}"
         )
         return "\n".join(lines) + "\n"
+
+
+def heads_spec(heads: Collection[Head], universe: tuple[int, int]) -> str:
+    """A head set in ``--heads`` syntax: ``all`` for the whole universe,
+    else the sorted comma list of ``layer:head`` pairs."""
+    if len(heads) == universe[0] * universe[1]:
+        return "all"
+    return ",".join(f"{layer}:{head}" for layer, head in sorted(heads))
 
 
 def _check_dev_set(
@@ -152,8 +158,7 @@ def _greedy(
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     universe = _check_dev_set(dumps, golds)
-    layers, heads = universe
-    all_pairs = HeadMask.all_heads(layers, heads).sorted_heads()
+    all_pairs = all_heads(*universe)
     # harden and scan every (sentence, head) once; evaluations only pool
     phrases = [{head: head_phrases(dump, head) for head in all_pairs} for dump in dumps]
     lengths = [dump.n for dump in dumps]
@@ -215,10 +220,9 @@ def greedy_ablation(
     return _greedy("ablation", dumps, golds, objective, counting)
 
 
-def layer_distribution(mask: HeadMask) -> dict[int, float]:
-    """Fraction of selected heads per layer, over all layers in the universe."""
-    if not mask.heads:
+def layer_distribution(heads: Collection[Head], layers: int) -> dict[int, float]:
+    """Fraction of the given heads in each of layers 1..``layers``."""
+    if not heads:
         raise ValueError("empty head mask")
-    counts = Counter(layer for layer, _ in mask.heads)
-    total = len(mask.heads)
-    return {layer: counts.get(layer, 0) / total for layer in range(1, mask.universe[0] + 1)}
+    counts = Counter(layer for layer, _ in heads)
+    return {layer: counts.get(layer, 0) / len(heads) for layer in range(1, layers + 1)}

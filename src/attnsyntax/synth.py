@@ -41,9 +41,7 @@ def random_attention_baseline(
         subwords = _default_subwords(n)
     if sentence_id is None:
         sentence_id = f"rand-{seed}"
-    dump = AttentionDump(sentence_id, tuple(subwords), matrices)
-    dump.validate()
-    return dump
+    return AttentionDump(sentence_id, tuple(subwords), matrices)
 
 
 def random_binary_tree(rng: np.random.Generator, n: int) -> SpanTree:
@@ -105,6 +103,4 @@ def planted_dump(
     )[np.newaxis, :, :, :]
     if subwords is None:
         subwords = _default_subwords(n)
-    dump = AttentionDump(sentence_id, tuple(subwords), matrices)
-    dump.validate()
-    return dump
+    return AttentionDump(sentence_id, tuple(subwords), matrices)

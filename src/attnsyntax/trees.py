@@ -16,9 +16,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .attn_io import AttentionDump, Span
+from .attn_io import AttentionDump, Head, Span
 from .errors import TreeParseError
-from .masks import HeadMask
 from .phrases import build_phrase_table
 from .treebank import bracket_tokens
 
@@ -335,6 +334,6 @@ def rbal_tree(n: int) -> SpanTree:
     return _balanced_tree(n, odd_unit_first=True)
 
 
-def extract_tree(dump: AttentionDump, mask: HeadMask) -> SpanTree:
+def extract_tree(dump: AttentionDump, heads: Iterable[Head]) -> SpanTree:
     """End-to-end extraction for one sentence: phrase table, then CKY."""
-    return cky_parse(build_phrase_table(dump, mask), dump.n)
+    return cky_parse(build_phrase_table(dump, heads), dump.n)

@@ -33,9 +33,7 @@ def toy_dumps(toy_dump_path):
 
 @pytest.fixture
 def identity_dump() -> AttentionDump:
-    dump = AttentionDump("identity", ("a", "b", "EOS"), np.eye(3)[None, None])
-    dump.validate()
-    return dump
+    return AttentionDump("identity", ("a", "b", "EOS"), np.eye(3)[None, None])
 
 
 @pytest.fixture
@@ -45,7 +43,6 @@ def two_head_fixture() -> tuple[AttentionDump, ConstituencyTree]:
     n = 6
     matrices = np.stack([baluster_matrix(n, [(1, 2), (3, 4)]), np.eye(n)])[None]
     dump = AttentionDump("fixture", ("a", "b", "c", "d", "e", "EOS"), matrices)
-    dump.validate()
     # ((a b) (c d) e EOS)
     gold = ConstituencyTree(((1, 2), (3, 4), (1, 6)), ("a", "b", "c", "d", "e", "EOS"))
     return dump, gold

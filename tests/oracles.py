@@ -91,11 +91,11 @@ def best_tree_by_enumeration(
     return best_score, best
 
 
-def phrase_table_one_pass(dump, mask) -> PhraseWeights:
+def phrase_table_one_pass(dump, heads) -> PhraseWeights:
     """Harden, scan and sum head by head in one loop, then equalize: the
     reference for pooling per-head phrases computed ahead of time."""
     raw: dict[Span, float] = {}
-    for layer, head in mask.sorted_heads():
+    for layer, head in sorted(heads):
         hardened = harden(dump.matrix(layer, head))
         for baluster in find_balusters(hardened, (layer, head)):
             if baluster.mean_weight > 0.0:

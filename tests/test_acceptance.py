@@ -11,7 +11,6 @@ import numpy as np
 
 from attnsyntax import (
     EvalReport,
-    HeadMask,
     SpanTree,
     extract_tree,
     lbal_tree,
@@ -22,6 +21,7 @@ from attnsyntax import (
     read_bracketed,
     score,
 )
+from attnsyntax.attn_io import all_heads
 from attnsyntax.phrases import build_phrase_table, harden
 from attnsyntax.render import hardened_matrix, pgm_bytes
 from attnsyntax.scoring import CountingPolicy
@@ -76,7 +76,7 @@ def test_c02_planted_tree_recovery():
         n = int(rng.integers(5, 31))
         tree = random_binary_tree(rng, n)
         dump = planted_dump(tree, sentence_id=f"planted-{i}")
-        parsed = extract_tree(dump, HeadMask.all_heads(dump.layers, dump.heads))
+        parsed = extract_tree(dump, all_heads(dump.layers, dump.heads))
         gold = gold_from_span_tree(tree)
         for counting in CountingPolicy:
             report = score(parsed, gold, counting)
@@ -127,7 +127,7 @@ def test_c05_equalization_invariant():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 15))
         dump = random_attention_baseline(seed, n, layers=2, heads=3)
-        table = build_phrase_table(dump, HeadMask.all_heads(2, 3))
+        table = build_phrase_table(dump, all_heads(2, 3))
         by_length: dict[int, list[float]] = {}
         for (a, b), (_, weight) in table.items():
             by_length.setdefault(b - a + 1, []).append(weight)
@@ -195,7 +195,7 @@ def test_c08_head_selection_sanity(two_head_fixture):
     ablation_2 = greedy_ablation([dump], [gold])
     ok = (
         addition_1.steps[0].head == (1, 1)
-        and addition_1.best_mask.heads == frozenset({(1, 1)})
+        and addition_1.best_mask == frozenset({(1, 1)})
         and addition_1.best_score == 1.0
         and ablation_1.steps[0].head == (1, 2)
         and addition_1.to_text() == addition_2.to_text()
@@ -219,11 +219,11 @@ def test_c09_baseline_ordering_on_synthetic_corpus():
         gold = gold_from_span_tree(gold_tree)
 
         dump = planted_dump(gold_tree, sentence_id=f"bench-{i}")
-        planted = extract_tree(dump, HeadMask.all_heads(dump.layers, dump.heads))
+        planted = extract_tree(dump, all_heads(dump.layers, dump.heads))
         pooled["planted"].append(score(planted, gold))
 
         random_dump = random_attention_baseline([seed, i], n, layers, heads)
-        random_tree = extract_tree(random_dump, HeadMask.all_heads(layers, heads))
+        random_tree = extract_tree(random_dump, all_heads(layers, heads))
         pooled["rand"].append(score(random_tree, gold))
 
         pooled["lbal"].append(score(lbal_tree(n), gold))

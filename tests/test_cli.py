@@ -10,13 +10,14 @@ import pytest
 from attnsyntax import (
     AttentionDump,
     EvalReport,
-    HeadMask,
     extract_tree,
     gold_tree_for_dump,
     read_bracketed,
     score,
     write_dump,
 )
+from attnsyntax.attn_io import all_heads
+from attnsyntax import cli
 from attnsyntax.cli import evaluate_files, main
 
 from conftest import ROOT
@@ -101,9 +102,25 @@ class TestExtract:
         assert out == ""
 
     def test_bad_head_spec(self, toy_dump_path, capsys):
+        # a head outside a sentence's universe is that sentence's error
         code, _, err = run_cli(["extract", "--dump", toy_dump_path, "--heads", "9:9"], capsys)
         assert code == 1
-        assert "error" in err
+        assert err == "error: sentence 'toy-01': head (9,9) outside universe 1..2 x 1..3\n"
+
+    @pytest.mark.parametrize("spec, item", [
+        ("1-1", "'1-1'"), ("", "''"), ("ALL", "'ALL'"), ("1:1,,2:2", "''"), ("1:x", "'1:x'"),
+    ])
+    def test_malformed_heads_exit_before_reading_the_dump(self, spec, item, toy_dump_path,
+                                                          tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_dump", pytest.fail)
+        out_path, phrases_path = tmp_path / "trees.txt", tmp_path / "phrases.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--dump", str(toy_dump_path), "--heads", spec, "--keep-going",
+                  "--out", str(out_path), "--emit-phrases", str(phrases_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --heads: bad head spec item {item}: expected layer:head" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["extract", "--dump", "/nonexistent"], capsys)
@@ -182,7 +199,7 @@ class TestEval:
         gold_lines = toy_gold_path.read_text().splitlines()
         expected = []
         for dump, line in zip(toy_dumps, gold_lines):
-            tree = extract_tree(dump, HeadMask.all_heads(dump.layers, dump.heads))
+            tree = extract_tree(dump, all_heads(dump.layers, dump.heads))
             expected.append(score(tree, gold_tree_for_dump(read_bracketed(line), dump.subwords)))
 
         trees = tmp_path / "trees.txt"
@@ -272,6 +289,13 @@ class TestBaseline:
         assert len(lines) == 10
         assert all(line.count("(") == line.count(")") for line in lines)
 
+    @pytest.mark.parametrize("kind", ["lbal", "rand.attn"])
+    def test_malformed_heads_rejected_for_every_kind(self, toy_dump_path, kind, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", "--dump", str(toy_dump_path), "--kind", kind, "--heads", "1-1"])
+        assert exc.value.code == 2
+        assert "argument --heads: bad head spec item '1-1'" in capsys.readouterr().err
+
     def test_rand_attn_deterministic_by_seed(self, toy_dump_path, capsys):
         args = ["baseline", "--dump", toy_dump_path, "--kind", "rand.attn", "--seed", 9]
         _, first, _ = run_cli(args, capsys)
@@ -304,6 +328,18 @@ class TestSelectHeads:
             ["extract", "--dump", toy_dump_path, "--heads", spec], capsys
         )
         assert code == 0, err2
+
+    @pytest.mark.parametrize("strategy", ["add", "ablate"])
+    def test_matches_golden_file(self, strategy, toy_dump_path, toy_gold_path, golden_dir,
+                                 tmp_path, capsys):
+        out_path = tmp_path / "select.txt"
+        code, _, err = run_cli(
+            ["select-heads", "--dump", toy_dump_path, "--gold", toy_gold_path,
+             "--strategy", strategy, "--dev-size", "10", "--out", out_path],
+            capsys,
+        )
+        assert code == 0, err
+        assert out_path.read_bytes() == (golden_dir / f"toy_select_{strategy}.txt").read_bytes()
 
     def test_ablate_strategy(self, toy_dump_path, toy_gold_path, capsys):
         code, out, _ = run_cli(

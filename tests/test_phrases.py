@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from attnsyntax import (
     AttentionDump,
-    HeadMask,
     planted_dump,
     random_attention_baseline,
     random_binary_tree,
 )
+from attnsyntax.attn_io import all_heads
 from attnsyntax.synth import baluster_matrix
 from attnsyntax.phrases import (
     build_phrase_table,
@@ -102,9 +102,7 @@ class TestFindBalusters:
 def _dump_from_heads(heads, subwords):
     n = len(subwords)
     matrices = np.stack(heads)[None]
-    dump = AttentionDump("s", tuple(subwords), matrices)
-    dump.validate()
-    return dump
+    return AttentionDump("s", tuple(subwords), matrices)
 
 
 class TestBuildPhraseTable:
@@ -113,7 +111,7 @@ class TestBuildPhraseTable:
             [baluster_matrix(3, [(1, 2)], weight=0.8), baluster_matrix(3, [(1, 2)], weight=0.6)],
             ["a", "b", "EOS"],
         )
-        table = build_phrase_table(dump, HeadMask.all_heads(1, 2))
+        table = build_phrase_table(dump, all_heads(1, 2))
         assert table[1, 2] == (pytest.approx(1.4), 1.0)  # only phrase of its length
 
     def test_equalization_two_lengths(self):
@@ -126,7 +124,7 @@ class TestBuildPhraseTable:
             ],
             ["a", "b", "c", "d", "EOS"],
         )
-        table = build_phrase_table(dump, HeadMask.all_heads(1, 3))
+        table = build_phrase_table(dump, all_heads(1, 3))
         assert list(table) == [(1, 2), (3, 4)]
         assert table[1, 2] == (pytest.approx(0.5), pytest.approx(0.5))
         assert table[3, 4] == (pytest.approx(1.5), pytest.approx(1.5))
@@ -135,23 +133,22 @@ class TestBuildPhraseTable:
         dump = _dump_from_heads(
             [baluster_matrix(4, [(2, 4)], weight=0.77)], ["a", "b", "c", "EOS"]
         )
-        table = build_phrase_table(dump, HeadMask.all_heads(1, 1))
+        table = build_phrase_table(dump, all_heads(1, 1))
         assert table[2, 4][1] == 1.0
 
     def test_absent_span_weighs_zero(self):
         dump = _dump_from_heads([np.eye(3)], ["a", "b", "EOS"])
-        table = build_phrase_table(dump, HeadMask.all_heads(1, 1))
+        table = build_phrase_table(dump, all_heads(1, 1))
         assert table == {}
         assert equalized_weight(table, (1, 2)) == 0.0
 
     def test_empty_mask_rejected(self, identity_dump):
         with pytest.raises(ValueError, match="empty"):
-            build_phrase_table(identity_dump, HeadMask(frozenset(), (1, 1)))
+            build_phrase_table(identity_dump, ())
 
     def test_mask_outside_dump_rejected(self, identity_dump):
-        mask = HeadMask(frozenset({(2, 1)}), (2, 1))
-        with pytest.raises(ValueError, match="universe"):
-            build_phrase_table(identity_dump, mask)
+        with pytest.raises(ValueError, match=r"^head \(2,1\) outside universe 1..1 x 1..1$"):
+            build_phrase_table(identity_dump, [(2, 1)])
 
     @given(st.integers(min_value=0, max_value=300))
     @settings(max_examples=40, deadline=None)
@@ -159,7 +156,7 @@ class TestBuildPhraseTable:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 15))
         dump = random_attention_baseline(seed, n, layers=2, heads=3)
-        table = build_phrase_table(dump, HeadMask.all_heads(2, 3))
+        table = build_phrase_table(dump, all_heads(2, 3))
         by_length = {}
         for (a, b), (_, weight) in table.items():
             by_length.setdefault(b - a + 1, []).append(weight)
@@ -170,19 +167,15 @@ class TestBuildPhraseTable:
         rng = np.random.default_rng(4)
         for seed in range(20):
             dump = random_attention_baseline(seed, 10, layers=2, heads=2)
-            full = build_phrase_table(dump, HeadMask.all_heads(2, 2))
-            smaller = build_phrase_table(
-                dump, HeadMask(frozenset({(1, 1), (2, 2)}), (2, 2))
-            )
+            full = build_phrase_table(dump, all_heads(2, 2))
+            smaller = build_phrase_table(dump, [(1, 1), (2, 2)])
             for span, (raw, _) in smaller.items():
                 assert raw <= full[span][0] + 1e-15
 
     def test_mask_order_does_not_matter(self):
         dump = random_attention_baseline(11, 12, layers=2, heads=3)
-        forward = HeadMask(frozenset([(1, 1), (1, 3), (2, 2)]), (2, 3))
-        backward = HeadMask(frozenset([(2, 2), (1, 3), (1, 1)]), (2, 3))
-        t1 = build_phrase_table(dump, forward)
-        t2 = build_phrase_table(dump, backward)
+        t1 = build_phrase_table(dump, [(1, 1), (1, 3), (2, 2)])
+        t2 = build_phrase_table(dump, frozenset([(2, 2), (1, 3), (1, 1)]))
         assert list(t1.items()) == list(t2.items())
 
 
@@ -201,17 +194,15 @@ class TestPooledHeadPhrases:
     def test_random_masks_match_build_phrase_table(self):
         rng = np.random.default_rng(32)
         for dump in self.dumps():
-            universe = (dump.layers, dump.heads)
-            all_heads = HeadMask.all_heads(*universe).sorted_heads()
-            cached = {head: head_phrases(dump, head) for head in reversed(all_heads)}
+            universe = all_heads(dump.layers, dump.heads)
+            cached = {head: head_phrases(dump, head) for head in reversed(universe)}
             for _ in range(8):
-                size = int(rng.integers(1, len(all_heads) + 1))
-                picks = rng.permutation(len(all_heads))[:size]
-                heads = [all_heads[i] for i in picks]
-                mask = HeadMask(frozenset(heads), universe)
+                size = int(rng.integers(1, len(universe) + 1))
+                picks = rng.permutation(len(universe))[:size]
+                heads = [universe[i] for i in picks]
                 pooled = pool_phrases({h: cached[h] for h in heads})
-                for expected in (build_phrase_table(dump, mask),
-                                 phrase_table_one_pass(dump, mask)):
+                for expected in (build_phrase_table(dump, heads),
+                                 phrase_table_one_pass(dump, heads)):
                     assert list(pooled.items()) == list(expected.items())
                 assert list(pooled) == sorted(pooled)
 

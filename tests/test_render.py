@@ -41,13 +41,13 @@ class TestRenderHead:
         assert render_head(identity_dump, 1, 1, hardened=True) == expected
 
     def test_out_of_range_lists_valid_ranges(self, identity_dump):
-        with pytest.raises(ValueError, match="layers 1..1"):
+        with pytest.raises(ValueError, match=r"^head \(3,1\) outside universe 1..1 x 1..1$"):
             render_head(identity_dump, 3, 1)
 
 
 def _tied_and_zero_rows(rng, n):
     """Rows drawn from a few levels, so maxima tie, with every third row
-    all zeros; dumps need not validate to be rendered."""
+    all zeros."""
     m = rng.integers(0, 3, size=(n, n)) / 2.0
     m[::3] = 0.0
     return m
@@ -73,8 +73,9 @@ class TestHardenedMatrix:
         for m in (_tied_and_zero_rows(rng, n), rng.dirichlet(np.ones(n), size=n)):
             expected = hardened_by_rows(m)
             assert hardened_matrix(m).tobytes() == expected.tobytes()
-            dump = AttentionDump("m", tuple(f"t{i}" for i in range(n)), m[None, None])
-            assert render_head(dump, 1, 1, hardened=True) == pgm_bytes(expected)
+        # a valid dump has no zero row, so only the simplex rows are rendered
+        dump = AttentionDump("m", tuple(f"t{i}" for i in range(n - 1)) + ("EOS",), m[None, None])
+        assert render_head(dump, 1, 1, hardened=True) == pgm_bytes(expected)
 
 
 class TestNames:

@@ -1,16 +1,24 @@
+import argparse
+
 import numpy as np
 import pytest
 
 from attnsyntax import (
     AlignmentError,
     AttentionDump,
-    HeadMask,
     extract_tree,
     random_binary_tree,
     score,
 )
+from attnsyntax.attn_io import all_heads
+from attnsyntax.cli import _head_set
 from attnsyntax.scoring import CountingPolicy
-from attnsyntax.selection import greedy_ablation, greedy_addition, layer_distribution
+from attnsyntax.selection import (
+    greedy_ablation,
+    greedy_addition,
+    heads_spec,
+    layer_distribution,
+)
 from attnsyntax.synth import baluster_matrix
 from attnsyntax import selection
 from oracles import gold_from_span_tree, greedy_by_candidates
@@ -36,9 +44,7 @@ def mixed_length_dev_set(seed, lengths, universe=(2, 3)):
                     chosen.append((a, b))
             matrices.append(baluster_matrix(n, chosen, weight=float(rng.uniform(0.5, 1.0))))
         subwords = tuple(f"w{j}" for j in range(1, n)) + ("EOS",)
-        dump = AttentionDump(f"s{i}", subwords, np.reshape(matrices, (*universe, n, n)))
-        dump.validate()
-        dumps.append(dump)
+        dumps.append(AttentionDump(f"s{i}", subwords, np.reshape(matrices, (*universe, n, n))))
         golds.append(gold_from_span_tree(tree, tokens=subwords))
     return dumps, golds
 
@@ -49,7 +55,7 @@ class TestGreedyAddition:
         trace = greedy_addition([dump], [gold])
         assert trace.steps[0].head == (1, 1)
         assert trace.steps[0].score == 1.0
-        assert trace.best_mask.heads == frozenset({(1, 1)})
+        assert trace.best_mask == frozenset({(1, 1)})
         assert trace.best_score == 1.0
         assert len(trace.steps) == 2  # layers * heads
 
@@ -64,10 +70,10 @@ class TestGreedyAddition:
     def test_final_step_equals_all_heads_eval(self, two_head_fixture):
         dump, gold = two_head_fixture
         trace = greedy_addition([dump], [gold])
-        mask = HeadMask.all_heads(dump.layers, dump.heads)
-        tree = extract_tree(dump, mask)
+        heads = all_heads(dump.layers, dump.heads)
+        tree = extract_tree(dump, heads)
         assert trace.steps[-1].score == score(tree, gold).precision
-        assert trace.steps[-1].mask_size == len(mask)
+        assert trace.steps[-1].mask_size == len(heads)
 
     def test_best_score_bounds_all_steps(self, two_head_fixture):
         dump, gold = two_head_fixture
@@ -113,7 +119,7 @@ class TestGreedyAblation:
         trace = greedy_ablation([dump], [gold])
         assert trace.steps[0].head == (1, 2)
         assert len(trace.steps) == 1  # layers * heads - 1
-        assert trace.best_mask.heads == frozenset({(1, 1)})
+        assert trace.best_mask == frozenset({(1, 1)})
 
     def test_initial_is_full_mask(self, two_head_fixture):
         dump, gold = two_head_fixture
@@ -128,7 +134,7 @@ class TestGreedyAblation:
         gold = gold_from_span_tree(lbal_tree(3), tokens=identity_dump.subwords)
         trace = greedy_ablation([identity_dump], [gold])
         assert trace.steps == ()
-        assert trace.best_mask.heads == frozenset({(1, 1)})  # falls back to full
+        assert trace.best_mask == frozenset({(1, 1)})  # falls back to full
 
     def test_deterministic_traces(self, two_head_fixture):
         dump, gold = two_head_fixture
@@ -139,9 +145,10 @@ class TestTraceMechanics:
     def test_mask_at_reconstruction(self, two_head_fixture):
         dump, gold = two_head_fixture
         trace = greedy_addition([dump], [gold])
-        assert trace.mask_at(0).heads == frozenset()
-        assert trace.mask_at(1).heads == {trace.steps[0].head}
-        assert trace.mask_at(2).heads == {(1, 1), (1, 2)}
+        assert trace.mask_at(0) == frozenset()
+        assert trace.mask_at(1) == {trace.steps[0].head}
+        assert trace.mask_at(2) == {(1, 1), (1, 2)}
+        assert all(isinstance(trace.mask_at(step), frozenset) for step in range(3))
         with pytest.raises(ValueError):
             trace.mask_at(3)
 
@@ -154,7 +161,7 @@ class TestTraceMechanics:
 
     def test_misaligned_dev_set_rejected_before_hardening(self, two_head_fixture, monkeypatch):
         dump, gold = two_head_fixture
-        short = AttentionDump("short", dump.subwords[1:], dump.matrices[:, :, 1:, 1:])
+        short = AttentionDump("short", dump.subwords[1:], np.full((1, 2, 5, 5), 0.2))
         _, short_gold = mixed_length_dev_set(0, [5])
         monkeypatch.setattr(selection, "head_phrases", pytest.fail)
         with pytest.raises(AlignmentError, match=r"sentence 'fixture' has 6 subwords "
@@ -187,40 +194,43 @@ def test_traces_match_candidate_by_candidate_search(strategy, objective, countin
 
 class TestLayerDistribution:
     def test_counting_example(self):
-        mask = HeadMask(frozenset({(1, 1), (1, 2), (6, 3)}), (6, 16))
-        dist = layer_distribution(mask)
+        dist = layer_distribution(frozenset({(1, 1), (1, 2), (6, 3)}), 6)
         assert dist[1] == pytest.approx(2 / 3)
         assert dist[6] == pytest.approx(1 / 3)
         assert all(dist[layer] == 0.0 for layer in (2, 3, 4, 5))
         assert abs(sum(dist.values()) - 1.0) <= 1e-12
 
     def test_full_mask_uniform(self):
-        dist = layer_distribution(HeadMask.all_heads(6, 16))
+        dist = layer_distribution(all_heads(6, 16), 6)
         assert all(v == pytest.approx(1 / 6) for v in dist.values())
         assert abs(sum(dist.values()) - 1.0) <= 1e-12
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            layer_distribution(HeadMask(frozenset(), (2, 2)))
+            layer_distribution(frozenset(), 2)
 
 
 class TestHeadMask:
+    """A head set in ``--heads`` syntax: parsed by the CLI, formatted next
+    to the trace, bounded by each sentence's universe."""
+
     def test_from_spec_all(self):
-        mask = HeadMask.from_spec("all", 2, 3)
-        assert len(mask) == 6
+        assert _head_set(" all ") is None  # every head of each sentence
 
     def test_from_spec_list(self):
-        mask = HeadMask.from_spec("1:1, 2:3", 2, 3)
-        assert mask.heads == {(1, 1), (2, 3)}
-        assert mask.to_spec() == "1:1,2:3"
+        heads = _head_set("2:3, 1:1,2:3")
+        assert heads == ((1, 1), (2, 3))  # sorted, duplicates dropped
+        assert heads_spec(heads, (2, 3)) == "1:1,2:3"
 
     def test_round_trip_full(self):
-        assert HeadMask.all_heads(2, 3).to_spec() == "all"
+        assert heads_spec(all_heads(2, 3), (2, 3)) == "all"
+        assert heads_spec(frozenset(all_heads(2, 3)) - {(1, 1)}, (2, 3)) == "1:2,1:3,2:1,2:2,2:3"
 
-    def test_out_of_universe(self):
-        with pytest.raises(ValueError, match="universe"):
-            HeadMask.from_spec("3:1", 2, 3)
+    def test_out_of_universe(self, two_head_fixture):
+        dump, _ = two_head_fixture
+        with pytest.raises(ValueError, match=r"^head \(3,1\) outside universe 1..1 x 1..2$"):
+            extract_tree(dump, _head_set("1:1,3:1"))
 
     def test_bad_item(self):
-        with pytest.raises(ValueError, match="layer:head"):
-            HeadMask.from_spec("11", 2, 3)
+        with pytest.raises(argparse.ArgumentTypeError, match="'11': expected layer:head"):
+            _head_set("11")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from attnsyntax import trees
 from attnsyntax import (
-    HeadMask,
     SpanTree,
     TreeParseError,
     extract_tree,
@@ -18,6 +17,7 @@ from attnsyntax import (
     random_binary_tree,
     rbal_tree,
 )
+from attnsyntax.attn_io import all_heads
 from attnsyntax.trees import cky_chart, cky_parse, parse_span_tree, tree_from_splits
 from oracles import (
     BRACKET_LINES,
@@ -458,8 +458,7 @@ class TestPlantedRecovery:
         n = int(rng.integers(2, 20))
         tree = random_binary_tree(rng, n)
         dump = planted_dump(tree)
-        mask = HeadMask.all_heads(dump.layers, dump.heads)
-        assert extract_tree(dump, mask).spans() == tree.spans()
+        assert extract_tree(dump, all_heads(dump.layers, dump.heads)).spans() == tree.spans()
 
 
 class TestRandomAttentionBaseline:
