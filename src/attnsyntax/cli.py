@@ -86,8 +86,9 @@ _positive_int = _int_at_least(1)  # counts
 def _head_set(text: str) -> tuple[Head, ...] | None:
     """argparse type for ``--heads``: None for ``all`` (every head of each
     sentence), else the sorted distinct pairs of a comma list of 1-based
-    ``layer:head`` items.  Whether a pair lies in a sentence's universe is
-    checked per sentence, since records may differ in universe."""
+    ``layer:head`` items, each number at least 1.  Whether a pair lies in a
+    sentence's universe is checked per sentence, since records may differ
+    in universe."""
     text = text.strip()
     if text == "all":
         return None
@@ -95,12 +96,14 @@ def _head_set(text: str) -> tuple[Head, ...] | None:
     for item in text.split(","):
         item = item.strip()
         try:
-            layer, head = item.split(":")
-            pairs.add((int(layer), int(head)))
+            layer, head = map(int, item.split(":"))
+            if layer < 1 or head < 1:
+                raise ValueError
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"bad head spec item {item!r}: expected layer:head"
+                f"bad head spec item {item!r}: expected layer:head, each at least 1"
             ) from None
+        pairs.add((layer, head))
     return tuple(sorted(pairs))
 
 
@@ -386,8 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="write attention heatmaps as P5 graymaps")
     p.add_argument("--dump", required=True)
     p.add_argument("--sentence", required=True, help="sentence id to render")
-    p.add_argument("--layer", type=int, default=None)
-    p.add_argument("--head", type=int, default=None)
+    p.add_argument("--layer", type=_positive_int, default=None, help="1-based")
+    p.add_argument("--head", type=_positive_int, default=None, help="1-based")
     p.add_argument("--all", action="store_true", help="render every layer x head")
     p.add_argument("--hardened", action="store_true",
                    help="render the per-row-maximum matrix instead")

@@ -96,7 +96,7 @@ def score(
         raise AlignmentError(
             f"extracted tree covers {n} subwords but the reference tree has {gold.n}"
         )
-    first_end, last_start = gold.boundaries()
+    first_end, last_start = gold.boundaries
     if counting is CountingPolicy.ALL:
         counted_extracted, counted_gold = preorder, gold.spans()
     else:  # preorder[0] is the root, the only extracted span (1, n)

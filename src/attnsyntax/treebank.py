@@ -10,8 +10,9 @@ trees they are post-processed in four steps:
 4. flatten phrases containing only one immediate subphrase or only one
    subword (applied bottom-up, to a fixpoint),
 
-all in one loop over the tree, after which the EOS token is attached as an
-additional top-level child so both sides cover the same subword positions.
+all in one loop over the tree; ``postprocess`` then attaches the EOS token
+as an additional top-level child so both sides cover the same subword
+positions.
 
 Both kinds of tree are flat tuples in postorder, children before their
 phrase: a ``RawTree`` holds words and ``(label, arity)`` phrases, a
@@ -24,8 +25,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
-from .attn_io import DEFAULT_EOS, Span, word_groups
-from .errors import AlignmentError, TreeParseError
+from .attn_io import DEFAULT_EOS, Span
+from .errors import AlignmentError, SegmentationError, TreeParseError
+
+CONTINUATION = "@@"
 
 # A labeled n-ary reference tree as read from a treebank line, one tuple in
 # postorder: each phrase's children, then the phrase as ``(label, arity)``,
@@ -115,7 +118,7 @@ class ConstituencyTree:
     every phrase with children before their phrase, and ``tokens``, its
     leaves.  The constructor does not check them.  ``boundaries`` needs
     the spans laminar, within 1..len(tokens) and in postorder, which for a
-    laminar set is ascending end, then descending start.  ``attach_eos``
+    laminar set is ascending end, then descending start.  ``postprocess``
     needs a tree of more than one token to end with its root
     (1, len(tokens)).  ``postprocess_steps`` builds trees that hold both.
     """
@@ -131,6 +134,14 @@ class ConstituencyTree:
         """1-based inclusive spans of every phrase node (leaf tokens excluded)."""
         return self._spans
 
+    # Scoring asks a reference tree for its spans and its boundaries on
+    # every evaluation, so both are computed once per instance; the caches
+    # are not dataclass fields, so equality and hashing ignore them.
+    @cached_property
+    def _spans(self) -> frozenset[Span]:
+        return frozenset(self.postorder)
+
+    @cached_property
     def boundaries(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """``(first_end, last_start)``, indexed by positions 1..n.
 
@@ -140,17 +151,6 @@ class ConstituencyTree:
         (a, b) crosses no phrase exactly when ``first_end[a] >= b`` and
         ``last_start[b] <= a``.
         """
-        return self._boundaries
-
-    # Scoring asks a reference tree for its spans and its boundaries on
-    # every evaluation, so both are computed once per instance; the caches
-    # are not dataclass fields, so equality and hashing ignore them.
-    @cached_property
-    def _spans(self) -> frozenset[Span]:
-        return frozenset(self.postorder)
-
-    @cached_property
-    def _boundaries(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         n = len(self.tokens)
         first_end, last_start = [n] * (n + 1), [0] * (n + 1)
         # the phrases are laminar, so writing every phrase after the phrases
@@ -211,27 +211,32 @@ def postprocess_steps(
     return ConstituencyTree(tuple(postorder), tuple(tokens))
 
 
-def attach_eos(tree: ConstituencyTree, eos: str = DEFAULT_EOS) -> ConstituencyTree:
-    """Add EOS as one more child of the root: the root's span (1, m), last
-    in the postorder, widens to (1, m+1), and a lone leaf becomes the
-    phrase (1, 2)."""
-    return ConstituencyTree(tree.postorder[:-1] + ((1, tree.n + 1),), tree.tokens + (eos,))
-
-
 def postprocess(
     raw: RawTree,
     segmentation: Sequence[Sequence[str]],
     eos: str = DEFAULT_EOS,
 ) -> ConstituencyTree:
-    """Steps 1-4 followed by EOS attachment."""
-    return attach_eos(postprocess_steps(raw, segmentation), eos)
+    """Steps 1-4, then EOS as one more child of the root: the root's span
+    (1, m), last in the postorder, widens to (1, m+1), and a lone leaf
+    becomes the phrase (1, 2)."""
+    tree = postprocess_steps(raw, segmentation)
+    return ConstituencyTree(tree.postorder[:-1] + ((1, tree.n + 1),), tree.tokens + (eos,))
 
 
 def gold_tree_for_dump(raw: RawTree, subwords: Sequence[str]) -> ConstituencyTree:
     """Post-process a reference tree onto a sentence's subwords.
 
-    The words are the ``@@``-continuation groups of ``subwords`` and the
-    final subword is the EOS token attached to the root.
+    A subword ending in ``@@`` continues its word into the next one, and
+    the final subword is the EOS token attached to the root; a marker on
+    the subword before EOS raises SegmentationError.
     """
-    segmentation = [subwords[a - 1 : b] for a, b in word_groups(subwords)]
+    segmentation: list[Sequence[str]] = []
+    start = 0
+    for end, token in enumerate(subwords[:-1], start=1):
+        if not token.endswith(CONTINUATION):
+            segmentation.append(subwords[start:end])
+            start = end
+    if start < len(subwords) - 1:
+        raise SegmentationError(f"continuation marker on the last token before "
+                                f"{subwords[-1]!r}: {subwords[-2]!r}")
     return postprocess(raw, segmentation, eos=subwords[-1])

@@ -22,7 +22,7 @@ from .phrases import build_phrase_table
 from .treebank import bracket_tokens
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SpanTree:
     """Strictly binary tree over 1-based inclusive subword spans.
 
@@ -30,42 +30,22 @@ class SpanTree:
     subtree, then its right subtree.  A left child (a, k) takes the next
     2(k - a + 1) - 1 entries and the right subtree the rest, so ``left``
     and ``right`` are slices.  Equality and hashing are the tuple's: the
-    children partition their parent, so the spans fix the tree.
+    children partition their parent, so the spans fix the tree.  Only
+    ``node`` checks its input: that its two children are adjacent.
     """
 
     preorder: tuple[Span, ...]
 
-    def __init__(
-        self, span: Span, left: "SpanTree | None" = None, right: "SpanTree | None" = None
-    ) -> None:
-        a, b = span
-        if (left is None) != (right is None):
-            raise ValueError("a node needs either two children or none")
-        if left is None:
-            if a != b:
-                raise ValueError(f"leaf span ({a},{b}) must be a single position")
-            preorder = ((a, b),)
-        else:
-            (c, k), (k1, d) = left.preorder[0], right.preorder[0]
-            if c != a or d != b or k + 1 != k1:
-                raise ValueError(f"children {(c, k)} + {(k1, d)} do not partition ({a},{b})")
-            preorder = ((a, b),) + left.preorder + right.preorder
-        object.__setattr__(self, "preorder", preorder)
-
-    @staticmethod
-    def _from_preorder(preorder: tuple[Span, ...]) -> "SpanTree":
-        """Wrap a preorder the caller built correctly, unchecked."""
-        tree = object.__new__(SpanTree)
-        object.__setattr__(tree, "preorder", preorder)
-        return tree
-
     @staticmethod
     def leaf(i: int) -> "SpanTree":
-        return SpanTree._from_preorder(((i, i),))
+        return SpanTree(((i, i),))
 
     @staticmethod
     def node(left: "SpanTree", right: "SpanTree") -> "SpanTree":
-        return SpanTree((left.preorder[0][0], right.preorder[0][1]), left, right)
+        (a, k), (k1, b) = left.preorder[0], right.preorder[0]
+        if k + 1 != k1:
+            raise ValueError(f"children {(a, k)} + {(k1, b)} are not adjacent")
+        return SpanTree(((a, b),) + left.preorder + right.preorder)
 
     @property
     def span(self) -> Span:
@@ -73,19 +53,16 @@ class SpanTree:
 
     @property
     def left(self) -> "SpanTree | None":
-        preorder = self.preorder
-        if len(preorder) == 1:
-            return None
-        a, k = preorder[1]
-        return SpanTree._from_preorder(preorder[1 : 2 * (k - a + 1)])
+        return None if self.is_leaf else SpanTree(self.preorder[1 : self._right_start])
 
     @property
     def right(self) -> "SpanTree | None":
-        preorder = self.preorder
-        if len(preorder) == 1:
-            return None
-        a, k = preorder[1]
-        return SpanTree._from_preorder(preorder[2 * (k - a + 1) :])
+        return None if self.is_leaf else SpanTree(self.preorder[self._right_start :])
+
+    @property
+    def _right_start(self) -> int:
+        a, k = self.preorder[1]
+        return 2 * (k - a + 1)
 
     @property
     def is_leaf(self) -> bool:
@@ -175,7 +152,7 @@ def parse_span_tree(line: str) -> tuple[SpanTree, tuple[str, ...]]:
         raise TreeParseError("unbalanced '(': end of line before ')'")
     if "-LRB-" in line or "-RRB-" in line:
         tokens = [_unescape_token(token) for token in tokens]
-    return SpanTree._from_preorder(tuple(preorder)), tuple(tokens)
+    return SpanTree(tuple(preorder)), tuple(tokens)
 
 
 def tree_from_splits(n: int, split_of: Callable[[int, int], int]) -> SpanTree:
@@ -196,7 +173,7 @@ def tree_from_splits(n: int, split_of: Callable[[int, int], int]) -> SpanTree:
         if a < b:
             k = split_of(a, b)
             todo += ((k + 1, b), (a, k))
-    return SpanTree._from_preorder(tuple(preorder))
+    return SpanTree(tuple(preorder))
 
 
 # Charts up to this length keep their whole gather plan between calls:

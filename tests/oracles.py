@@ -25,9 +25,9 @@ from attnsyntax import (
     score,
 )
 from attnsyntax.scoring import CountingPolicy
+from attnsyntax import attn_io
 from attnsyntax.attn_io import (
     AttentionDump,
-    DEFAULT_MAX_RECORD_BYTES,
     DumpParseError,
     Span,
     _dump_from_record,
@@ -295,16 +295,15 @@ def gold_from_span_tree(tree: SpanTree, tokens=None) -> ConstituencyTree:
     return gold_from_spans(tree.preorder, tree.n, tokens)
 
 
-def load_dump_json(
-    path,
-    max_record_bytes: int = DEFAULT_MAX_RECORD_BYTES,
-) -> list[AttentionDump]:
+def load_dump_json(path) -> list[AttentionDump]:
     """The text-mode ``json.loads`` loader that orjson decoding replaced.
 
     Kept as the reference for ``load_dump`` on well-formed dumps; its record
-    cap counts characters, not bytes, and it accepts NaN, Infinity, huge
-    integers and lone surrogates that ``load_dump`` rejects.
+    cap, ``attn_io.MAX_RECORD_BYTES`` read at each call, counts characters,
+    not bytes, and it accepts NaN, Infinity, huge integers and lone
+    surrogates that ``load_dump`` rejects.
     """
+    max_record_bytes = attn_io.MAX_RECORD_BYTES
     dumps: list[AttentionDump] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -618,6 +617,7 @@ class NestedConstituencyTree:
     def spans(self) -> frozenset[Span]:
         return self._walk[1]
 
+    @property
     def boundaries(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return self._walk[2], self._walk[3]
 

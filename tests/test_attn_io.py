@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -12,18 +14,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnsyntax import (
+    AlignmentError,
     AttentionDump,
     AttnSyntaxError,
     DumpParseError,
     DumpValidationError,
     SegmentationError,
+    gold_tree_for_dump,
     load_dump,
     random_attention_baseline,
     write_dump,
 )
-from attnsyntax.attn_io import dump_record, word_groups
+from attnsyntax import attn_io
+from attnsyntax.attn_io import dump_record
 from attnsyntax.cli import main
+from attnsyntax.treebank import read_bracketed
 
+from conftest import ROOT
 from oracles import dump_record_json, load_dump_json
 
 
@@ -114,38 +121,36 @@ class TestLoadDump:
         with pytest.raises(DumpValidationError, match=r"\[0, 1\]"):
             load_dump(path)
 
-    def test_record_size_cap(self, tmp_path):
+    def test_record_size_cap(self, tmp_path, monkeypatch):
         path = tmp_path / "d.jsonl"
         _write_record(path, ["a", "b", "EOS"], IDENTITY_3)
+        monkeypatch.setattr(attn_io, "MAX_RECORD_BYTES", 16)
         with pytest.raises(DumpParseError, match="exceeds"):
-            load_dump(path, max_record_bytes=16)
+            load_dump(path)
 
-    def test_record_size_cap_counts_bytes(self, tmp_path):
+    def test_record_size_cap_counts_bytes(self, tmp_path, monkeypatch):
         path = tmp_path / "d.jsonl"
         record = {"id": "s1", "subwords": ["é" * 20, "ß€", "EOS"], "attn": IDENTITY_3}
         line = json.dumps(record, ensure_ascii=False) + "\n"
         path.write_text(line, encoding="utf-8")
         size = len(line.encode("utf-8"))
         assert len(line) < size
-        assert len(load_dump_json(path, max_record_bytes=len(line))) == 1
+        monkeypatch.setattr(attn_io, "MAX_RECORD_BYTES", len(line))
+        assert len(load_dump_json(path)) == 1
         with pytest.raises(DumpParseError, match=f"line 1: record exceeds {len(line)} bytes"):
-            load_dump(path, max_record_bytes=len(line))
-        (dump,) = load_dump(path, max_record_bytes=size)
+            load_dump(path)
+        monkeypatch.setattr(attn_io, "MAX_RECORD_BYTES", size)
+        (dump,) = load_dump(path)
         assert dump.subwords[0] == "é" * 20
 
-    def test_over_long_line_is_located(self, tmp_path):
+    def test_over_long_line_is_located(self, tmp_path, monkeypatch):
         path = tmp_path / "d.jsonl"
         short = json.dumps({"id": "s1", "subwords": ["a", "b", "EOS"], "attn": IDENTITY_3})
         long = json.dumps({"id": "s2" * 5000, "subwords": ["a", "b", "EOS"], "attn": IDENTITY_3})
         path.write_text(short + "\n" + long + "\n" + short + "\n", encoding="utf-8")
+        monkeypatch.setattr(attn_io, "MAX_RECORD_BYTES", len(short) + 1)
         with pytest.raises(DumpParseError, match="line 2: record exceeds"):
-            load_dump(path, max_record_bytes=len(short) + 1)
-
-    def test_record_size_cap_must_be_positive(self, tmp_path):
-        path = tmp_path / "d.jsonl"
-        _write_record(path, ["a", "b", "EOS"], IDENTITY_3)
-        with pytest.raises(ValueError, match="max_record_bytes"):
-            load_dump(path, max_record_bytes=0)
+            load_dump(path)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -163,6 +168,19 @@ class TestLoadDump:
     def test_loaded_matrices_are_read_only(self, toy_dumps):
         with pytest.raises(ValueError):
             toy_dumps[0].matrices[0, 0, 0, 0] = 0.5
+
+    @pytest.mark.parametrize("attn", [[[[[1.0, 0.0], [1.0]]]], [[[[{}, 1.0], [0.0, 1.0]]]]],
+                             ids=["ragged", "non-numeric"])
+    def test_attn_that_is_no_array(self, tmp_path, attn):
+        path = tmp_path / "d.jsonl"
+        _write_record(path, ["a", "EOS"], attn)
+        with pytest.raises((TypeError, ValueError)) as numpy_error:
+            np.asarray(attn, dtype=np.float64)
+        with pytest.raises(DumpParseError) as err:
+            load_dump(path)
+        assert str(err.value) == (
+            f"line 1: 'attn' is not a rectangular numeric array: {numpy_error.value}"
+        )
 
 
 def _raw_record(attn: str, subwords: str = '["a","b","EOS"]') -> bytes:
@@ -195,6 +213,42 @@ class TestMalformedNumbers:
         path.write_bytes(_raw_record(IDENTITY_3_TEXT) + b"\n" + bad_line)
         with pytest.raises(DumpParseError, match=r"^line 3: "):
             load_dump(path)
+
+    def test_wide_line_is_screened_and_kept(self, tmp_path, monkeypatch):
+        # a line with more brackets than the screen's limit but shallow
+        # nesting goes through json.loads and then loads as before
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(_raw_record(IDENTITY_3_TEXT))
+        monkeypatch.setattr(attn_io, "MAX_OPENERS", 1)
+        (dump,) = load_dump(path)
+        assert np.array_equal(dump.matrix(1, 1), np.eye(3))
+
+    def test_screen_rejects_deep_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(_raw_record(IDENTITY_3_TEXT) + _raw_record("[" * 5000 + "]" * 5000))
+        monkeypatch.setattr(attn_io, "MAX_OPENERS", 100)
+        with pytest.raises(DumpParseError, match=r"^line 2: nested too deeply$"):
+            load_dump(path)
+
+    @pytest.mark.parametrize("nesting", [
+        pytest.param(_raw_record("[" * 150_000 + "]" * 150_000), id="arrays"),
+        pytest.param(_raw_record(IDENTITY_3_TEXT)[:-2]
+                     + b',"extra":' + b'{"a":' * 200_000 + b"1" + b"}" * 200_001 + b"\n",
+                     id="objects-in-an-extra-key"),
+    ])
+    def test_cli_survives_nesting_that_crashes_orjson(self, tmp_path, nesting):
+        # orjson 3.8 has no depth limit and dies with SIGSEGV on these
+        # lines, so the command runs in its own process
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(nesting)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from attnsyntax.cli import main; sys.exit(main())",
+             "extract", "--dump", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == b"error: line 1: nested too deeply\n"
 
     def test_cli_reports_line_without_traceback(self, tmp_path, bad_line, capsys):
         path = tmp_path / "d.jsonl"
@@ -288,18 +342,20 @@ class TestDecoderMatchesJsonOracle:
         "no_eos": (_raw_record(IDENTITY_3_TEXT, '["a","b","c"]').decode(), {}),
         "out_of_range": (_raw_record("[[[[1.2,-0.2,0.0],[0,1,0],[0,0,1]]]]").decode(), {}),
         "row_sum": (_raw_record("[[[[0.5,0.6,0.0],[0,1,0],[0,0,1]]]]").decode(), {}),
-        "size_cap": (_raw_record(IDENTITY_3_TEXT).decode(), {"max_record_bytes": 16}),
+        "size_cap": (_raw_record(IDENTITY_3_TEXT).decode(), {"MAX_RECORD_BYTES": 16}),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
-    def test_malformed_records_raise_same_class(self, tmp_path, case):
-        text, kwargs = self.MALFORMED[case]
+    def test_malformed_records_raise_same_class(self, tmp_path, monkeypatch, case):
+        text, constants = self.MALFORMED[case]
         path = tmp_path / "d.jsonl"
         path.write_text(text, encoding="utf-8")
+        for name, value in constants.items():
+            monkeypatch.setattr(attn_io, name, value)
         with pytest.raises(AttnSyntaxError) as ours:
-            load_dump(path, **kwargs)
+            load_dump(path)
         with pytest.raises(AttnSyntaxError) as reference:
-            load_dump_json(path, **kwargs)
+            load_dump_json(path)
         assert ours.type is reference.type
         assert str(ours.value).split(":")[0] == str(reference.value).split(":")[0]
 
@@ -583,38 +639,68 @@ class TestWriteDumpIsAtomic:
         assert list(tmp_path.iterdir()) == [fifo]
 
 
+def _aligned(subwords, n_words):
+    """A flat reference tree of ``n_words`` words aligned to ``subwords``."""
+    raw = read_bracketed("(S " + " ".join(f"w{i}" for i in range(n_words)) + ")")
+    return gold_tree_for_dump(raw, subwords)
+
+
 class TestSubwordMap:
+    """A dump's subwords form words by their trailing ``@@`` markers;
+    ``gold_tree_for_dump`` groups them when it aligns a reference tree."""
+
     def test_bpe_continuation_example(self, tmp_path):
         subwords = ["vin@@", "e-@@", "growers", "suffer", "EOS"]
-        assert word_groups(subwords) == [(1, 3), (4, 4)]
+        tree = _aligned(subwords, 2)
+        assert tree.postorder == ((1, 3), (1, 5))
+        assert tree.tokens == tuple(subwords)
 
     def test_single_word(self):
-        assert word_groups(["hello", "EOS"]) == [(1, 1)]
+        assert _aligned(["hello", "EOS"], 1).postorder == ((1, 2),)
 
     def test_marker_rule(self):
-        assert word_groups(["a@@", "b@@", "c", "d", "EOS"]) == [(1, 3), (4, 4)]
+        assert _aligned(["a@@", "b@@", "c", "d", "EOS"], 2).postorder == ((1, 3), (1, 5))
+        with pytest.raises(AlignmentError, match="3 words but the subwords form 2"):
+            _aligned(["a@@", "b@@", "c", "d", "EOS"], 3)
 
     def test_marker_before_eos_rejected(self):
-        with pytest.raises(SegmentationError):
-            word_groups(["a@@", "EOS"])
+        with pytest.raises(SegmentationError, match="before 'EOS': 'b@@'"):
+            _aligned(["a", "b@@", "EOS"], 2)
 
     def test_eos_only_sentence(self):
-        assert word_groups(["EOS"]) == []
+        with pytest.raises(AlignmentError, match="subwords form 0"):
+            _aligned(["EOS"], 1)
 
     @given(st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=8))
     def test_word_spans_partition_prefix(self, lengths):
-        subwords = []
+        subwords, words = [], []
         for w, k in enumerate(lengths):
+            words.append((len(subwords) + 1, len(subwords) + k))
             subwords.extend(f"w{w}p{i}@@" for i in range(k - 1))
             subwords.append(f"w{w}end")
         subwords.append("EOS")
-        spans = word_groups(subwords)
-        covered = [i for a, b in spans for i in range(a, b + 1)]
-        assert covered == list(range(1, len(subwords)))
-        assert len(spans) == len(lengths)
+        if not lengths:
+            with pytest.raises(AlignmentError, match="subwords form 0"):
+                _aligned(subwords, 1)
+            return
+        # each word of two or more subwords is a phrase; with one word,
+        # that phrase is the root, which EOS widens
+        phrases = [(a, b) for a, b in words if a < b]
+        if len(lengths) == 1:
+            phrases = []
+        tree = _aligned(subwords, len(lengths))
+        assert tree.postorder == (*phrases, (1, len(subwords)))
+        assert tree.tokens == tuple(subwords)
 
 
 class TestAttentionDumpType:
+    def test_owns_its_array(self):
+        m = np.eye(2)[None, None].copy()
+        dump = AttentionDump("s", ("a", "EOS"), m)
+        assert m.flags.writeable and not dump.matrices.flags.writeable
+        m[0, 0, 0] = [0.5, 0.5]
+        assert np.array_equal(dump.matrices, np.eye(2)[None, None])
+
     def test_requires_four_dims(self):
         with pytest.raises(DumpValidationError, match="dimensions"):
             AttentionDump("s", ("a", "EOS"), np.eye(2))

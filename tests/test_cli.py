@@ -122,6 +122,21 @@ class TestExtract:
         assert f"argument --heads: bad head spec item {item}: expected layer:head" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("spec, item", [
+        ("0:1", "'0:1'"), ("1:0", "'1:0'"), ("1:1, -1:2", "'-1:2'"),
+    ])
+    def test_heads_below_one_exit_before_reading_the_dump(self, spec, item, toy_dump_path,
+                                                          tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "load_dump", pytest.fail)
+        out_path = tmp_path / "trees.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--dump", str(toy_dump_path), "--heads", spec, "--keep-going",
+                  "--out", str(out_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --heads: bad head spec item {item}: expected layer:head, each at least 1" in err
+        assert not out_path.exists()
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["extract", "--dump", "/nonexistent"], capsys)
         assert code == 1
@@ -480,6 +495,18 @@ class TestRender:
             capsys,
         )
         assert code == 1
+
+    @pytest.mark.parametrize("option", ["--layer", "--head"])
+    def test_layer_and_head_count_from_one(self, option, toy_dump_path, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(cli, "load_dump", pytest.fail)
+        args = {"--layer": "1", "--head": "1", option: "0"}
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--dump", str(toy_dump_path), "--sentence", "toy-04",
+                  *(text for pair in args.items() for text in pair), "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"argument {option}: expected an integer >= 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_leaves_no_file(self, toy_dump_path, tmp_path, capsys,
                                          monkeypatch):

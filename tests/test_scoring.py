@@ -320,7 +320,7 @@ class TestScoreMatchesSpanSets:
     def test_boundaries_keep_the_innermost_phrase(self):
         # phrases (1, 6), (2, 5), (3, 4) nest; position 4 lies in all three
         gold = ConstituencyTree(((3, 4), (2, 5), (1, 6)), ("a", "b", "c", "d", "e", "f"))
-        first_end, last_start = gold.boundaries()
+        first_end, last_start = gold.boundaries
         assert first_end[1:] == (6, 6, 5, 4, 5, 6)
         assert last_start[1:] == (1, 2, 3, 2, 1, 0)
 

@@ -14,7 +14,6 @@ from attnsyntax import (
 from attnsyntax.treebank import (
     MAX_TREE_DEPTH,
     _offset,
-    attach_eos,
     bracket_tokens,
     postprocess,
     postprocess_steps,
@@ -147,8 +146,9 @@ class TestPostprocess:
             postprocess_steps(raw, [[]])
 
     def test_attach_eos_to_leaf_root(self):
-        tree = ConstituencyTree((), ("hello",))
-        assert attach_eos(tree).to_bracketed() == "(hello EOS)"
+        # a one-token tree has no phrase, so EOS makes the phrase (1, 2)
+        tree = postprocess(read_bracketed("(X hello)"), [["hello"]], eos="</s>")
+        assert tree == ConstituencyTree(((1, 2),), ("hello", "</s>"))
 
 
 def _random_raw(rng, depth=0) -> RawNode:
@@ -259,7 +259,6 @@ class TestOnePassMatchesReference:
             assert ours == reference.flat()
             assert ours.n == len(reference.leaves())
             assert ours.spans() == _spans_by_leaf_counts(reference.root)
-        assert attach_eos(got) == attach_eos_nested(expected).flat()
 
 
 def _spans_by_leaf_counts(root) -> frozenset:
@@ -302,12 +301,13 @@ class TestConstituencyTreeCache:
         spans = tree.spans()
         assert spans == frozenset({(1, 2), (3, 5), (4, 5), (1, 6)})
         assert tree.spans() is spans
+        assert tree.boundaries is tree.boundaries
         assert tree.n == 6
 
     def test_equality_and_hash_ignore_the_cache(self):
         warm = ConstituencyTree(self.POSTORDER, self.TOKENS)
         cold = ConstituencyTree(self.POSTORDER, self.TOKENS)
-        warm.spans(), warm.boundaries()
+        warm.spans(), warm.boundaries
         assert warm == cold and hash(warm) == hash(cold)
         assert repr(warm) == repr(cold)
         assert warm != ConstituencyTree(((1, 6),), self.TOKENS)
@@ -354,7 +354,7 @@ class TestPostorderMatchesNestedWalk:
                 continue
             assert tree.n == reference.n
             assert tree.spans() == reference.spans()
-            assert tree.boundaries() == reference.boundaries()
+            assert tree.boundaries == reference.boundaries
             assert tree.tokens == reference.leaves()
             assert tree.to_bracketed() == reference.to_bracketed()
             assert tree == reference.flat()
@@ -373,7 +373,7 @@ class TestDeepTrees:
         assert tree.to_bracketed() == (
             "(" * self.DEPTH + "w0 " + " ".join(f"w{i})" for i in range(1, n))
         )
-        first_end, last_start = tree.boundaries()
+        first_end, last_start = tree.boundaries
         assert first_end[2:] == tuple(range(2, n + 1))
         assert last_start[1:n] == (1,) * (n - 1)
         report = score(tree_from_splits(n, lambda a, b: b - 1), tree)

@@ -43,12 +43,10 @@ def chain_left(n):
 
 class TestSpanTree:
     def test_children_must_partition(self):
+        with pytest.raises(ValueError, match=r"\(1, 1\) \+ \(3, 3\) are not adjacent"):
+            SpanTree.node(SpanTree.leaf(1), SpanTree.leaf(3))
         with pytest.raises(ValueError):
-            SpanTree((1, 3), SpanTree.leaf(1), SpanTree.leaf(3))
-
-    def test_leaf_span_must_be_single(self):
-        with pytest.raises(ValueError):
-            SpanTree((1, 2))
+            SpanTree.node(SpanTree.leaf(2), SpanTree.leaf(1))
 
     def test_spans_collects_all_nodes(self):
         tree = SpanTree.node(SpanTree.leaf(1), SpanTree.node(SpanTree.leaf(2), SpanTree.leaf(3)))
@@ -159,7 +157,7 @@ class TestSpanTree:
         for _ in range(100):
             n = int(rng.integers(1, 30))
             tree = random_binary_tree(rng, n)
-            # every node is what the checked constructor builds from its slices
+            # every node is what the checked ``node`` builds from its slices
             todo = [tree]
             while todo:
                 node = todo.pop()
@@ -168,7 +166,7 @@ class TestSpanTree:
                     assert node == SpanTree.leaf(node.span[0])
                     continue
                 left, right = node.left, node.right
-                assert SpanTree(node.span, left, right) == node
+                assert SpanTree.node(left, right) == node
                 assert left.span[0] == node.span[0] and right.span[1] == node.span[1]
                 assert left.span[1] + 1 == right.span[0]
                 todo += (left, right)
