@@ -15,17 +15,34 @@ import json
 import logging
 import os
 import sys
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .attn_io import AttentionDump, Head, all_heads, atomic_output, load_dump
 from .errors import AlignmentError, AttnSyntaxError, TreeParseError
 from .phrases import build_phrase_table
-from .scoring import CountingPolicy, EvalReport, score
+from .scoring import CountingPolicy, EvalReport, score, score_arrays
 from .selection import greedy_ablation, greedy_addition, heads_spec, layer_distribution
 from .synth import random_attention_baseline
-from .treebank import ConstituencyTree, gold_tree_for_dump, read_bracketed
+from .treebank import (
+    MAX_TREE_DEPTH,
+    ConstituencyTree,
+    bracket_arrays,
+    first_false,
+    gold_tree_for_dump,
+    read_bracketed,
+    reference_arrays,
+    well_formed_lines,
+)
 from .render import image_name, render_head, sidecar_text
-from .trees import cky_parse, extract_tree, lbal_tree, parse_span_tree, rbal_tree
+from .trees import (
+    cky_parse,
+    extract_tree,
+    lbal_tree,
+    parse_span_tree,
+    rbal_tree,
+    span_tree_arrays,
+)
 
 log = logging.getLogger(__name__)
 
@@ -125,11 +142,11 @@ def _write_output(path: str | None, data: str | bytes) -> None:
         fh.write(data)
 
 
-def _read_lines(path: str) -> list[str]:
+def _open_lines(path: str) -> TextIO:
     """Lines end at LF only, as in a dump: a U+2028, form feed or CR inside
-    a line is whitespace to the tree readers, not a line break."""
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        return [line.removesuffix("\n") for line in fh]
+    a line is whitespace to the tree readers, not a line break.  Each line
+    keeps its LF."""
+    return open(path, encoding="utf-8", newline="\n")
 
 
 # --- extract ---------------------------------------------------------------
@@ -223,21 +240,116 @@ def _eval_text(total: EvalReport, n_sentences: int,
     return "\n".join(lines) + "\n"
 
 
+# ``eval`` scores its lines in chunks of about this many characters of the
+# two files together.  The pass's largest temporaries, a few int64 arrays
+# over the chunk's tokens, then stay near _MMAP_THRESHOLD_BYTES, so they
+# are mapped and handed back at each chunk, and memory is bounded by the
+# chunk and the longest line, not by the files.
+_CHUNK_CHARS = 32 * 1024
+
+
+def _line_pairs(extracted_path: str, gold_path: str) -> Iterator[tuple[str, str]]:
+    """The two files' lines in pairs, each file read once, LF kept.
+
+    Errors come in the order of reading the extracted file whole, then the
+    reference file, then comparing their lengths: the extracted file's
+    errors at once, the reference file's once the extracted file is read,
+    then an AlignmentError if the files' line counts differ.
+    """
+
+    def lines_then_error(path: str) -> Iterator[str | Exception]:
+        try:
+            with _open_lines(path) as fh:
+                yield from fh
+        except (OSError, ValueError) as exc:
+            yield exc
+
+    gold = lines_then_error(gold_path)
+    gold_error: Exception | None = None
+    extracted_count = gold_count = 0
+    with _open_lines(extracted_path) as extracted:
+        for extracted_line in extracted:
+            extracted_count += 1
+            if gold_error is None and gold_count == extracted_count - 1:
+                gold_line = next(gold, None)
+                if isinstance(gold_line, str):
+                    gold_count += 1
+                    yield extracted_line, gold_line
+                elif gold_line is not None:
+                    gold_error = gold_line
+    for gold_line in gold if gold_error is None else ():
+        if isinstance(gold_line, Exception):
+            gold_error = gold_line
+        else:
+            gold_count += 1
+    if gold_error is not None:
+        raise gold_error
+    if extracted_count != gold_count:
+        raise AlignmentError(
+            f"{extracted_path} has {extracted_count} lines but {gold_path} has {gold_count}"
+        )
+
+
+def _chunks(pairs: Iterator[tuple[str, str]]) -> Iterator[list[tuple[str, str]]]:
+    """The pairs in runs, each ended by the pair that brings it to
+    _CHUNK_CHARS characters or more."""
+    chunk: list[tuple[str, str]] = []
+    size = 0
+    for pair in pairs:
+        chunk.append(pair)
+        size += len(pair[0]) + len(pair[1])
+        if size >= _CHUNK_CHARS:
+            yield chunk
+            chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
+def _score_chunk(pairs: list[tuple[str, str]],
+                 counting: CountingPolicy) -> list[EvalReport] | int:
+    """The reports of a chunk of (extracted, reference) line pairs, or the
+    index of the first pair that the per-line readers reject.
+
+    Each check runs on the lines before the first one that an earlier
+    check rejects, so the first rejected line is the first that any check
+    rejects.
+    """
+    extracted = bracket_arrays([line for line, _ in pairs])
+    reference = bracket_arrays([line for _, line in pairs])
+    shaped = min(well_formed_lines(extracted), well_formed_lines(reference, MAX_TREE_DEPTH))
+    extracted = extracted.head(shaped)
+    trees = span_tree_arrays(extracted)
+    binary = first_false(trees.ok)
+    gold = reference_arrays(reference.head(binary), trees.n[:binary],
+                            extracted.continues[: trees.n[:binary].sum()])
+    bad = first_false(gold.ok)
+    return bad if bad < len(pairs) else score_arrays(trees, gold, counting)
+
+
 def evaluate_files(
     extracted_path: str, gold_path: str, counting: CountingPolicy = CountingPolicy.NONTRIVIAL
 ) -> tuple[EvalReport, list[EvalReport]]:
-    """Score an extracted-trees file against a reference-trees file."""
-    extracted_lines = _read_lines(extracted_path)
-    gold_lines = _read_lines(gold_path)
-    if len(extracted_lines) != len(gold_lines):
-        raise AlignmentError(
-            f"{extracted_path} has {len(extracted_lines)} lines but "
-            f"{gold_path} has {len(gold_lines)}"
-        )
-    reports = [
-        _score_line(index, extracted, gold, counting)
-        for index, (extracted, gold) in enumerate(zip(extracted_lines, gold_lines), start=1)
-    ]
+    """Score an extracted-trees file against a reference-trees file.
+
+    Lines are read and scored in chunks by array passes.  The first line
+    they reject goes through the per-line readers, which raise its
+    located error once both files are read.
+    """
+    reports: list[EvalReport] = []
+    rejected: tuple[int, str, str] | None = None  # (index, extracted line, reference line)
+    for chunk in _chunks(_line_pairs(extracted_path, gold_path)):
+        if rejected is None:  # later chunks are only read, for errors that come first
+            scored = _score_chunk(chunk, counting)
+            if isinstance(scored, int):
+                rejected = (len(reports) + scored + 1, *chunk[scored])
+            else:
+                reports += scored
+    if rejected is not None:
+        index, extracted_line, gold_line = rejected
+        _score_line(index, extracted_line.removesuffix("\n"), gold_line.removesuffix("\n"),
+                    counting)
+        raise AssertionError(f"sentence {index}: the per-line readers accept a line "
+                             f"that the array checks reject")
     return EvalReport.aggregate(reports), reports
 
 
@@ -280,13 +392,16 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 def _cmd_select_heads(args: argparse.Namespace) -> int:
     counting = CountingPolicy(args.counting)
     dumps = load_dump(args.dump)[: args.dev_size]
-    gold_lines = _read_lines(args.gold)
+    # only the dev lines are read, each decoded alone, so a byte past them
+    # is never decoded, whichever read buffer it falls in
+    with open(args.gold, "rb") as fh:
+        gold_lines = [line.decode("utf-8") for line in islice(fh, len(dumps))]
     if len(gold_lines) < len(dumps):
         raise AlignmentError(
             f"{args.gold} has {len(gold_lines)} lines, need at least {len(dumps)}"
         )
     golds = [
-        _reference_tree(index, line, dump.subwords)
+        _reference_tree(index, line.removesuffix("\n"), dump.subwords)
         for index, (dump, line) in enumerate(zip(dumps, gold_lines), start=1)
     ]
     search = greedy_addition if args.strategy == "add" else greedy_ablation

@@ -13,6 +13,7 @@ span crosses a child of the smallest node around it.  Precision: an
 extracted span (a, b) crosses no reference span exactly when
 ``first_end[a] >= b and last_start[b] <= a``, two arrays a reference tree
 computes once however often it is scored (``ConstituencyTree.boundaries``).
+``score_arrays`` applies the same two rules to many lines at once.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .errors import AlignmentError
-from .treebank import ConstituencyTree
-from .trees import SpanTree
+from .treebank import ConstituencyTree, ReferenceArrays, repeated_keys, span_keys
+from .trees import SpanTree, SpanTreeArrays
 
 
 class CountingPolicy(enum.Enum):
@@ -111,3 +114,33 @@ def score(
         gold_phrases_total=len(counted_gold),
         gold_consistent=sum(span in extracted_spans for span in counted_gold),
     )
+
+
+def score_arrays(
+    extracted: SpanTreeArrays,
+    gold: ReferenceArrays,
+    counting: CountingPolicy = CountingPolicy.NONTRIVIAL,
+) -> list[EvalReport]:
+    """``score`` of each line's extracted tree against its reference tree,
+    both as arrays over the lines, by the same two O(1) rules: recall by
+    looking each reference span up among the extracted nodes, precision
+    by the reference trees' boundary arrays."""
+    n_lines = len(extracted.n)
+    n = extracted.n
+    line, a, b = extracted.line[n_lines:], extracted.a[n_lines:], extracted.b[n_lines:]
+    slot = (np.cumsum(n) - n + np.arange(n_lines))[line]  # where each line's boundaries begin
+    consistent = (gold.first_end[slot + a] >= b) & (gold.last_start[slot + b] <= a)
+    # the nodes of a tree are distinct and so are the spans of a
+    # reference tree, so a span that occurs twice is in both
+    keys = np.concatenate((extracted.keys, span_keys(gold.line, gold.starts, gold.ends, n)))
+    counts = [
+        n - 2,
+        np.bincount(line[consistent], minlength=n_lines),
+        np.bincount(gold.line, minlength=n_lines),
+        repeated_keys(keys, n),
+    ]
+    if counting is CountingPolicy.ALL:
+        # every leaf and the root are consistent both ways, and so is the
+        # reference root (1, n)
+        counts = [2 * n - 1, counts[1] + n + 1, counts[2] + 1, counts[3] + 1]
+    return list(map(EvalReport, *(c.tolist() for c in counts)))

@@ -1,4 +1,5 @@
-"""Binary span trees: CKY extraction, balanced baselines, bracketed I/O.
+"""Binary span trees: CKY extraction, balanced baselines, bracketed I/O,
+and ``span_tree_arrays``, the array pass that reads many extracted lines.
 
 The chart recursion scores a span (a, b) as the best split k of
 
@@ -12,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .attn_io import AttentionDump, Head, Span
 from .errors import TreeParseError
 from .phrases import build_phrase_table
-from .treebank import bracket_tokens
+from .treebank import BracketArrays, bracket_tokens, pair_parens, repeated_keys, span_keys
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,51 @@ def parse_span_tree(line: str) -> tuple[SpanTree, tuple[str, ...]]:
     if "-LRB-" in line or "-RRB-" in line:
         tokens = [_unescape_token(token) for token in tokens]
     return SpanTree(tuple(preorder)), tuple(tokens)
+
+
+class SpanTreeArrays(NamedTuple):
+    """The strictly binary trees of a run of extracted lines.
+
+    ``ok`` holds for each line whether ``parse_span_tree`` reads it; the
+    nodes mean something only where it holds.  The nodes are every tree's
+    internal nodes, roots first, one per line in line order, as (line, a,
+    b) with a and b counted from 1 in the line.
+    """
+
+    ok: np.ndarray
+    n: np.ndarray  # per line: its leaves
+    line: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    keys: np.ndarray  # the nodes' ``span_keys``
+
+
+def span_tree_arrays(tokens: BracketArrays) -> SpanTreeArrays:
+    """Read well-formed extracted lines: each phrase's leaves, and whether
+    every phrase has exactly two children.
+
+    A tree of n leaves is strictly binary exactly when it has n - 1
+    phrases, each of two or more leaves, no two over the same leaves.  A
+    phrase of one child spans what its child spans, so then every phrase
+    has two or more children, and n - 1 phrases over n leaves leave none
+    with more than two.
+    """
+    n_lines = len(tokens.first) - 1
+    atoms_upto = np.cumsum(tokens.kind == 0)
+    n = np.diff(np.concatenate(([0], atoms_upto))[tokens.first])
+    offsets = np.cumsum(n) - n
+    parens, _ = pair_parens(tokens)
+    opens, closes = parens[0::2], parens[1::2]
+    line = tokens.line_of(opens)
+    a = atoms_upto[opens] - offsets[line] + 1
+    b = atoms_upto[closes] - offsets[line]
+    keys = span_keys(line, a, b, n)
+    ok = np.bincount(line, minlength=n_lines) == n - 1
+    ok &= np.bincount(line[b <= a], minlength=n_lines) == 0
+    # a phrase with no leaves may have a = n + 1, which a key has no room
+    # for, but its line is rejected already
+    ok &= repeated_keys(keys[a < b], n) == 0
+    return SpanTreeArrays(ok, n, line, a, b, keys)
 
 
 def tree_from_splits(n: int, split_of: Callable[[int, int], int]) -> SpanTree:

@@ -26,6 +26,7 @@ from attnsyntax import (
 )
 from attnsyntax.scoring import CountingPolicy
 from attnsyntax import attn_io
+from attnsyntax.cli import _score_line
 from attnsyntax.attn_io import (
     AttentionDump,
     DumpParseError,
@@ -697,3 +698,27 @@ def postprocess_walk(
     """``postprocess_steps_walk``, then EOS as one more child of the root."""
     return attach_eos_nested(postprocess_steps_walk(raw, segmentation), eos)
 
+
+
+def evaluate_files_per_line(
+    extracted_path, gold_path, counting: CountingPolicy = CountingPolicy.NONTRIVIAL
+) -> tuple[EvalReport, list[EvalReport]]:
+    """The per-line loop that ``cli.evaluate_files``' array passes
+    replaced, kept as their reference: read both files whole, compare
+    their line counts, then read and score each pair of lines with the
+    per-line readers."""
+    lines = []
+    for path in (extracted_path, gold_path):
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            lines.append([line.removesuffix("\n") for line in fh])
+    extracted_lines, gold_lines = lines
+    if len(extracted_lines) != len(gold_lines):
+        raise AlignmentError(
+            f"{extracted_path} has {len(extracted_lines)} lines but "
+            f"{gold_path} has {len(gold_lines)}"
+        )
+    reports = [
+        _score_line(index, extracted, gold, counting)
+        for index, (extracted, gold) in enumerate(zip(extracted_lines, gold_lines), start=1)
+    ]
+    return EvalReport.aggregate(reports), reports
