@@ -42,6 +42,10 @@ MAX_RECORD_BYTES = 64 * 1024 * 1024
 # stops at the recursion limit.  A record of L x H heads of N x N weights
 # holds 1 + L + LH + LHN: 9373 for BERT-base at N = 64.
 MAX_OPENERS = 50_000
+# dump files are read in blocks of this many bytes
+READ_BLOCK_BYTES = 256 * 1024
+# the bytes that bytes.isspace() accepts
+_WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
 @dataclass(frozen=True)
@@ -158,37 +162,81 @@ def _dump_from_record(record: object, lineno: int) -> AttentionDump:
         raise DumpParseError(f"line {lineno}: 'attn' is not a rectangular numeric array: {exc}") from exc
 
 
-def load_dump(path) -> list[AttentionDump]:
-    """Read a dump file, returning fully validated dumps in file order.
+def _lines(fh: BinaryIO) -> Iterator[tuple[int, memoryview]]:
+    """Each line of ``fh`` with its 1-based number, newline included.
 
-    Each line is decoded from its bytes by orjson, which also rejects
-    invalid UTF-8, lone surrogates, ``NaN``/``Infinity`` and numbers that
-    overflow a double; those, any line longer than ``MAX_RECORD_BYTES``
-    bytes (newline included) and a line nested deeper than ``json.loads``
-    reaches (see ``MAX_OPENERS``) raise DumpParseError naming the line.
-    An over-long line is rejected after reading only ``MAX_RECORD_BYTES +
-    1`` bytes of it.
+    Lines end at newline bytes.  The file is read in blocks of
+    ``READ_BLOCK_BYTES`` into one buffer kept for the whole file, and each
+    line is a view of that buffer, released when the next line is asked
+    for; the caller must drop any buffer made from it by then.  The buffer
+    grows to the longest line plus one block (a growing ``bytearray`` may
+    reserve up to 1/8 more).  A line longer than ``MAX_RECORD_BYTES``
+    raises DumpParseError after only ``MAX_RECORD_BYTES + 1`` of its bytes
+    are read.
+    """
+    buf = bytearray(READ_BLOCK_BYTES)
+    start = end = 0  # buf[start:end] is read and not yet handed out
+    scan = 0  # buf[start:scan] holds no newline
+    lineno = 0
+    while True:
+        newline = buf.find(b"\n", scan, end)
+        if newline < 0 and end - start <= MAX_RECORD_BYTES:
+            want = min(READ_BLOCK_BYTES, MAX_RECORD_BYTES + 1 - (end - start))
+            if end + want > len(buf) and start:
+                with memoryview(buf) as view:
+                    view[: end - start] = view[start:end]
+                start, end = 0, end - start
+            if end + want > len(buf):
+                buf.extend(bytes(end + want - len(buf)))
+            with memoryview(buf) as view:
+                got = fh.readinto(view[end : end + want])
+            if got:
+                scan, end = end, end + got
+                continue
+            if start == end:
+                return
+        stop = end if newline < 0 else newline + 1  # the file's last line may have no LF
+        if stop - start > MAX_RECORD_BYTES:
+            raise DumpParseError(f"line {lineno + 1}: record exceeds {MAX_RECORD_BYTES} bytes")
+        lineno += 1
+        with memoryview(buf)[start:stop] as line:
+            yield lineno, line
+        start = scan = stop
+
+
+def _openers(line: memoryview) -> int:
+    """The count of "[" plus "{" in ``line``; the numpy view of it is
+    gone on return, so the read buffer behind it may grow again."""
+    # "[" | 0x20 is "{" and no other byte gives either.  Slices of 64 KiB
+    # keep temporaries under the CLI's mmap threshold, unfaulted: 4x faster.
+    view = np.frombuffer(line, np.uint8)
+    return sum(np.count_nonzero((view[i : i + 65536] | 0x20) == 0x7B)
+               for i in range(0, len(view), 65536))
+
+
+def load_dump(path, limit: int | None = None) -> list[AttentionDump]:
+    """Read a dump file, returning fully validated dumps in file order;
+    with ``limit``, only the first ``limit`` records, and no line after
+    theirs is decoded or checked.
+
+    Each line is decoded by orjson from a view of the read buffer (see
+    ``_lines``), so no more than one record's text and lists are alive
+    at once.  orjson also rejects invalid UTF-8, lone surrogates,
+    ``NaN``/``Infinity`` and numbers that overflow a double; those, any
+    line longer than ``MAX_RECORD_BYTES`` bytes (newline included) and a
+    line nested deeper than ``json.loads`` reaches (see ``MAX_OPENERS``)
+    raise DumpParseError naming the line.  Blank lines are skipped.
     """
     dumps: list[AttentionDump] = []
-    lineno = 0
-    with open(path, "rb") as fh:
-        # Each line and its decoded record are dropped before the next read,
-        # so no more than one record's text and lists are alive at once.
-        while line := fh.readline(MAX_RECORD_BYTES + 1):
-            lineno += 1
-            if len(line) > MAX_RECORD_BYTES:
-                raise DumpParseError(
-                    f"line {lineno}: record exceeds {MAX_RECORD_BYTES} bytes"
-                )
-            if line.isspace():
+    if limit is not None and limit < 1:
+        return dumps
+    with open(path, "rb", buffering=0) as fh:
+        for lineno, line in _lines(fh):
+            if line[0] in _WHITESPACE and bytes(line).isspace():
                 continue
-            # "[" | 0x20 is "{" and no other byte gives either.  Slices of 64 KiB
-            # keep temporaries under the CLI's mmap threshold, unfaulted: 4x faster.
-            view = np.frombuffer(line, np.uint8)
-            if sum(np.count_nonzero((view[i : i + 65536] | 0x20) == 0x7B)
-                   for i in range(0, len(view), 65536)) > MAX_OPENERS:
+            if _openers(line) > MAX_OPENERS:
                 try:
-                    json.loads(line)
+                    json.loads(bytes(line))
                 except RecursionError:
                     raise DumpParseError(f"line {lineno}: nested too deeply") from None
                 except ValueError:
@@ -197,9 +245,10 @@ def load_dump(path) -> list[AttentionDump]:
                 record = orjson.loads(line)
             except orjson.JSONDecodeError as exc:
                 raise DumpParseError(f"line {lineno}: {exc}") from exc
-            del line, view
             dumps.append(_dump_from_record(record, lineno))
             del record
+            if len(dumps) == limit:
+                break
     return dumps
 
 

@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 from itertools import islice
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence
 
 from .attn_io import AttentionDump, Head, all_heads, atomic_output, load_dump
 from .errors import AlignmentError, AttnSyntaxError, TreeParseError
@@ -142,11 +142,22 @@ def _write_output(path: str | None, data: str | bytes) -> None:
         fh.write(data)
 
 
-def _open_lines(path: str) -> TextIO:
-    """Lines end at LF only, as in a dump: a U+2028, form feed or CR inside
-    a line is whitespace to the tree readers, not a line break.  Each line
-    keeps its LF."""
-    return open(path, encoding="utf-8", newline="\n")
+def _text_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 file, each with its LF, read front to back.
+
+    Lines end at LF only, as in a dump: a U+2028, form feed or CR inside a
+    line is whitespace to the tree readers, not a line break.  Each line
+    is decoded alone, so a line that is no UTF-8 raises TreeParseError
+    naming the file and the line, and a byte past the lines read is never
+    decoded.
+    """
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TreeParseError(f"{path}: line {lineno}: {exc}") from None
+            yield text
 
 
 # --- extract ---------------------------------------------------------------
@@ -259,24 +270,22 @@ def _line_pairs(extracted_path: str, gold_path: str) -> Iterator[tuple[str, str]
 
     def lines_then_error(path: str) -> Iterator[str | Exception]:
         try:
-            with _open_lines(path) as fh:
-                yield from fh
-        except (OSError, ValueError) as exc:
+            yield from _text_lines(path)
+        except (OSError, ValueError, TreeParseError) as exc:
             yield exc
 
     gold = lines_then_error(gold_path)
     gold_error: Exception | None = None
     extracted_count = gold_count = 0
-    with _open_lines(extracted_path) as extracted:
-        for extracted_line in extracted:
-            extracted_count += 1
-            if gold_error is None and gold_count == extracted_count - 1:
-                gold_line = next(gold, None)
-                if isinstance(gold_line, str):
-                    gold_count += 1
-                    yield extracted_line, gold_line
-                elif gold_line is not None:
-                    gold_error = gold_line
+    for extracted_line in _text_lines(extracted_path):
+        extracted_count += 1
+        if gold_error is None and gold_count == extracted_count - 1:
+            gold_line = next(gold, None)
+            if isinstance(gold_line, str):
+                gold_count += 1
+                yield extracted_line, gold_line
+            elif gold_line is not None:
+                gold_error = gold_line
     for gold_line in gold if gold_error is None else ():
         if isinstance(gold_line, Exception):
             gold_error = gold_line
@@ -391,11 +400,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_select_heads(args: argparse.Namespace) -> int:
     counting = CountingPolicy(args.counting)
-    dumps = load_dump(args.dump)[: args.dev_size]
-    # only the dev lines are read, each decoded alone, so a byte past them
-    # is never decoded, whichever read buffer it falls in
-    with open(args.gold, "rb") as fh:
-        gold_lines = [line.decode("utf-8") for line in islice(fh, len(dumps))]
+    dumps = load_dump(args.dump, limit=args.dev_size)
+    gold_lines = list(islice(_text_lines(args.gold), len(dumps)))
     if len(gold_lines) < len(dumps):
         raise AlignmentError(
             f"{args.gold} has {len(gold_lines)} lines, need at least {len(dumps)}"

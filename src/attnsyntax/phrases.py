@@ -45,6 +45,7 @@ def find_balusters(hardened: tuple[np.ndarray, np.ndarray], head: Head) -> list[
     """Maximal same-column runs of length >= 2 of ``harden``'s result, in
     row order."""
     cols, weight = hardened
+    cols = cols.tolist()  # Python ints compare faster than numpy scalars
     n = len(cols)
     out: list[Baluster] = []
     start = 0
@@ -56,8 +57,9 @@ def find_balusters(hardened: tuple[np.ndarray, np.ndarray], head: Head) -> list[
                 Baluster(
                     head=head,
                     span=(start + 1, i),
-                    target_col=int(cols[start]),
-                    mean_weight=float(weight[start:i].mean()),
+                    target_col=cols[start],
+                    # the one sum and division that weight[start:i].mean() makes
+                    mean_weight=float(np.add.reduce(weight[start:i])) / (i - start),
                 )
             )
         start = i

@@ -34,6 +34,7 @@ from attnsyntax.attn_io import (
     _dump_from_record,
 )
 from attnsyntax.phrases import (
+    Baluster,
     equalize,
     find_balusters,
     harden,
@@ -103,6 +104,30 @@ def phrase_table_one_pass(dump, heads) -> PhraseWeights:
                 raw[baluster.span] = raw.get(baluster.span, 0.0) + baluster.mean_weight
     equalized = equalize(raw)
     return {span: (raw[span], equalized[span]) for span in sorted(raw)}
+
+
+def find_balusters_by_rows(hardened: tuple[np.ndarray, np.ndarray], head) -> list[Baluster]:
+    """The row loop over numpy scalars that ``find_balusters``' scan over
+    a list of ints replaced, kept as its reference: each maximal run of
+    two or more rows with one argmax column, weighted by its mean."""
+    cols, weight = hardened
+    n = len(cols)
+    out: list[Baluster] = []
+    start = 0
+    for i in range(1, n + 1):
+        if i < n and cols[i] == cols[start]:
+            continue
+        if i - start >= 2:
+            out.append(
+                Baluster(
+                    head=head,
+                    span=(start + 1, i),
+                    target_col=int(cols[start]),
+                    mean_weight=float(weight[start:i].mean()),
+                )
+            )
+        start = i
+    return out
 
 
 def hardened_by_rows(matrix) -> np.ndarray:
@@ -704,13 +729,24 @@ def evaluate_files_per_line(
     extracted_path, gold_path, counting: CountingPolicy = CountingPolicy.NONTRIVIAL
 ) -> tuple[EvalReport, list[EvalReport]]:
     """The per-line loop that ``cli.evaluate_files``' array passes
-    replaced, kept as their reference: read both files whole, compare
-    their line counts, then read and score each pair of lines with the
-    per-line readers."""
+    replaced, kept as their reference: read both files whole, each line
+    decoded alone (a line that is no UTF-8 is named by file and line),
+    compare their line counts, then read and score each pair of lines
+    with the per-line readers."""
     lines = []
     for path in (extracted_path, gold_path):
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            lines.append([line.removesuffix("\n") for line in fh])
+        with open(path, "rb") as fh:
+            data = fh.read()
+        *ended, last = data.split(b"\n")
+        texts = []
+        for lineno, line in enumerate([line + b"\n" for line in ended] + [last], start=1):
+            try:
+                texts.append(line.decode("utf-8").removesuffix("\n"))
+            except UnicodeDecodeError as exc:
+                raise TreeParseError(f"{path}: line {lineno}: {exc}") from None
+        if not last:  # nothing after the final LF, or an empty file
+            texts.pop()
+        lines.append(texts)
     extracted_lines, gold_lines = lines
     if len(extracted_lines) != len(gold_lines):
         raise AlignmentError(

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import stat
@@ -5,7 +6,9 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -358,6 +361,116 @@ class TestDecoderMatchesJsonOracle:
             load_dump_json(path)
         assert ours.type is reference.type
         assert str(ours.value).split(":")[0] == str(reference.value).split(":")[0]
+
+
+def _read_all_lines(fh) -> list[tuple[int, bytes]]:
+    return [(lineno, bytes(line)) for lineno, line in attn_io._lines(fh)]
+
+
+class TestLineReader:
+    """load_dump reads blocks into one reused buffer and decodes views of it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("record"), st.integers(0, 2**32 - 1), st.integers(1, 6),
+                          st.integers(1, 2), st.integers(1, 2), st.text(" \t", max_size=3)),
+                st.tuples(st.just("blank"), st.text(" \t\x0b\x0c", max_size=4)),
+            ),
+            max_size=8,
+        ),
+        st.booleans(),
+        st.integers(1, 64),
+    )
+    def test_matches_json_oracle_across_blocks(self, lines, final_newline, block):
+        """Blank and whitespace-only lines, records padded with spaces, and
+        a block size that puts most records across several blocks."""
+        parts = []
+        for kind, *spec in lines:
+            if kind == "blank":
+                parts.append(spec[0].encode())
+                continue
+            seed, n, layers, heads, padding = spec
+            dump = random_attention_baseline(
+                seed, n, layers, heads, sentence_id=f"s{seed}",
+                subwords=[f"w{i}" for i in range(n - 1)] + ["EOS"])
+            parts.append(padding.encode() + dump_record(dump) + padding[::-1].encode())
+        data = b"\n".join(parts) + (b"\n" if final_newline and parts else b"")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            path.write_bytes(data)
+            with mock.patch.object(attn_io, "READ_BLOCK_BYTES", block):
+                ours = load_dump(path)
+                with open(path, "rb", buffering=0) as fh:
+                    read = _read_all_lines(fh)
+            reference = load_dump_json(path)
+        _assert_same_dumps(ours, reference)
+        *ended, last = data.split(b"\n")
+        expected = [line + b"\n" for line in ended] + ([last] if last else [])
+        assert read == list(enumerate(expected, start=1))
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 4096])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_line_of_exactly_the_cap_loads(self, tmp_path, monkeypatch, block, final_newline):
+        record = _raw_record(IDENTITY_3_TEXT).rstrip(b"\n") + b"   "
+        line = record + (b"\n" if final_newline else b"")
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(_raw_record(IDENTITY_3_TEXT) + line)
+        monkeypatch.setattr(attn_io, "READ_BLOCK_BYTES", block)
+        monkeypatch.setattr(attn_io, "MAX_RECORD_BYTES", len(line))
+        assert len(load_dump(path)) == 2
+        monkeypatch.setattr(attn_io, "MAX_RECORD_BYTES", len(line) - 1)
+        with pytest.raises(DumpParseError, match=f"^line 2: record exceeds {len(line) - 1} bytes$"):
+            load_dump(path)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 4096])
+    @pytest.mark.parametrize("excess", [1, 5000])
+    def test_over_long_line_is_rejected_after_cap_plus_one_bytes(self, monkeypatch, block,
+                                                                 excess):
+        cap = 100
+        first = b"{}\n"
+        data = first + b"x" * (cap - 1 + excess) + b"\n" + b"{}\n" * 1000
+        monkeypatch.setattr(attn_io, "READ_BLOCK_BYTES", block)
+        monkeypatch.setattr(attn_io, "MAX_RECORD_BYTES", cap)
+        fh = io.BytesIO(data)
+        with pytest.raises(DumpParseError, match=f"^line 2: record exceeds {cap} bytes$"):
+            _read_all_lines(fh)
+        # no more than cap + 1 bytes of line 2 were read
+        assert fh.tell() <= len(first) + cap + 1
+
+    def test_fifo_dump_loads(self, tmp_path):
+        dumps = [random_attention_baseline(seed, 5, 2, 2, sentence_id=f"s{seed}",
+                                           subwords=["a", "b", "c", "d", "EOS"])
+                 for seed in range(3)]
+        data = b"".join(dump_record(dump) + b"\n" for dump in dumps)
+        fifo = tmp_path / "d.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        loaded = load_dump(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        _assert_same_dumps(loaded, dumps)
+
+    def test_buffer_holds_the_longest_line_plus_one_block(self, monkeypatch):
+        block = 1024
+        monkeypatch.setattr(attn_io, "READ_BLOCK_BYTES", block)
+        lengths = [300, 40_000, 7, 120_000, 5_000, 119_999, 1]
+        data = b"".join(b"x" * (length - 1) + b"\n" for length in lengths)
+        fh = io.BytesIO(data)
+        tracemalloc.start()
+        try:
+            held = 0
+            for _, line in attn_io._lines(fh):
+                held = max(held, tracemalloc.get_traced_memory()[0])
+                assert len(line) in lengths
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a growing bytearray reserves up to 1/8 more; 4 KiB for the
+        # reader's own objects
+        assert held <= peak <= (max(lengths) + block) * 9 // 8 + 4096
 
 
 def _square_dump(values, sentence_id="s1"):

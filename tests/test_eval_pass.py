@@ -1,7 +1,7 @@
 """The array passes that ``eval`` reads its lines with, against the
 per-line readers they replaced (``tests/oracles.py::evaluate_files_per_line``):
 the same reports, the same first rejected line and the same error,
-whatever the chunking.  Also how much of its reference file
+whatever the chunking.  Also how much of its reference file and its dump
 ``select-heads`` reads."""
 
 import contextlib
@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from attnsyntax import (AlignmentError, AttnSyntaxError, SpanTree, gold_tree_for_dump,
-                        read_bracketed)
+from attnsyntax import (AlignmentError, AttnSyntaxError, SpanTree, TreeParseError,
+                        gold_tree_for_dump, read_bracketed)
 from attnsyntax import cli, treebank
 from attnsyntax.cli import evaluate_files, main
 from attnsyntax.scoring import CountingPolicy
@@ -40,6 +40,8 @@ SPACES = [" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u20
 # subword pieces: parens (written escaped), '@' that is no marker, non-ASCII
 PIECES = ["a", "bc", "(", ")x", "@", "x@y", "é", "語", "-LRB-"]
 WORDS = ["w", "-LRB-", "-RRB-", "v@@", "ü"]
+# how a line that starts with the byte 0xff fails to decode
+DECODE_FF = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 
 def _subword_tree(word_tree: SpanTree, word_spans, n: int) -> SpanTree:
@@ -302,15 +304,44 @@ class TestErrorOrder:
         (tmp_path / "e.txt").write_bytes(extracted)
         (tmp_path / "g.txt").write_bytes(gold)
         with mock.patch.object(cli, "_CHUNK_CHARS", 1):
-            assert _outcome(evaluate_files, tmp_path / "e.txt", tmp_path / "g.txt") == \
-                _outcome(evaluate_files_per_line, tmp_path / "e.txt", tmp_path / "g.txt")
+            got = _outcome(evaluate_files, tmp_path / "e.txt", tmp_path / "g.txt")
+        assert got == _outcome(evaluate_files_per_line, tmp_path / "e.txt", tmp_path / "g.txt")
+        # a byte that is no UTF-8 is named by its file and line, the extracted file's first
+        undecodable = [f"{tmp_path / name}: line {lineno}: "
+                       for name, data in (("e.txt", extracted), ("g.txt", gold))
+                       for lineno, line in enumerate(data.split(b"\n"), start=1)
+                       if b"\xff" in line or b"\xfe" in line]
+        if undecodable:
+            assert got[0] is TreeParseError and got[1].startswith(undecodable[0])
+
+    def test_decode_error_names_file_and_line(self, tmp_path):
+        (tmp_path / "e.txt").write_bytes(b"((a b) EOS)\n\xff\n")
+        (tmp_path / "g.txt").write_bytes(b"\xfe\n")
+        expected = (TreeParseError, f"{tmp_path / 'e.txt'}: line 2: {DECODE_FF}")
+        for evaluate in (evaluate_files, evaluate_files_per_line):
+            assert _outcome(evaluate, tmp_path / "e.txt", tmp_path / "g.txt") == expected
+
+    @pytest.mark.parametrize("side", ["extracted", "gold"])
+    def test_decode_error_far_into_a_file(self, side, tmp_path):
+        """The line and the position within it, not an offset into a read
+        buffer."""
+        lines = {"extracted": [b"((a b) EOS)\n"] * 3001, "gold": [b"(S a b)\n"] * 3001}
+        lines[side][3000] = {"extracted": b"((a\xff b) EOS)\n", "gold": b"(S a\xff b)\n"}[side]
+        paths = {name: tmp_path / f"{name}.txt" for name in lines}
+        for name, path in paths.items():
+            path.write_bytes(b"".join(lines[name]))
+        position = {"extracted": 3, "gold": 4}[side]
+        expected = (TreeParseError, f"{paths[side]}: line 3001: 'utf-8' codec can't decode "
+                                    f"byte 0xff in position {position}: invalid start byte")
+        for evaluate in (evaluate_files, evaluate_files_per_line):
+            assert _outcome(evaluate, paths["extracted"], paths["gold"]) == expected
 
     def test_missing_reference_after_extracted_decode_error(self, tmp_path):
         (tmp_path / "e.txt").write_bytes(b"((a b) EOS)\n\xff\n")
         args = (tmp_path / "e.txt", tmp_path / "missing.txt")
         got = _outcome(evaluate_files, *args)
         assert got == _outcome(evaluate_files_per_line, *args)
-        assert got[0] is UnicodeDecodeError
+        assert got == (TreeParseError, f"{tmp_path / 'e.txt'}: line 2: {DECODE_FF}")
 
     def test_missing_reference(self, tmp_path):
         (tmp_path / "e.txt").write_bytes(b"((a b) EOS)\n")
@@ -425,8 +456,25 @@ def test_select_heads_reads_only_its_dev_lines(filler, toy_dump_path, toy_gold_p
     assert _cli(args + ["--gold", gold]) == expected
     gold.write_bytes(head[0] + b"\xff" + b"".join(head[1:]))
     code, out, err = _cli(args + ["--gold", gold])
+    assert (code, out, err) == (1, "", f"error: {gold}: line 2: {DECODE_FF}\n")
+
+
+def test_select_heads_decodes_only_its_dev_records(toy_dump_path, toy_gold_path, tmp_path):
+    """A malformed dump record right after the dev set is never decoded;
+    one within it is rejected, naming its line."""
+    dump = tmp_path / "d.jsonl"
+    records = toy_dump_path.read_bytes().splitlines(keepends=True)
+    args = ["select-heads", "--gold", toy_gold_path, "--strategy", "add", "--dev-size", 3,
+            "--dump", dump]
+    dump.write_bytes(b"".join(records[:3]))
+    expected = _cli(args)
+    assert expected[0] == 0
+    dump.write_bytes(b"".join(records[:3]) + b"{not json\n" + b"".join(records[3:]))
+    assert _cli(args) == expected
+    dump.write_bytes(records[0] + b"{not json\n" + b"".join(records[1:]))
+    code, out, err = _cli(args)
     assert (code, out) == (1, "")
-    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert err.startswith("error: line 2: ")
 
 
 def _plain_pair(rng: np.random.Generator, n_words: int) -> tuple[str, str]:

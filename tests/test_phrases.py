@@ -20,7 +20,7 @@ from attnsyntax.phrases import (
     pool_phrases,
 )
 from attnsyntax.render import hardened_matrix
-from oracles import equalized_weight, phrase_table_one_pass
+from oracles import equalized_weight, find_balusters_by_rows, phrase_table_one_pass
 
 
 class TestHarden:
@@ -97,6 +97,43 @@ class TestFindBalusters:
                 assert b.span[0] > last_end
                 assert b.span[1] >= b.span[0] + 1
                 last_end = b.span[1]
+
+
+# weights that tie, zero-weight rows and arbitrary fractions
+_ROW_WEIGHTS = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0, 1 / 3]),
+                         st.floats(0.0, 1.0, allow_subnormal=True))
+
+
+# numpy sums runs of 9 rows or more pairwise, and past 128 rows recursively
+_RUN_LENGTHS = st.one_of(st.integers(1, 6), st.integers(7, 140))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), _RUN_LENGTHS), min_size=1, max_size=12)
+       .flatmap(lambda runs: st.tuples(
+           st.just(np.repeat([col for col, _ in runs], [length for _, length in runs])),
+           st.lists(_ROW_WEIGHTS, min_size=sum(length for _, length in runs),
+                    max_size=sum(length for _, length in runs)))))
+def test_find_balusters_matches_row_loop(hardened):
+    """Runs of any length that touch either end or none, n = 1, ties and
+    zero-weight rows: the same balusters with bitwise-equal weights."""
+    cols, weights = hardened
+    weight = np.array(weights, dtype=np.float64)
+    ours = find_balusters((cols, weight), (2, 5))
+    reference = find_balusters_by_rows((cols, weight), (2, 5))
+    assert ours == reference
+    assert [b.mean_weight.hex() for b in ours] == [b.mean_weight.hex() for b in reference]
+    assert all(type(b.target_col) is int for b in ours)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_find_balusters_matches_row_loop_on_synth_heads(seed, n):
+    dump = random_attention_baseline(seed, n, 1, 2, subwords=[f"w{i}" for i in range(n - 1)]
+                                     + ["EOS"])
+    for head in all_heads(1, 2):
+        hardened = harden(dump.matrix(*head))
+        assert find_balusters(hardened, head) == find_balusters_by_rows(hardened, head)
 
 
 def _dump_from_heads(heads, subwords):
