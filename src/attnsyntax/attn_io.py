@@ -52,9 +52,10 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 class AttentionDump:
     """One sentence's subwords plus all layers x heads of NxN attention.
 
-    Construction copies ``matrices`` into a read-only array of the dump's
-    own, checks its shape and then ``validate``'s content invariants, so
-    every dump that exists is valid.
+    Construction copies ``matrices`` into a read-only float64 array of the
+    dump's own, refusing any whose inferred dtype is neither integer nor
+    float (strings, booleans, ``None``), checks its shape and then
+    ``validate``'s content invariants, so every dump that exists is valid.
     """
 
     sentence_id: str
@@ -63,7 +64,15 @@ class AttentionDump:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "subwords", tuple(self.subwords))
-        matrices = np.array(self.matrices, dtype=np.float64)
+        matrices = np.array(self.matrices)
+        if matrices.dtype.kind not in "fiu":
+            if matrices.dtype.kind == "O":
+                matrices.astype(np.float64)  # numpy's own error for a dict or a list
+            raise DumpValidationError(
+                f"sentence {self.sentence_id!r}: attention weights must be numbers, "
+                f"got dtype {matrices.dtype}"
+            )
+        matrices = matrices.astype(np.float64, copy=False)
         matrices.setflags(write=False)
         object.__setattr__(self, "matrices", matrices)
         if matrices.ndim != 4:
@@ -158,6 +167,8 @@ def _dump_from_record(record: object, lineno: int) -> AttentionDump:
         raise DumpParseError(f"line {lineno}: 'subwords' must be a list of strings")
     try:
         return AttentionDump(sentence_id, tuple(subwords), record["attn"])
+    except DumpValidationError as exc:
+        raise DumpValidationError(f"line {lineno}: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DumpParseError(f"line {lineno}: 'attn' is not a rectangular numeric array: {exc}") from exc
 
@@ -225,7 +236,9 @@ def load_dump(path, limit: int | None = None) -> list[AttentionDump]:
     ``NaN``/``Infinity`` and numbers that overflow a double; those, any
     line longer than ``MAX_RECORD_BYTES`` bytes (newline included) and a
     line nested deeper than ``json.loads`` reaches (see ``MAX_OPENERS``)
-    raise DumpParseError naming the line.  Blank lines are skipped.
+    raise DumpParseError naming the line.  A record the dump's own checks
+    refuse raises DumpValidationError, also prefixed with ``line k:``.
+    Blank lines are skipped.
     """
     dumps: list[AttentionDump] = []
     if limit is not None and limit < 1:

@@ -10,8 +10,7 @@ so that phrases of each length average to weight 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -31,9 +30,9 @@ def harden(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cols + 1, m[np.arange(m.shape[0]), cols]
 
 
-@dataclass(frozen=True)
-class Baluster:
-    """A maximal run of >= 2 consecutive rows attending to one column."""
+class Baluster(NamedTuple):
+    """A maximal run of >= 2 consecutive rows attending to one column.  A
+    named tuple, since ``extract`` builds thousands per command."""
 
     head: Head
     span: Span  # 1-based inclusive output rows (a, b), b >= a + 1

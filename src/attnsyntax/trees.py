@@ -223,47 +223,85 @@ def tree_from_splits(n: int, split_of: Callable[[int, int], int]) -> SpanTree:
 
 
 # Charts up to this length keep their whole gather plan between calls:
-# (n^3 - n)/3 + n(n - 1) indices, 5.7 MB at n = 128.
-_PLAN_CACHE_MAX_N = 128
-
-PlanEntry = tuple[np.ndarray, np.ndarray, np.ndarray]
+# 2(n^3 - n)/3 + 3n(n - 1)/2 indices, 5.5 MB at n = 100.
+_PLAN_CACHE_MAX_N = 100
 
 
-def _plan_entry(n: int, length: int) -> PlanEntry:
+class _Step(NamedTuple):
     """Read-only index arrays that fill the spans of one length of an
-    n-subword chart: (operands, cells, last_split).
+    n-subword chart, and where those spans sit in the chart's order.
 
     With starts a as rows and splits k from b - 1 down to a as columns,
-    operands[0] holds the flat index of [a, k] and operands[1] that of
-    [k+1, b] in an (n+1) x (n+1) table.  cells holds the flat index of
-    [a, b] and last_split is b - 1.
+    ``operands`` holds the flat indices of s[a,k], s[k+1,b], w[a,k] and
+    w[k+1,b] in the [scores | weights] buffer of two (n+1) x (n+1)
+    tables.  ``rows`` holds each row's flat start in the candidates,
+    ``cells`` the flat index of [a, b], and ``spans`` the slice of the
+    chart's spans that these take.
     """
-    starts = np.arange(1, n - length + 2)
-    offsets = np.arange(length - 2, -1, -1)  # k - a, largest split first
-    left = starts[:, None] * (n + 2) + offsets
-    entry = (
-        np.stack([left, left + offsets * n + (n + length)]),
-        starts * (n + 2) + (length - 1),
-        starts + (length - 2),
-    )
-    for array in entry:
+
+    operands: np.ndarray
+    rows: np.ndarray
+    cells: np.ndarray
+    spans: slice
+
+
+class _Plan(NamedTuple):
+    """The steps for span lengths 2..n in order, with every span's cell
+    and last split b - 1 in the same order."""
+
+    steps: Iterable[_Step]
+    cells: np.ndarray
+    last_split: np.ndarray
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
         array.setflags(write=False)
-    return entry
+
+
+def _shorter_spans(n: int, length):
+    """How many spans a < b of an n-subword chart are shorter than
+    ``length``, an int or an array of them."""
+    return (length - 2) * (2 * n - length + 1) // 2
+
+
+def _step(n: int, length: int, cells: np.ndarray) -> _Step:
+    """The step of one span length; ``cells`` is the plan's."""
+    done, count = _shorter_spans(n, length), n - length + 1
+    offsets = np.arange(length - 2, -1, -1)  # k - a, largest split first
+    operands = np.empty((4, count, length - 1), dtype=np.int64)
+    left, right = operands[0], operands[1]
+    starts = np.arange(n + 2, (n + 2) * (count + 1), n + 2)  # [a, a] for each a
+    np.add(starts[:, None], offsets, out=left)
+    np.add(left, offsets * n + (n + length), out=right)
+    np.add(operands[:2], (n + 1) ** 2, out=operands[2:])  # the same cells of w
+    rows = np.arange(0, left.size, length - 1)
+    _read_only(operands, rows)
+    return _Step(operands, rows, cells[done : done + count], slice(done, done + count))
+
+
+def _plan(n: int) -> _Plan:
+    """The chart's plan, its steps built one by one as they are asked for."""
+    lengths = np.repeat(np.arange(2, n + 1), np.arange(n - 1, 0, -1))
+    starts = np.arange(lengths.size) - _shorter_spans(n, lengths) + 1
+    cells = starts * (n + 2) + (lengths - 1)
+    last_split = starts + (lengths - 2)
+    _read_only(cells, last_split)
+    return _Plan((_step(n, length, cells) for length in range(2, n + 1)), cells, last_split)
 
 
 @lru_cache(maxsize=1)
-def _cached_plan(n: int) -> tuple[PlanEntry, ...]:
-    return tuple(_plan_entry(n, length) for length in range(2, n + 1))
+def _cached_plan(n: int) -> _Plan:
+    plan = _plan(n)
+    return plan._replace(steps=tuple(plan.steps))
 
 
-def _gather_plan(n: int) -> Iterable[PlanEntry]:
-    """The entries for span lengths 2..n in order.  Up to
-    ``_PLAN_CACHE_MAX_N`` the whole plan is kept for the most recent such
-    n; a longer chart builds each length's entry as the fill reaches it,
-    so it holds O(n^2) indices at a time instead of O(n^3)."""
-    if n <= _PLAN_CACHE_MAX_N:
-        return _cached_plan(n)
-    return (_plan_entry(n, length) for length in range(2, n + 1))
+def _gather_plan(n: int) -> _Plan:
+    """The chart's plan.  Up to ``_PLAN_CACHE_MAX_N`` the whole plan is
+    kept for the most recent such n; a longer chart builds each length's
+    step as the fill reaches it, so it holds O(n^2) indices at a time
+    instead of O(n^3)."""
+    return _cached_plan(n) if n <= _PLAN_CACHE_MAX_N else _plan(n)
 
 
 def cky_chart(table: Mapping[Span, tuple[float, float]], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -285,38 +323,47 @@ def cky_chart(table: Mapping[Span, tuple[float, float]], n: int) -> tuple[np.nda
     depend on both: another order can change a score in its last bit, and
     with it a split.
 
-    The operands are gathered through flat index arrays that depend only
-    on n.  They hold (n^3 - n)/3 gather indices plus two per span, 8 bytes
-    each, so they grow with n^3: 79 KB at n = 30, 0.73 MB at n = 64,
-    5.7 MB at n = 128, 4.6 GB at n = 1200.  Up to n = 128 they are built
-    once and kept for the most recent length only, so a caller filling
-    many charts should fill those of one length back to back.  Longer
-    charts build each span length's arrays as the fill reaches it and
-    keep none, so at most O(n^2) of them are alive at a time.
+    Scores and weights share one flat buffer, so one ``take`` gathers the
+    four operands of every candidate of a length as four rows.  The rows
+    are added one at a time: ``np.add.reduce`` or ``sum`` over them would
+    follow numpy's iteration order, which can add s0 + ((s1 + w0) + w1).
+    Each step keeps its winning columns in one array for the whole chart,
+    from which the splits are written once at its end.
+
+    The index arrays depend only on n.  They hold 2(n^3 - n)/3 gather
+    indices plus three per span, 8 bytes each, so they grow with n^3:
+    0.15 MB at n = 30, 1.4 MB at n = 64, 5.5 MB at n = 100, 9.2 GB at
+    n = 1200.  Up to n = 100 they are built once and kept for the most
+    recent length only, so a caller filling many charts should fill those
+    of one length back to back.  Longer charts build each span length's
+    arrays as the fill reaches it and keep none, so at most O(n^2) of
+    them are alive at a time.
     """
     if n < 1:
         raise ValueError(f"sentence length must be >= 1, got {n}")
-    weights = np.zeros((n + 1, n + 1))
+    size = (n + 1) ** 2
+    buffer = np.zeros(2 * size)  # [scores | weights]
+    weights = buffer[size:].reshape(n + 1, n + 1)
     for (a, b), (_, weight) in table.items():
         if not (1 <= a <= b <= n):
             raise ValueError(f"phrase span ({a},{b}) outside sentence 1..{n}")
         weights[a, b] = weight
-    scores = np.zeros((n + 1, n + 1))
-    splits = np.zeros((n + 1, n + 1), dtype=np.int64)
-    scores.flat[n + 2 :: n + 2] = 1.0  # the leaves [i, i]
-    s, w, k = scores.ravel(), weights.ravel(), splits.ravel()
-    for operands, cells, last_split in _gather_plan(n):
-        pair = s.take(operands)
-        candidates = pair[0] + pair[1]
-        pair = w.take(operands)
-        candidates += pair[0]
-        candidates += pair[1]
+    buffer[n + 2 : size : n + 2] = 1.0  # the leaves [i, i]
+    plan = _gather_plan(n)
+    best = np.empty(plan.cells.size, dtype=np.intp)
+    for operands, rows, cells, spans in plan.steps:
+        g = buffer.take(operands)
+        candidates = g[0] + g[1]
+        candidates += g[2]
+        candidates += g[3]
+        del g  # a chart past the cache limit builds its next step before the loop rebinds g
         # argmax returns the first maximum: the largest split
-        best = candidates.argmax(axis=1)
-        s[cells] = candidates[np.arange(best.size), best] / 4.0
-        k[cells] = last_split - best
-    scores.setflags(write=False)
-    splits.setflags(write=False)
+        won = candidates.argmax(axis=1, out=best[spans])
+        buffer[cells] = candidates.take(rows + won) / 4.0
+    scores = buffer[:size].reshape(n + 1, n + 1).copy()
+    splits = np.zeros((n + 1, n + 1), dtype=np.int64)
+    splits.put(plan.cells, np.subtract(plan.last_split, best, out=best))
+    _read_only(scores, splits)
     return scores, splits
 
 

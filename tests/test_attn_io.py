@@ -264,6 +264,50 @@ class TestMalformedNumbers:
         assert captured.out == ""
 
 
+class TestWeightsMustBeNumbers:
+    """numpy's float conversion would parse strings, cast booleans and turn
+    null into NaN; the dump refuses each by the dtype numpy infers."""
+
+    REFUSED = {
+        "strings": ('[[[["0.5","0.5"],["0.25","0.75"]]]]', "<U4"),
+        "booleans": ("[[[[true,false],[false,true]]]]", "bool"),
+        "null": ("[[[[null,1.0],[0.0,1.0]]]]", "object"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_load_dump_names_line_and_sentence(self, tmp_path, case):
+        attn, dtype = self.REFUSED[case]
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(_raw_record(IDENTITY_3_TEXT) + _raw_record(attn, '["a","EOS"]'))
+        with pytest.raises(DumpValidationError) as err:
+            load_dump(path)
+        assert str(err.value) == (
+            f"line 2: sentence 's1': attention weights must be numbers, got dtype {dtype}"
+        )
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_constructor_refuses(self, case):
+        attn, dtype = self.REFUSED[case]
+        with pytest.raises(DumpValidationError,
+                           match=f"^sentence 's': attention weights must be numbers, got dtype {dtype}$"):
+            AttentionDump("s", ("a", "EOS"), json.loads(attn))
+
+    def test_integer_weights_accepted(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(_raw_record(IDENTITY_3_TEXT))
+        (dump,) = load_dump(path)
+        assert dump.matrices.dtype == np.float64
+        assert np.array_equal(dump.matrix(1, 1), np.eye(3))
+        direct = AttentionDump("s", ("a", "EOS"), np.eye(2, dtype=np.uint8)[None, None])
+        assert direct.matrices.dtype == np.float64
+
+    def test_other_line_errors_name_the_line_too(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(_raw_record(IDENTITY_3_TEXT) + _raw_record("[[[[0.5,0.6],[0,1]]]]", '["a","EOS"]'))
+        with pytest.raises(DumpValidationError, match=r"^line 2: sentence 's1', layer 1, head 1, row 1: "):
+            load_dump(path)
+
+
 # Fractions of [0, 1] written the ways JSON allows: long digit strings,
 # exponents (either case, padded), subnormals and values that underflow to 0.
 _DIGITS = st.text("0123456789", min_size=1, max_size=30)

@@ -228,6 +228,43 @@ class TestChartMatchesCellLoop:
         self.test_random_tables(n)
         self.test_tie_heavy_tables(n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 30])
+    def test_leaf_weights(self, n):
+        """Weights on single subwords enter every candidate that has one
+        as a child."""
+        rng = np.random.default_rng(4000 + n)
+        table = random_phrase_table(rng, n, 0.35)
+        for i in range(1, n + 1):
+            w = float(rng.uniform(0.05, 3.0))
+            table[i, i] = (w, w)
+        self.assert_same_chart(table, n)
+
+    def test_one_and_two_subwords(self):
+        """n = 1 fills no length; n = 2 fills one step of one candidate."""
+        table = {(1, 1): (0.1, 0.1), (2, 2): (0.2, 0.2)}
+        self.assert_same_chart({(1, 1): (0.1, 0.1)}, 1)
+        self.assert_same_chart(table, 2)
+        scores, splits = cky_chart(table, 2)
+        assert scores[1, 2] == (((1.0 + 1.0) + 0.1) + 0.2) / 4.0
+        assert splits[1, 2] == 1
+
+    def test_addition_order_decides_a_split(self):
+        """Both splits of (1, 3) tie in exact arithmetic.  Summed as
+        documented, k = 1 wins by its last bit; summed as
+        s0 + ((s1 + w0) + w1), k = 2 would."""
+        table = {(1, 1): (0.1, 0.1), (2, 2): (0.7, 0.7), (3, 3): (0.1, 0.1),
+                 (1, 2): (0.1, 0.1), (2, 3): (0.1, 0.1)}
+        self.assert_same_chart(table, 3)
+        scores, splits = cky_chart(table, 3)
+        assert splits[1, 3] == 1
+        assert scores[1, 3] == (((1.0 + scores[2, 3]) + 0.1) + 0.1) / 4.0
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_either_side_of_the_cache_limit(self, past):
+        n = trees._PLAN_CACHE_MAX_N + past
+        self.assert_same_chart(random_phrase_table(np.random.default_rng(n), n, 0.35), n)
+        assert (trees._gather_plan(n) is trees._gather_plan(n)) == (not past)
+
 
 class TestGatherPlanMemory:
     def test_long_chart_holds_quadratic_memory(self):
@@ -249,7 +286,9 @@ class TestGatherPlanMemory:
         assert trees._gather_plan(30) is plan
         trees._gather_plan(31)
         assert trees._gather_plan(30) is not plan
-        assert all(not array.flags.writeable for entry in plan for array in entry)
+        arrays = [plan.cells, plan.last_split]
+        arrays += [array for step in plan.steps for array in step[:3]]
+        assert all(not array.flags.writeable for array in arrays)
 
 
 def _chain_splits(n, split_of):
