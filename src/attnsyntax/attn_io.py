@@ -20,10 +20,9 @@ from __future__ import annotations
 import json
 import os
 import stat
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 import orjson
@@ -46,6 +45,8 @@ MAX_OPENERS = 50_000
 READ_BLOCK_BYTES = 256 * 1024
 # the bytes that bytes.isspace() accepts
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -225,10 +226,22 @@ def _openers(line: memoryview) -> int:
                for i in range(0, len(view), 65536))
 
 
-def load_dump(path, limit: int | None = None) -> list[AttentionDump]:
-    """Read a dump file, returning fully validated dumps in file order;
-    with ``limit``, only the first ``limit`` records, and no line after
-    theirs is decoded or checked.
+def _the_dump(dump: AttentionDump) -> AttentionDump:
+    return dump
+
+
+def load_dump(path, limit: int | None = None,
+              keep: Callable[[AttentionDump], T] = _the_dump) -> list[T]:
+    """Read a dump file in file order and return ``keep``'s result for
+    each record; by default ``keep`` returns the dump itself.  With
+    ``limit``, only the first ``limit`` records are read, and no line
+    after theirs is decoded or checked.
+
+    ``keep`` is called on each dump right after that dump is decoded and
+    validated, before the next line is read, and the dump is dropped once
+    it returns.  So besides what the caller keeps, only one record's
+    matrices are alive at a time.  An exception from ``keep`` stops the
+    read and propagates, so errors come in file order.
 
     Each line is decoded by orjson from a view of the read buffer (see
     ``_lines``), so no more than one record's text and lists are alive
@@ -240,9 +253,9 @@ def load_dump(path, limit: int | None = None) -> list[AttentionDump]:
     refuse raises DumpValidationError, also prefixed with ``line k:``.
     Blank lines are skipped.
     """
-    dumps: list[AttentionDump] = []
+    kept: list[T] = []
     if limit is not None and limit < 1:
-        return dumps
+        return kept
     with open(path, "rb", buffering=0) as fh:
         for lineno, line in _lines(fh):
             if line[0] in _WHITESPACE and bytes(line).isspace():
@@ -258,18 +271,33 @@ def load_dump(path, limit: int | None = None) -> list[AttentionDump]:
                 record = orjson.loads(line)
             except orjson.JSONDecodeError as exc:
                 raise DumpParseError(f"line {lineno}: {exc}") from exc
-            dumps.append(_dump_from_record(record, lineno))
-            del record
-            if len(dumps) == limit:
+            dump = _dump_from_record(record, lineno)
+            del record  # the decoded lists go before keep runs
+            kept.append(keep(dump))
+            del dump  # and the matrices before the next line is decoded
+            if len(kept) == limit:
                 break
-    return dumps
+    return kept
+
+
+def _create_temporary(directory: str) -> tuple[int, str]:
+    """A new file in ``directory`` under an unused name, opened for
+    writing; the kernel gives it the mode that ``open()`` gives under the
+    current umask (or the directory's default ACL)."""
+    while True:
+        tmp = os.path.join(directory, f".attnsyntax-{os.urandom(8).hex()}")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
 
 
 @contextmanager
 def atomic_output(path) -> Iterator[BinaryIO]:
     """Yield a binary file that replaces ``path`` only when the block exits
     normally; on any exception ``path`` is left as it was.  The file gets
-    the mode that ``open()`` gives under the current umask.
+    the mode that ``open()`` gives under the current umask, which is never
+    changed, not even for a moment.
 
     A symlink is followed, so its final target is replaced and the link
     stays.  An existing target that is not a regular file (a FIFO, a
@@ -284,10 +312,9 @@ def atomic_output(path) -> Iterator[BinaryIO]:
         with open(path, "wb") as fh:
             yield fh
         return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".attnsyntax-")
+    fd, tmp = _create_temporary(os.path.dirname(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            os.chmod(tmp, 0o666 & ~os.umask(os.umask(0)))  # mkstemp's is 0o600
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -15,14 +15,20 @@ import json
 import logging
 import os
 import sys
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Iterator, Sequence
 
 from .attn_io import AttentionDump, Head, all_heads, atomic_output, load_dump
 from .errors import AlignmentError, AttnSyntaxError, TreeParseError
 from .phrases import build_phrase_table
 from .scoring import CountingPolicy, EvalReport, score, score_arrays
-from .selection import greedy_ablation, greedy_addition, heads_spec, layer_distribution
+from .selection import (
+    dev_sentence,
+    greedy_ablation,
+    greedy_addition,
+    heads_spec,
+    layer_distribution,
+)
 from .synth import random_attention_baseline
 from .treebank import (
     MAX_TREE_DEPTH,
@@ -177,25 +183,25 @@ def _extract_one(dump: AttentionDump, heads: tuple[Head, ...] | None) -> tuple[s
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
-    lines: list[str] = []
-    records: list[dict] = []
     failed = 0
-    for dump in load_dump(args.dump):
+
+    def extract(dump: AttentionDump) -> tuple[str, dict]:
+        nonlocal failed
         try:
-            line, record = _extract_one(dump, args.heads)
+            return _extract_one(dump, args.heads)
         except (AttnSyntaxError, ValueError) as exc:
+            if not args.keep_going:  # main reports it; no later line is read
+                raise AttnSyntaxError(f"sentence {dump.sentence_id!r}: {exc}") from exc
             failed += 1
             print(f"error: sentence {dump.sentence_id!r}: {exc}", file=sys.stderr)
-            if not args.keep_going:
-                return 1
-            line, record = "", {"id": dump.sentence_id, "error": str(exc)}
-        lines.append(line)
-        records.append(record)
-    _write_output(args.out, "".join(line + "\n" for line in lines))
+            return "", {"id": dump.sentence_id, "error": str(exc)}
+
+    results = load_dump(args.dump, keep=extract)
+    _write_output(args.out, "".join(line + "\n" for line, _ in results))
     if args.emit_phrases:
         _write_output(
             args.emit_phrases,
-            "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records),
+            "".join(json.dumps(r, separators=(",", ":")) + "\n" for _, r in results),
         )
     return 1 if failed else 0
 
@@ -374,8 +380,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    lines: list[str] = []
-    for index, dump in enumerate(load_dump(args.dump)):
+    indices = count()  # sentence i's rand.attn seed is [seed, i]
+
+    def tree_line(dump: AttentionDump) -> str:
+        index = next(indices)
         if args.kind == "lbal":
             tree = lbal_tree(dump.n)
         elif args.kind == "rbal":
@@ -390,7 +398,9 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
                 subwords=dump.subwords,
             )
             tree = extract_tree(random, _heads_for(random, args.heads))
-        lines.append(tree.to_bracketed(dump.subwords))
+        return tree.to_bracketed(dump.subwords)
+
+    lines = load_dump(args.dump, keep=tree_line)
     _write_output(args.out, "".join(line + "\n" for line in lines))
     return 0
 
@@ -400,18 +410,18 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_select_heads(args: argparse.Namespace) -> int:
     counting = CountingPolicy(args.counting)
-    dumps = load_dump(args.dump, limit=args.dev_size)
-    gold_lines = list(islice(_text_lines(args.gold), len(dumps)))
-    if len(gold_lines) < len(dumps):
+    sentences = load_dump(args.dump, limit=args.dev_size, keep=dev_sentence)
+    gold_lines = list(islice(_text_lines(args.gold), len(sentences)))
+    if len(gold_lines) < len(sentences):
         raise AlignmentError(
-            f"{args.gold} has {len(gold_lines)} lines, need at least {len(dumps)}"
+            f"{args.gold} has {len(gold_lines)} lines, need at least {len(sentences)}"
         )
     golds = [
-        _reference_tree(index, line.removesuffix("\n"), dump.subwords)
-        for index, (dump, line) in enumerate(zip(dumps, gold_lines), start=1)
+        _reference_tree(index, line.removesuffix("\n"), sentence.subwords)
+        for index, (sentence, line) in enumerate(zip(sentences, gold_lines), start=1)
     ]
     search = greedy_addition if args.strategy == "add" else greedy_ablation
-    trace = search(dumps, golds, objective=args.objective, counting=counting)
+    trace = search(sentences, golds, objective=args.objective, counting=counting)
     best = trace.best_mask
     distribution = layer_distribution(best, trace.universe[0])
     text = (
@@ -433,12 +443,19 @@ def _cmd_render(args: argparse.Namespace) -> int:
         raise ValueError("use either --all or both --layer and --head")
     if not args.all and (args.layer is None or args.head is None):
         raise ValueError("--layer and --head go together")
-    dumps = load_dump(args.dump)
-    by_id = {dump.sentence_id: dump for dump in dumps}
-    if args.sentence not in by_id:
-        known = ", ".join(sorted(by_id)[:10])
+    found: AttentionDump | None = None  # the last record with the id, so far
+
+    def sentence_id(dump: AttentionDump) -> str:
+        nonlocal found
+        if dump.sentence_id == args.sentence:
+            found = dump
+        return dump.sentence_id
+
+    ids = load_dump(args.dump, keep=sentence_id)
+    if found is None:
+        known = ", ".join(sorted(set(ids))[:10])
         raise ValueError(f"sentence id {args.sentence!r} not in dump (have: {known})")
-    dump = by_id[args.sentence]
+    dump = found
     pairs = all_heads(dump.layers, dump.heads) if args.all else [(args.layer, args.head)]
     os.makedirs(args.out_dir, exist_ok=True)
     for layer, head in pairs:

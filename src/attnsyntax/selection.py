@@ -6,6 +6,10 @@ from the full set and removes heads one by one down to a single head.
 The best mask is the highest-scoring step encountered, earliest on ties.
 Candidate ties within a step go to the lowest (layer, head) pair, so a
 trace is a pure function of its inputs.
+
+The search reads each dev sentence as a ``DevSentence``: its size, head
+universe and every head's candidate phrases, with no attention matrices,
+so a dev set costs memory by its phrases, not by its weights.
 """
 
 from __future__ import annotations
@@ -101,33 +105,52 @@ def heads_spec(heads: Collection[Head], universe: tuple[int, int]) -> str:
     return ",".join(f"{layer}:{head}" for layer, head in sorted(heads))
 
 
+@dataclass(frozen=True)
+class DevSentence:
+    """What the head search uses of one dump: every head's phrases, made
+    once by ``dev_sentence``, in place of the matrices."""
+
+    sentence_id: str
+    n: int
+    universe: tuple[int, int]  # (layers, heads)
+    subwords: tuple[str, ...]
+    phrases: Mapping[Head, HeadPhrases]  # every head of the universe
+
+
+def dev_sentence(dump: AttentionDump) -> DevSentence:
+    """Harden and scan every head of ``dump`` once; the search then only
+    pools the phrases."""
+    universe = (dump.layers, dump.heads)
+    return DevSentence(dump.sentence_id, dump.n, universe, dump.subwords,
+                       {head: head_phrases(dump, head) for head in all_heads(*universe)})
+
+
 def _check_dev_set(
-    dumps: Sequence[AttentionDump],
+    sentences: Sequence[DevSentence],
     golds: Sequence[ConstituencyTree],
 ) -> tuple[int, int]:
-    if not dumps:
+    if not sentences:
         raise ValueError("empty dev set")
-    if len(dumps) != len(golds):
-        raise ValueError(f"{len(dumps)} dumps but {len(golds)} reference trees")
-    universe = (dumps[0].layers, dumps[0].heads)
-    for dump, gold in zip(dumps, golds):
-        if (dump.layers, dump.heads) != universe:
+    if len(sentences) != len(golds):
+        raise ValueError(f"{len(sentences)} dev sentences but {len(golds)} reference trees")
+    universe = sentences[0].universe
+    for sentence, gold in zip(sentences, golds):
+        if sentence.universe != universe:
             raise ValueError(
-                f"sentence {dump.sentence_id!r} has universe "
-                f"({dump.layers},{dump.heads}), expected {universe}"
+                f"sentence {sentence.sentence_id!r} has universe "
+                f"({sentence.universe[0]},{sentence.universe[1]}), expected {universe}"
             )
-        if gold.n != dump.n:
+        if gold.n != sentence.n:
             raise AlignmentError(
-                f"sentence {dump.sentence_id!r} has {dump.n} subwords "
+                f"sentence {sentence.sentence_id!r} has {sentence.n} subwords "
                 f"but its reference tree has {gold.n}"
             )
     return universe
 
 
 def _dev_scores(
-    lengths: Sequence[int],
+    sentences: Sequence[DevSentence],
     golds: Sequence[ConstituencyTree],
-    phrases: Sequence[Mapping[Head, HeadPhrases]],
     masks: Sequence[frozenset[Head]],
     objective: str,
     counting: CountingPolicy,
@@ -141,39 +164,37 @@ def _dev_scores(
     pooling them in this order gives the same totals as mask by mask.
     """
     totals = [EvalReport()] * len(masks)
-    for n, gold, per_head in zip(lengths, golds, phrases):
+    for sentence, gold in zip(sentences, golds):
+        per_head = sentence.phrases
         for i, heads in enumerate(masks):
             table = pool_phrases({head: per_head[head] for head in heads})
-            totals[i] = totals[i].merged(score(cky_parse(table, n), gold, counting))
+            totals[i] = totals[i].merged(score(cky_parse(table, sentence.n), gold, counting))
     return [total.precision if objective == "precision" else total.f1 for total in totals]
 
 
 def _greedy(
     strategy: str,
-    dumps: Sequence[AttentionDump],
+    sentences: Sequence[DevSentence],
     golds: Sequence[ConstituencyTree],
     objective: str,
     counting: CountingPolicy,
 ) -> SelectionTrace:
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    universe = _check_dev_set(dumps, golds)
+    universe = _check_dev_set(sentences, golds)
     all_pairs = all_heads(*universe)
-    # harden and scan every (sentence, head) once; evaluations only pool
-    phrases = [{head: head_phrases(dump, head) for head in all_pairs} for dump in dumps]
-    lengths = [dump.n for dump in dumps]
 
     adding = strategy == "addition"
     current: set[Head] = set() if adding else set(all_pairs)
     evaluations = 1
-    [initial_score] = _dev_scores(lengths, golds, phrases, [frozenset(current)], objective, counting)
+    [initial_score] = _dev_scores(sentences, golds, [frozenset(current)], objective, counting)
     n_steps = len(all_pairs) if adding else len(all_pairs) - 1
 
     steps: list[SelectionStep] = []
     for step in range(1, n_steps + 1):
         candidates = sorted(set(all_pairs) - current if adding else current)
         trials = [frozenset(current | {h} if adding else current - {h}) for h in candidates]
-        values = _dev_scores(lengths, golds, phrases, trials, objective, counting)
+        values = _dev_scores(sentences, golds, trials, objective, counting)
         evaluations += len(candidates)
         best: tuple[float, Head] | None = None
         for value, head in zip(values, candidates):
@@ -201,23 +222,23 @@ def _greedy(
 
 
 def greedy_addition(
-    dumps: Sequence[AttentionDump],
+    sentences: Sequence[DevSentence],
     golds: Sequence[ConstituencyTree],
     objective: str = "precision",
     counting: CountingPolicy = CountingPolicy.NONTRIVIAL,
 ) -> SelectionTrace:
     """Empty mask to full mask, one precision-maximizing head at a time."""
-    return _greedy("addition", dumps, golds, objective, counting)
+    return _greedy("addition", sentences, golds, objective, counting)
 
 
 def greedy_ablation(
-    dumps: Sequence[AttentionDump],
+    sentences: Sequence[DevSentence],
     golds: Sequence[ConstituencyTree],
     objective: str = "precision",
     counting: CountingPolicy = CountingPolicy.NONTRIVIAL,
 ) -> SelectionTrace:
     """Full mask down to a single head, removing the best head to drop."""
-    return _greedy("ablation", dumps, golds, objective, counting)
+    return _greedy("ablation", sentences, golds, objective, counting)
 
 
 def layer_distribution(heads: Collection[Head], layers: int) -> dict[int, float]:

@@ -25,7 +25,7 @@ from attnsyntax.attn_io import all_heads
 from attnsyntax.phrases import build_phrase_table, harden
 from attnsyntax.render import hardened_matrix, pgm_bytes
 from attnsyntax.scoring import CountingPolicy
-from attnsyntax.selection import greedy_ablation, greedy_addition
+from attnsyntax.selection import dev_sentence, greedy_ablation, greedy_addition
 from attnsyntax.treebank import postprocess_steps
 from attnsyntax.trees import cky_parse
 from attnsyntax.cli import main
@@ -189,10 +189,10 @@ def test_c07_metric_properties():
 
 def test_c08_head_selection_sanity(two_head_fixture):
     dump, gold = two_head_fixture
-    addition_1 = greedy_addition([dump], [gold])
-    addition_2 = greedy_addition([dump], [gold])
-    ablation_1 = greedy_ablation([dump], [gold])
-    ablation_2 = greedy_ablation([dump], [gold])
+    addition_1 = greedy_addition([dev_sentence(dump)], [gold])
+    addition_2 = greedy_addition([dev_sentence(dump)], [gold])
+    ablation_1 = greedy_ablation([dev_sentence(dump)], [gold])
+    ablation_2 = greedy_ablation([dev_sentence(dump)], [gold])
     ok = (
         addition_1.steps[0].head == (1, 1)
         and addition_1.best_mask == frozenset({(1, 1)})

@@ -754,11 +754,29 @@ class TestWriteDumpIsAtomic:
         assert list(tmp_path.iterdir()) == [path]
 
     def test_file_gets_the_mode_open_gives(self, tmp_path):
-        umask = os.umask(os.umask(0))
+        umask = os.umask(0)  # the mask it replaces; os.umask(os.umask(0)) is always 0
+        os.umask(umask)
         path = tmp_path / "d.jsonl"
         write_dump(self._good(1), path)
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
         assert len(load_dump(path)) == 1
+
+    def test_mode_is_set_without_changing_the_umask(self, tmp_path, monkeypatch):
+        # the umask belongs to the whole process: a file that another
+        # thread creates while it is changed would get an unmasked mode
+        def refuse(mask):
+            raise AssertionError(f"umask changed to {mask:#o}")
+
+        path = tmp_path / "d.jsonl"
+        umask = os.umask(0o027)
+        try:
+            monkeypatch.setattr(os, "umask", refuse)
+            write_dump(self._good(1), path)
+        finally:
+            monkeypatch.undo()
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_symlink_is_written_through(self, tmp_path):
         target = tmp_path / "target.jsonl"

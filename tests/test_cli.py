@@ -196,6 +196,43 @@ class TestKeepGoing:
         assert lines[0] == ""
         assert lines[1] != ""
 
+    @staticmethod
+    def _two_records_then_no_json(toy_dump_path, tmp_path):
+        path = tmp_path / "faults.jsonl"
+        lines = toy_dump_path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2]) + b"{not json\n")
+        return path
+
+    def test_sentence_error_before_a_bad_line_comes_first(self, toy_dump_path, tmp_path,
+                                                          capsys):
+        # errors come in file order: the run stops at the failing sentence,
+        # before the malformed line is read
+        path = self._two_records_then_no_json(toy_dump_path, tmp_path)
+        out_path = tmp_path / "trees.txt"
+        code, _, err = run_cli(
+            ["extract", "--dump", path, "--heads", "9:9", "--out", out_path], capsys
+        )
+        assert code == 1
+        assert err == "error: sentence 'toy-01': head (9,9) outside universe 1..2 x 1..3\n"
+        assert not out_path.exists()
+
+    def test_keep_going_reports_sentences_then_the_bad_line(self, toy_dump_path, tmp_path,
+                                                            capsys):
+        path = self._two_records_then_no_json(toy_dump_path, tmp_path)
+        out_path, phrases_path = tmp_path / "trees.txt", tmp_path / "phrases.jsonl"
+        code, _, err = run_cli(
+            ["extract", "--dump", path, "--heads", "9:9", "--keep-going", "--out", out_path,
+             "--emit-phrases", phrases_path], capsys
+        )
+        assert code == 1
+        lines = err.splitlines()
+        assert lines[:2] == [
+            f"error: sentence 'toy-0{i}': head (9,9) outside universe 1..2 x 1..3"
+            for i in (1, 2)
+        ]
+        assert len(lines) == 3 and lines[2].startswith("error: line 3: ")
+        assert not out_path.exists() and not phrases_path.exists()
+
 
 class TestEval:
     def test_matches_golden_output(self, toy_dump_path, toy_gold_path, golden_dir,
@@ -294,6 +331,13 @@ class TestEval:
 
 
 class TestBaseline:
+    @pytest.mark.parametrize("kind", ["lbal", "rbal", "rand.attn"])
+    def test_matches_golden_file(self, toy_dump_path, golden_dir, kind, capsys):
+        # rand.attn seeds sentence i with [seed, i]; the golden pins that index
+        code, out, err = run_cli(["baseline", "--dump", toy_dump_path, "--kind", kind], capsys)
+        assert code == 0, err
+        assert out == (golden_dir / f"toy_baseline_{kind}.txt").read_text()
+
     @pytest.mark.parametrize("kind", ["lbal", "rbal", "rand.attn"])
     def test_emits_one_tree_per_sentence(self, toy_dump_path, kind, capsys):
         code, out, err = run_cli(
@@ -488,6 +532,16 @@ class TestRender:
         assert code == 1
         assert "toy-01" in err  # lists known ids
 
+    def test_last_record_with_the_id_wins(self, tmp_path, capsys):
+        first = AttentionDump("s", ("a", "EOS"), np.eye(2)[None, None])
+        last = AttentionDump("s", ("b", "c", "EOS"), np.eye(3)[None, None])
+        path = tmp_path / "d.jsonl"
+        write_dump([first, last, AttentionDump("t", ("d", "EOS"), np.eye(2)[None, None])], path)
+        code, _, err = run_cli(["render", "--dump", path, "--sentence", "s", "--layer", 1,
+                                "--head", 1, "--out-dir", tmp_path / "images"], capsys)
+        assert code == 0, err
+        assert (tmp_path / "images" / "ss_l1_h1.txt").read_text() == "b\nc\nEOS\n"
+
     def test_requires_layer_and_head_or_all(self, toy_dump_path, tmp_path, capsys):
         code, _, err = run_cli(
             ["render", "--dump", toy_dump_path, "--sentence", "toy-04",
@@ -534,7 +588,8 @@ class TestRender:
 
 
 def test_output_files_get_the_mode_open_gives(toy_dump_path, tmp_path, capsys):
-    umask = os.umask(os.umask(0))
+    umask = os.umask(0)  # the mask it replaces; os.umask(os.umask(0)) is always 0
+    os.umask(umask)
     trees = tmp_path / "trees.txt"
     assert run_cli(["extract", "--dump", toy_dump_path, "--out", trees], capsys)[0] == 0
     assert run_cli(["render", "--dump", toy_dump_path, "--sentence", "toy-04",

@@ -14,6 +14,7 @@ from attnsyntax.attn_io import all_heads
 from attnsyntax.cli import _head_set
 from attnsyntax.scoring import CountingPolicy
 from attnsyntax.selection import (
+    dev_sentence,
     greedy_ablation,
     greedy_addition,
     heads_spec,
@@ -52,7 +53,7 @@ def mixed_length_dev_set(seed, lengths, universe=(2, 3)):
 class TestGreedyAddition:
     def test_planted_head_selected_first(self, two_head_fixture):
         dump, gold = two_head_fixture
-        trace = greedy_addition([dump], [gold])
+        trace = greedy_addition([dev_sentence(dump)], [gold])
         assert trace.steps[0].head == (1, 1)
         assert trace.steps[0].score == 1.0
         assert trace.best_mask == frozenset({(1, 1)})
@@ -61,7 +62,7 @@ class TestGreedyAddition:
 
     def test_initial_point_is_left_chain_parse(self, two_head_fixture):
         dump, gold = two_head_fixture
-        trace = greedy_addition([dump], [gold])
+        trace = greedy_addition([dev_sentence(dump)], [gold])
         assert trace.initial_mask_size == 0
         # left chain vs the flat reference: (1,3),(1,4),(1,5) countable,
         # (1,3) crosses (3,4) -> 3/4
@@ -69,7 +70,7 @@ class TestGreedyAddition:
 
     def test_final_step_equals_all_heads_eval(self, two_head_fixture):
         dump, gold = two_head_fixture
-        trace = greedy_addition([dump], [gold])
+        trace = greedy_addition([dev_sentence(dump)], [gold])
         heads = all_heads(dump.layers, dump.heads)
         tree = extract_tree(dump, heads)
         assert trace.steps[-1].score == score(tree, gold).precision
@@ -77,7 +78,7 @@ class TestGreedyAddition:
 
     def test_best_score_bounds_all_steps(self, two_head_fixture):
         dump, gold = two_head_fixture
-        trace = greedy_addition([dump], [gold])
+        trace = greedy_addition([dev_sentence(dump)], [gold])
         assert all(trace.best_score >= s.score for s in trace.steps)
 
     def test_single_head_universe(self, identity_dump):
@@ -85,30 +86,30 @@ class TestGreedyAddition:
         from attnsyntax import lbal_tree
 
         gold = gold_from_span_tree(lbal_tree(3), tokens=identity_dump.subwords)
-        trace = greedy_addition([identity_dump], [gold])
+        trace = greedy_addition([dev_sentence(identity_dump)], [gold])
         assert len(trace.steps) == 1
         assert trace.steps[0].head == (1, 1)
 
     def test_deterministic_traces(self, two_head_fixture):
         dump, gold = two_head_fixture
-        first = greedy_addition([dump], [gold]).to_text()
-        second = greedy_addition([dump], [gold]).to_text()
+        first = greedy_addition([dev_sentence(dump)], [gold]).to_text()
+        second = greedy_addition([dev_sentence(dump)], [gold]).to_text()
         assert first == second
 
     def test_f1_objective(self, two_head_fixture):
         dump, gold = two_head_fixture
-        trace = greedy_addition([dump], [gold], objective="f1")
+        trace = greedy_addition([dev_sentence(dump)], [gold], objective="f1")
         assert trace.objective == "f1"
         assert trace.best_score == 1.0
 
     def test_rejects_unknown_objective(self, two_head_fixture):
         dump, gold = two_head_fixture
         with pytest.raises(ValueError, match="objective"):
-            greedy_addition([dump], [gold], objective="recall")
+            greedy_addition([dev_sentence(dump)], [gold], objective="recall")
 
     def test_evaluation_count(self, two_head_fixture):
         dump, gold = two_head_fixture
-        trace = greedy_addition([dump], [gold])
+        trace = greedy_addition([dev_sentence(dump)], [gold])
         total = dump.layers * dump.heads
         assert trace.evaluations == 1 + total * (total + 1) // 2
 
@@ -116,14 +117,14 @@ class TestGreedyAddition:
 class TestGreedyAblation:
     def test_nonplanted_head_removed_first(self, two_head_fixture):
         dump, gold = two_head_fixture
-        trace = greedy_ablation([dump], [gold])
+        trace = greedy_ablation([dev_sentence(dump)], [gold])
         assert trace.steps[0].head == (1, 2)
         assert len(trace.steps) == 1  # layers * heads - 1
         assert trace.best_mask == frozenset({(1, 1)})
 
     def test_initial_is_full_mask(self, two_head_fixture):
         dump, gold = two_head_fixture
-        trace = greedy_ablation([dump], [gold])
+        trace = greedy_ablation([dev_sentence(dump)], [gold])
         assert trace.initial_mask_size == 2
         assert trace.initial_score == 1.0
 
@@ -132,19 +133,20 @@ class TestGreedyAblation:
         from attnsyntax import lbal_tree
 
         gold = gold_from_span_tree(lbal_tree(3), tokens=identity_dump.subwords)
-        trace = greedy_ablation([identity_dump], [gold])
+        trace = greedy_ablation([dev_sentence(identity_dump)], [gold])
         assert trace.steps == ()
         assert trace.best_mask == frozenset({(1, 1)})  # falls back to full
 
     def test_deterministic_traces(self, two_head_fixture):
         dump, gold = two_head_fixture
-        assert greedy_ablation([dump], [gold]).to_text() == greedy_ablation([dump], [gold]).to_text()
+        sentence = dev_sentence(dump)
+        assert greedy_ablation([sentence], [gold]).to_text() == greedy_ablation([sentence], [gold]).to_text()
 
 
 class TestTraceMechanics:
     def test_mask_at_reconstruction(self, two_head_fixture):
         dump, gold = two_head_fixture
-        trace = greedy_addition([dump], [gold])
+        trace = greedy_addition([dev_sentence(dump)], [gold])
         assert trace.mask_at(0) == frozenset()
         assert trace.mask_at(1) == {trace.steps[0].head}
         assert trace.mask_at(2) == {(1, 1), (1, 2)}
@@ -155,7 +157,7 @@ class TestTraceMechanics:
     def test_mismatched_inputs_rejected(self, two_head_fixture):
         dump, gold = two_head_fixture
         with pytest.raises(ValueError, match="reference trees"):
-            greedy_addition([dump], [gold, gold])
+            greedy_addition([dev_sentence(dump)], [gold, gold])
         with pytest.raises(ValueError, match="empty"):
             greedy_addition([], [])
 
@@ -163,17 +165,18 @@ class TestTraceMechanics:
         dump, gold = two_head_fixture
         short = AttentionDump("short", dump.subwords[1:], np.full((1, 2, 5, 5), 0.2))
         _, short_gold = mixed_length_dev_set(0, [5])
+        sentence, short = dev_sentence(dump), dev_sentence(short)
         monkeypatch.setattr(selection, "head_phrases", pytest.fail)
         with pytest.raises(AlignmentError, match=r"sentence 'fixture' has 6 subwords "
                            r"but its reference tree has 5"):
-            greedy_addition([dump, dump], [gold, short_gold[0]])
+            greedy_addition([sentence, sentence], [gold, short_gold[0]])
         with pytest.raises(AlignmentError, match="sentence 'short'"):
-            greedy_ablation([dump, short], [gold, gold])
+            greedy_ablation([sentence, short], [gold, gold])
 
     def test_counting_policy_changes_values(self, two_head_fixture):
         dump, gold = two_head_fixture
-        nontrivial = greedy_addition([dump], [gold])
-        allspans = greedy_addition([dump], [gold], counting=CountingPolicy.ALL)
+        nontrivial = greedy_addition([dev_sentence(dump)], [gold])
+        allspans = greedy_addition([dev_sentence(dump)], [gold], counting=CountingPolicy.ALL)
         assert allspans.initial_score > nontrivial.initial_score  # trivia inflate
 
 
@@ -186,7 +189,8 @@ def test_traces_match_candidate_by_candidate_search(strategy, objective, countin
     search = greedy_addition if strategy == "addition" else greedy_ablation
     for seed, lengths in [(1, [7, 12, 7, 4, 12, 9]), (2, [16, 3, 11, 16, 5])]:
         dumps, golds = mixed_length_dev_set(seed, lengths)
-        trace = search(dumps, golds, objective=objective, counting=counting)
+        trace = search([dev_sentence(dump) for dump in dumps], golds,
+                       objective=objective, counting=counting)
         expected = greedy_by_candidates(strategy, dumps, golds, objective, counting)
         assert trace.to_text() == expected.to_text()
         assert trace == expected
