@@ -34,7 +34,6 @@ from .treebank import (
     MAX_TREE_DEPTH,
     ConstituencyTree,
     bracket_arrays,
-    first_false,
     gold_tree_for_dump,
     read_bracketed,
     reference_arrays,
@@ -169,7 +168,9 @@ def _text_lines(path: str) -> Iterator[str]:
 # --- extract ---------------------------------------------------------------
 
 
-def _extract_one(dump: AttentionDump, heads: tuple[Head, ...] | None) -> tuple[str, dict]:
+def _extract_one(dump: AttentionDump, heads: tuple[Head, ...] | None,
+                 emit_phrases: bool) -> tuple[str, dict | None]:
+    """A sentence's tree line, and its phrase record if ``emit_phrases``."""
     table = build_phrase_table(dump, _heads_for(dump, heads))
     tree = cky_parse(table, dump.n)
     record = {
@@ -178,17 +179,17 @@ def _extract_one(dump: AttentionDump, heads: tuple[Head, ...] | None) -> tuple[s
             {"span": [a, b], "raw": raw, "equalized": equalized}
             for (a, b), (raw, equalized) in table.items()
         ],
-    }
+    } if emit_phrases else None
     return tree.to_bracketed(dump.subwords), record
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
     failed = 0
 
-    def extract(dump: AttentionDump) -> tuple[str, dict]:
+    def extract(dump: AttentionDump) -> tuple[str, dict | None]:
         nonlocal failed
         try:
-            return _extract_one(dump, args.heads)
+            return _extract_one(dump, args.heads, bool(args.emit_phrases))
         except (AttnSyntaxError, ValueError) as exc:
             if not args.keep_going:  # main reports it; no later line is read
                 raise AttnSyntaxError(f"sentence {dump.sentence_id!r}: {exc}") from exc
@@ -273,32 +274,24 @@ def _line_pairs(extracted_path: str, gold_path: str) -> Iterator[tuple[str, str]
     errors at once, the reference file's once the extracted file is read,
     then an AlignmentError if the files' line counts differ.
     """
-
-    def lines_then_error(path: str) -> Iterator[str | Exception]:
-        try:
-            yield from _text_lines(path)
-        except (OSError, ValueError, TreeParseError) as exc:
-            yield exc
-
-    gold = lines_then_error(gold_path)
+    gold = _text_lines(gold_path)
     gold_error: Exception | None = None
     extracted_count = gold_count = 0
     for extracted_line in _text_lines(extracted_path):
         extracted_count += 1
         if gold_error is None and gold_count == extracted_count - 1:
-            gold_line = next(gold, None)
-            if isinstance(gold_line, str):
-                gold_count += 1
-                yield extracted_line, gold_line
-            elif gold_line is not None:
-                gold_error = gold_line
-    for gold_line in gold if gold_error is None else ():
-        if isinstance(gold_line, Exception):
-            gold_error = gold_line
-        else:
+            try:
+                gold_line = next(gold)
+            except StopIteration:
+                continue
+            except (OSError, ValueError, TreeParseError) as exc:
+                gold_error = exc
+                continue
             gold_count += 1
+            yield extracted_line, gold_line
     if gold_error is not None:
         raise gold_error
+    gold_count += sum(1 for _ in gold)
     if extracted_count != gold_count:
         raise AlignmentError(
             f"{extracted_path} has {extracted_count} lines but {gold_path} has {gold_count}"
@@ -321,24 +314,23 @@ def _chunks(pairs: Iterator[tuple[str, str]]) -> Iterator[list[tuple[str, str]]]
 
 
 def _score_chunk(pairs: list[tuple[str, str]],
-                 counting: CountingPolicy) -> list[EvalReport] | int:
-    """The reports of a chunk of (extracted, reference) line pairs, or the
-    index of the first pair that the per-line readers reject.
+                 counting: CountingPolicy) -> list[EvalReport] | None:
+    """The reports of a chunk of (extracted, reference) line pairs, or None
+    if the array checks reject any line of it.
 
-    Each check runs on the lines before the first one that an earlier
-    check rejects, so the first rejected line is the first that any check
-    rejects.
+    Each check runs on the whole chunk once the checks before it accept
+    every line; which line is bad is left to the per-line readers.
     """
     extracted = bracket_arrays([line for line, _ in pairs])
     reference = bracket_arrays([line for _, line in pairs])
     shaped = min(well_formed_lines(extracted), well_formed_lines(reference, MAX_TREE_DEPTH))
-    extracted = extracted.head(shaped)
+    if shaped < len(pairs):
+        return None
     trees = span_tree_arrays(extracted)
-    binary = first_false(trees.ok)
-    gold = reference_arrays(reference.head(binary), trees.n[:binary],
-                            extracted.continues[: trees.n[:binary].sum()])
-    bad = first_false(gold.ok)
-    return bad if bad < len(pairs) else score_arrays(trees, gold, counting)
+    if not trees.ok.all():
+        return None
+    gold = reference_arrays(reference, trees.n, extracted.continues)
+    return score_arrays(trees, gold, counting) if gold.ok.all() else None
 
 
 def evaluate_files(
@@ -346,25 +338,27 @@ def evaluate_files(
 ) -> tuple[EvalReport, list[EvalReport]]:
     """Score an extracted-trees file against a reference-trees file.
 
-    Lines are read and scored in chunks by array passes.  The first line
-    they reject goes through the per-line readers, which raise its
-    located error once both files are read.
+    Lines are read and scored in chunks by array passes, which only accept
+    or reject a chunk.  Once both files are read, the first rejected
+    chunk's lines go through the per-line readers in order, and the first
+    line they reject raises its located error.
     """
     reports: list[EvalReport] = []
-    rejected: tuple[int, str, str] | None = None  # (index, extracted line, reference line)
+    rejected: tuple[int, list[tuple[str, str]]] | None = None  # (first index, chunk)
     for chunk in _chunks(_line_pairs(extracted_path, gold_path)):
         if rejected is None:  # later chunks are only read, for errors that come first
             scored = _score_chunk(chunk, counting)
-            if isinstance(scored, int):
-                rejected = (len(reports) + scored + 1, *chunk[scored])
+            if scored is None:
+                rejected = (len(reports) + 1, chunk)
             else:
                 reports += scored
     if rejected is not None:
-        index, extracted_line, gold_line = rejected
-        _score_line(index, extracted_line.removesuffix("\n"), gold_line.removesuffix("\n"),
-                    counting)
-        raise AssertionError(f"sentence {index}: the per-line readers accept a line "
-                             f"that the array checks reject")
+        first, chunk = rejected
+        for index, (extracted_line, gold_line) in enumerate(chunk, start=first):
+            _score_line(index, extracted_line.removesuffix("\n"), gold_line.removesuffix("\n"),
+                        counting)
+        raise AssertionError(f"sentences {first}-{first + len(chunk) - 1}: the per-line "
+                             f"readers accept lines that the array checks reject")
     return EvalReport.aggregate(reports), reports
 
 
@@ -457,6 +451,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
         raise ValueError(f"sentence id {args.sentence!r} not in dump (have: {known})")
     dump = found
     pairs = all_heads(dump.layers, dump.heads) if args.all else [(args.layer, args.head)]
+    for layer, head in pairs:  # a head outside the universe raises before any output
+        dump.matrix(layer, head)
     os.makedirs(args.out_dir, exist_ok=True)
     for layer, head in pairs:
         stem = os.path.join(

@@ -20,8 +20,9 @@ phrase: a ``RawTree`` holds words and ``(label, arity)`` phrases, a
 
 ``eval`` reads many lines at once instead, in numpy passes over their
 code points (``bracket_arrays``, ``reference_arrays``) that accept
-exactly the lines the per-line readers accept; the per-line readers
-raise the located error of the first line the passes reject.
+exactly the lines the per-line readers accept.  The passes only accept
+or reject a run of lines; the per-line readers find the first bad line
+of a rejected run and raise its located error.
 """
 
 from __future__ import annotations
@@ -279,13 +280,6 @@ class BracketArrays(NamedTuple):
         """The line of each token index."""
         return np.searchsorted(self.first, tokens, side="right") - 1
 
-    def head(self, n_lines: int) -> "BracketArrays":
-        """The first ``n_lines`` lines."""
-        end = self.first[n_lines]
-        atoms = np.count_nonzero(self.kind[:end] == 0)
-        return BracketArrays(self.kind[:end], self.first[: n_lines + 1], self.depth[:end],
-                             self.continues[:atoms])
-
 
 def bracket_arrays(lines: Sequence[str]) -> BracketArrays:
     """Tokenize lines, each of which may end with LF.
@@ -313,11 +307,6 @@ def bracket_arrays(lines: Sequence[str]) -> BracketArrays:
     return BracketArrays(kind, first, np.cumsum(kind, dtype=np.intp), continues)
 
 
-def first_false(ok: np.ndarray) -> int:
-    """The index of the first False in ``ok``, or its length."""
-    return len(ok) if ok.all() else int(ok.argmin())
-
-
 def well_formed_lines(tokens: BracketArrays, max_depth: int | None = None) -> int:
     """How many lines, from the first, are each one bracketed tree nested
     at most ``max_depth`` phrases deep.
@@ -336,7 +325,7 @@ def well_formed_lines(tokens: BracketArrays, max_depth: int | None = None) -> in
     if max_depth is not None:
         ok &= np.bincount(tokens.line_of(np.flatnonzero(tokens.depth > max_depth)),
                           minlength=n_lines) == 0
-    return first_false(ok)
+    return len(ok) if ok.all() else int(ok.argmin())
 
 
 def pair_parens(tokens: BracketArrays) -> tuple[np.ndarray, np.ndarray]:

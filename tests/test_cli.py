@@ -542,6 +542,15 @@ class TestRender:
         assert code == 0, err
         assert (tmp_path / "images" / "ss_l1_h1.txt").read_text() == "b\nc\nEOS\n"
 
+    def test_head_outside_the_universe_leaves_no_directory(self, toy_dump_path, tmp_path,
+                                                           capsys):
+        out_dir = tmp_path / "images"
+        code, _, err = run_cli(["render", "--dump", toy_dump_path, "--sentence", "toy-04",
+                                "--layer", 9, "--head", 1, "--out-dir", out_dir], capsys)
+        assert code == 1
+        assert err == "error: head (9,1) outside universe 1..2 x 1..3\n"
+        assert not out_dir.exists()
+
     def test_requires_layer_and_head_or_all(self, toy_dump_path, tmp_path, capsys):
         code, _, err = run_cli(
             ["render", "--dump", toy_dump_path, "--sentence", "toy-04",

@@ -350,6 +350,20 @@ class TestErrorOrder:
         assert _outcome(evaluate_files, *args) == _outcome(evaluate_files_per_line, *args)
 
 
+def test_a_chunk_rejected_without_cause_names_its_sentences(toy_gold_path, golden_dir,
+                                                             monkeypatch):
+    """If the array checks reject a chunk whose every line the per-line
+    readers accept, the passes are at fault: no located error, and no
+    reports."""
+    score_chunk, calls = cli._score_chunk, itertools.count()
+    # by the toy files' line lengths, chunks of sentences 1-2, 3-5 and 6-10
+    monkeypatch.setattr(cli, "_CHUNK_CHARS", 256)
+    monkeypatch.setattr(cli, "_score_chunk", lambda pairs, counting: (
+        None if next(calls) == 1 else score_chunk(pairs, counting)))
+    with pytest.raises(AssertionError, match=r"^sentences 3-5: the per-line readers accept"):
+        evaluate_files(str(golden_dir / "toy_trees.txt"), str(toy_gold_path))
+
+
 def test_reads_each_file_once(tmp_path):
     """Both inputs may be pipes: each is read once, front to back."""
     fifos = [tmp_path / "e.fifo", tmp_path / "g.fifo"]

@@ -6,11 +6,12 @@ objects and numpy's buffers alike.  ``ru_maxrss`` would not do: a child
 process inherits the high-water mark of the test process that forks it.
 """
 
+import gc
 import tracemalloc
 
 import pytest
 
-from attnsyntax import attn_io, write_dump
+from attnsyntax import attn_io, cli, write_dump
 from attnsyntax.cli import main
 from attnsyntax.synth import random_attention_baseline
 
@@ -74,3 +75,23 @@ def test_peak_grows_by_less_than_one_record_from_4_to_40_records(command, tmp_pa
     growth = _peak_bytes(_argv(command, many)) - _peak_bytes(_argv(command, few))
     record_bytes = layers * heads * n * n * 8
     assert growth < record_bytes, f"{growth} bytes more for 36 more records of {record_bytes}"
+
+
+def test_extract_holds_only_its_tree_lines_without_emit_phrases(tmp_path, monkeypatch):
+    # Once the dump is read, extract holds a tree line per record, about
+    # 300 bytes at n = 32; a phrase record it has no use for adds about
+    # 1 KB more.  The peak is too coarse for this: the free lists and when
+    # the collector runs move it by up to 30 KB between runs of one code.
+    held = []
+
+    def load_dump(*args, **kwargs):
+        kept = attn_io.load_dump(*args, **kwargs)
+        gc.collect()  # a full collection also empties the free lists
+        held.append(tracemalloc.get_traced_memory()[0])
+        return kept
+
+    monkeypatch.setattr(cli, "load_dump", load_dump)
+    for records in (1, 4, 40):  # the first run fills the module-level caches
+        _peak_bytes(_argv("extract", _corpus(tmp_path / str(records), (32, 1, 3), records)))
+    growth = held[2] - held[1]
+    assert growth < 16 * 1024, f"{growth} bytes more held for 36 more records"
