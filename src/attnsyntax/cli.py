@@ -391,7 +391,10 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
                 sentence_id=dump.sentence_id,
                 subwords=dump.subwords,
             )
-            tree = extract_tree(random, _heads_for(random, args.heads))
+            try:
+                tree = extract_tree(random, _heads_for(random, args.heads))
+            except (AttnSyntaxError, ValueError) as exc:
+                raise AttnSyntaxError(f"sentence {dump.sentence_id!r}: {exc}") from exc
         return tree.to_bracketed(dump.subwords)
 
     lines = load_dump(args.dump, keep=tree_line)

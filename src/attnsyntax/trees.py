@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -229,27 +229,17 @@ _PLAN_CACHE_MAX_N = 100
 
 class _Step(NamedTuple):
     """Read-only index arrays that fill the spans of one length of an
-    n-subword chart, and where those spans sit in the chart's order.
+    n-subword chart.
 
     With starts a as rows and splits k from b - 1 down to a as columns,
     ``operands`` holds the flat indices of s[a,k], s[k+1,b], w[a,k] and
     w[k+1,b] in the [scores | weights] buffer of two (n+1) x (n+1)
     tables.  ``rows`` holds each row's flat start in the candidates,
-    ``cells`` the flat index of [a, b], and ``spans`` the slice of the
-    chart's spans that these take.
+    ``cells`` the flat index of [a, b] and ``last_split`` b - 1.
     """
 
     operands: np.ndarray
     rows: np.ndarray
-    cells: np.ndarray
-    spans: slice
-
-
-class _Plan(NamedTuple):
-    """The steps for span lengths 2..n in order, with every span's cell
-    and last split b - 1 in the same order."""
-
-    steps: Iterable[_Step]
     cells: np.ndarray
     last_split: np.ndarray
 
@@ -259,15 +249,9 @@ def _read_only(*arrays: np.ndarray) -> None:
         array.setflags(write=False)
 
 
-def _shorter_spans(n: int, length):
-    """How many spans a < b of an n-subword chart are shorter than
-    ``length``, an int or an array of them."""
-    return (length - 2) * (2 * n - length + 1) // 2
-
-
-def _step(n: int, length: int, cells: np.ndarray) -> _Step:
-    """The step of one span length; ``cells`` is the plan's."""
-    done, count = _shorter_spans(n, length), n - length + 1
+def _step(n: int, length: int) -> _Step:
+    """The step of one span length."""
+    count = n - length + 1
     offsets = np.arange(length - 2, -1, -1)  # k - a, largest split first
     operands = np.empty((4, count, length - 1), dtype=np.int64)
     left, right = operands[0], operands[1]
@@ -276,32 +260,28 @@ def _step(n: int, length: int, cells: np.ndarray) -> _Step:
     np.add(left, offsets * n + (n + length), out=right)
     np.add(operands[:2], (n + 1) ** 2, out=operands[2:])  # the same cells of w
     rows = np.arange(0, left.size, length - 1)
-    _read_only(operands, rows)
-    return _Step(operands, rows, cells[done : done + count], slice(done, done + count))
+    cells = starts + (length - 1)  # [a, b] for each a
+    last_split = np.arange(length - 1, n)  # b - 1 for each a
+    _read_only(operands, rows, cells, last_split)
+    return _Step(operands, rows, cells, last_split)
 
 
-def _plan(n: int) -> _Plan:
-    """The chart's plan, its steps built one by one as they are asked for."""
-    lengths = np.repeat(np.arange(2, n + 1), np.arange(n - 1, 0, -1))
-    starts = np.arange(lengths.size) - _shorter_spans(n, lengths) + 1
-    cells = starts * (n + 2) + (lengths - 1)
-    last_split = starts + (lengths - 2)
-    _read_only(cells, last_split)
-    return _Plan((_step(n, length, cells) for length in range(2, n + 1)), cells, last_split)
+def _steps(n: int) -> Iterator[_Step]:
+    """The steps for span lengths 2..n in order, each built as it is asked for."""
+    return (_step(n, length) for length in range(2, n + 1))
 
 
 @lru_cache(maxsize=1)
-def _cached_plan(n: int) -> _Plan:
-    plan = _plan(n)
-    return plan._replace(steps=tuple(plan.steps))
+def _cached_plan(n: int) -> tuple[_Step, ...]:
+    return tuple(_steps(n))
 
 
-def _gather_plan(n: int) -> _Plan:
-    """The chart's plan.  Up to ``_PLAN_CACHE_MAX_N`` the whole plan is
+def _gather_plan(n: int) -> Iterable[_Step]:
+    """The chart's steps.  Up to ``_PLAN_CACHE_MAX_N`` all of them are
     kept for the most recent such n; a longer chart builds each length's
     step as the fill reaches it, so it holds O(n^2) indices at a time
     instead of O(n^3)."""
-    return _cached_plan(n) if n <= _PLAN_CACHE_MAX_N else _plan(n)
+    return _cached_plan(n) if n <= _PLAN_CACHE_MAX_N else _steps(n)
 
 
 def cky_chart(table: Mapping[Span, tuple[float, float]], n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -323,12 +303,11 @@ def cky_chart(table: Mapping[Span, tuple[float, float]], n: int) -> tuple[np.nda
     depend on both: another order can change a score in its last bit, and
     with it a split.
 
-    Scores and weights share one flat buffer, so one ``take`` gathers the
-    four operands of every candidate of a length as four rows.  The rows
-    are added one at a time: ``np.add.reduce`` or ``sum`` over them would
+    Scores and weights share one flat buffer, so one indexing gathers the
+    four operands of every candidate of a length as four rows; ``take``
+    would copy the read-only index arrays on every call.  The rows are
+    added one at a time: ``np.add.reduce`` or ``sum`` over them would
     follow numpy's iteration order, which can add s0 + ((s1 + w0) + w1).
-    Each step keeps its winning columns in one array for the whole chart,
-    from which the splits are written once at its end.
 
     The index arrays depend only on n.  They hold 2(n^3 - n)/3 gather
     indices plus three per span, 8 bytes each, so they grow with n^3:
@@ -349,22 +328,20 @@ def cky_chart(table: Mapping[Span, tuple[float, float]], n: int) -> tuple[np.nda
             raise ValueError(f"phrase span ({a},{b}) outside sentence 1..{n}")
         weights[a, b] = weight
     buffer[n + 2 : size : n + 2] = 1.0  # the leaves [i, i]
-    plan = _gather_plan(n)
-    best = np.empty(plan.cells.size, dtype=np.intp)
-    for operands, rows, cells, spans in plan.steps:
-        g = buffer.take(operands)
+    splits = np.zeros(size, dtype=np.int64)
+    for operands, rows, cells, last_split in _gather_plan(n):
+        g = buffer[operands]
         candidates = g[0] + g[1]
         candidates += g[2]
         candidates += g[3]
         del g  # a chart past the cache limit builds its next step before the loop rebinds g
         # argmax returns the first maximum: the largest split
-        won = candidates.argmax(axis=1, out=best[spans])
+        won = candidates.argmax(axis=1)
         buffer[cells] = candidates.take(rows + won) / 4.0
+        splits[cells] = last_split - won
     scores = buffer[:size].reshape(n + 1, n + 1).copy()
-    splits = np.zeros((n + 1, n + 1), dtype=np.int64)
-    splits.put(plan.cells, np.subtract(plan.last_split, best, out=best))
     _read_only(scores, splits)
-    return scores, splits
+    return scores, splits.reshape(n + 1, n + 1)  # a view of a read-only array is read-only
 
 
 def cky_parse(table: Mapping[Span, tuple[float, float]], n: int) -> SpanTree:

@@ -355,6 +355,14 @@ class TestBaseline:
         assert exc.value.code == 2
         assert "argument --heads: bad head spec item '1-1'" in capsys.readouterr().err
 
+    def test_rand_attn_head_outside_the_universe_names_the_sentence(self, toy_dump_path,
+                                                                     capsys):
+        code, out, err = run_cli(["baseline", "--dump", toy_dump_path, "--kind", "rand.attn",
+                                  "--heads", "7:1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: sentence 'toy-01': head (7,1) outside universe 1..2 x 1..3\n"
+
     def test_rand_attn_deterministic_by_seed(self, toy_dump_path, capsys):
         args = ["baseline", "--dump", toy_dump_path, "--kind", "rand.attn", "--seed", 9]
         _, first, _ = run_cli(args, capsys)

@@ -53,7 +53,11 @@ def _argv(command, directory):
 
 
 def _peak_bytes(argv):
-    """The most memory that ``main(argv)`` had allocated at once."""
+    """The most memory that ``main(argv)`` had allocated at once.
+
+    A full collection first, so that what the collector and the free lists
+    still hold of earlier runs does not move the peak from run to run."""
+    gc.collect()
     tracemalloc.start()
     try:
         assert main(argv) == 0

@@ -286,8 +286,7 @@ class TestGatherPlanMemory:
         assert trees._gather_plan(30) is plan
         trees._gather_plan(31)
         assert trees._gather_plan(30) is not plan
-        arrays = [plan.cells, plan.last_split]
-        arrays += [array for step in plan.steps for array in step[:3]]
+        arrays = [array for step in plan for array in step]
         assert all(not array.flags.writeable for array in arrays)
 
 
