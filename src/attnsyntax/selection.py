@@ -19,12 +19,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Mapping, Sequence
 
-from .attn_io import AttentionDump, Head, all_heads
+from .attn_io import AttentionDump, Head, Span, all_heads
 from .errors import AlignmentError
 from .phrases import HeadPhrases, head_phrases, pool_phrases
 from .scoring import CountingPolicy, EvalReport, score
 from .treebank import ConstituencyTree
-from .trees import cky_parse
+from .trees import cky_chart, cky_splits, tree_from_splits
 
 log = logging.getLogger(__name__)
 
@@ -148,28 +148,110 @@ def _check_dev_set(
     return universe
 
 
-def _dev_scores(
+# The tables waiting for a chart are all filled, each length's group with
+# one ``cky_splits`` call, once their stacked [scores | weights] and splits
+# buffers, 24 (n+1)^2 bytes per table, reach this many bytes in all: 46
+# tables at n = 30, 11 at n = 64.  Per chart, groups of this size took
+# 0.063 ms at n = 30 and 0.52 ms at n = 64, against 0.072 and 0.73 ms at
+# half of it, 0.061 and 0.42 ms at twice it, and 0.19 and 0.71 ms for one
+# ``cky_chart`` call (96 random tables, best of 5, medians of 3 such runs;
+# shared 2-core x86-64, numpy 2.4).  Twice the budget gains little at the
+# paper's n = 30 for twice the memory.  The waiting tables are what the
+# search holds beyond its dev sentences and the sentence it pools: at most
+# the budget's worth of tables, whatever the dev set's size or lengths.  A
+# table that holds every span takes about 4 times its buffers (93 KB at
+# n = 30), so they hold at most about 4 MiB.
+_FILL_BYTES = 1 << 20
+
+# A smaller group, such as one of a length that few dev sentences share,
+# what is left at the end of a step, or every group past n = 78 (where the
+# budget holds fewer tables), is filled chart by chart: a group costs about
+# as much per chart as ``cky_chart`` at 4 tables at n = 30, and at 8 tables
+# at n = 64 and 80.
+_MIN_GROUP = 8
+
+
+class _Fills:
+    """Distinct phrase tables waiting for a chart, grouped by n across dev
+    sentences, and the totals their reports go to.
+
+    Each table waits with its reference tree and the trials it stands for,
+    and its report is added to each of those trials' totals.  Once the
+    waiting tables reach ``_FILL_BYTES`` in all, and at the end of a step,
+    ``flush`` fills every group, each with one ``cky_splits`` call, or
+    chart by chart if it holds fewer than ``_MIN_GROUP`` tables.  Grouping
+    across sentences pays where sentences of one length come within the
+    budget of each other; otherwise a group holds about one sentence's
+    tables.
+    """
+
+    def __init__(self, trials: int, counting: CountingPolicy) -> None:
+        self.counting = counting
+        self.totals = [EvalReport()] * trials
+        self.waiting: dict[int, list[tuple[Mapping, ConstituencyTree, list[int]]]] = {}
+        self.bytes = 0
+        self.filled = 0
+
+    def add(self, n: int, table: Mapping, gold: ConstituencyTree, trials: list[int]) -> None:
+        self.waiting.setdefault(n, []).append((table, gold, trials))
+        self.bytes += 24 * (n + 1) ** 2
+        if self.bytes >= _FILL_BYTES:
+            self.flush()
+
+    def flush(self) -> None:
+        for n, group in self.waiting.items():
+            self._fill(n, group)
+        self.waiting.clear()
+        self.bytes = 0
+
+    def _fill(self, n: int, group: list[tuple[Mapping, ConstituencyTree, list[int]]]) -> None:
+        tables = [table for table, _, _ in group]
+        if len(tables) >= _MIN_GROUP:
+            charts = cky_splits(tables, n)
+        else:
+            charts = [cky_chart(table, n)[1] for table in tables]
+        for (_, gold, trials), splits in zip(group, charts):
+            report = score(tree_from_splits(n, splits.item), gold, self.counting)
+            for i in trials:
+                self.totals[i] = self.totals[i].merged(report)
+        self.filled += len(group)
+
+
+def _table_key(table: Mapping[Span, tuple[float, float]]) -> tuple:
+    """What a sentence's chart depends on: each span's equalized weight."""
+    return tuple((span, weight) for span, (_, weight) in table.items())
+
+
+def _dev_reports(
     sentences: Sequence[DevSentence],
     golds: Sequence[ConstituencyTree],
-    masks: Sequence[frozenset[Head]],
-    objective: str,
+    trials: Sequence[frozenset[Head]],
     counting: CountingPolicy,
-) -> list[float]:
-    """The dev-set objective of each head set.
+) -> tuple[list[EvalReport], int]:
+    """Every trial head set's pooled report on the dev set, and the number
+    of charts filled for it.
 
-    Sentence by sentence, every head set's cached phrases are pooled,
-    parsed and scored, so the charts of one sentence length are filled
-    back to back (see ``cky_chart``).  No heads give the all-weights-zero
-    parse (left-branching by tie-break).  The counts are integers, so
-    pooling them in this order gives the same totals as mask by mask.
+    A sentence's tree depends only on its length and its pooled table's
+    equalized weights.  So per sentence each trial's table is pooled and
+    keyed by those weights, and each distinct table waits in ``_Fills``
+    for one chart, filled with others of its length from any dev sentence
+    by ``cky_splits``, whose splits are bitwise ``cky_chart``'s.  Its
+    report counts for every trial that pooled to it.  No heads give the
+    all-weights-zero parse (left-branching by tie-break).  The counts are
+    integers, so adding them up in fill order gives the same totals as
+    trial by trial.
     """
-    totals = [EvalReport()] * len(masks)
+    fills = _Fills(len(trials), counting)
     for sentence, gold in zip(sentences, golds):
         per_head = sentence.phrases
-        for i, heads in enumerate(masks):
+        distinct: dict[tuple, tuple[Mapping, list[int]]] = {}
+        for i, heads in enumerate(trials):
             table = pool_phrases({head: per_head[head] for head in heads})
-            totals[i] = totals[i].merged(score(cky_parse(table, sentence.n), gold, counting))
-    return [total.precision if objective == "precision" else total.f1 for total in totals]
+            distinct.setdefault(_table_key(table), (table, []))[1].append(i)
+        for table, same in distinct.values():
+            fills.add(sentence.n, table, gold, same)
+    fills.flush()
+    return fills.totals, fills.filled
 
 
 def _greedy(
@@ -184,17 +266,25 @@ def _greedy(
     universe = _check_dev_set(sentences, golds)
     all_pairs = all_heads(*universe)
 
+    def evaluated(step: int, trials: list[frozenset[Head]]) -> list[float]:
+        totals, charts = _dev_reports(sentences, golds, trials, counting)
+        runs = len(trials) * len(sentences)
+        log.debug("%s step %d: %d evaluations over %d sentences, %d charts filled, "
+                  "%d reports reused", strategy, step, len(trials), len(sentences),
+                  charts, runs - charts)
+        return [total.precision if objective == "precision" else total.f1 for total in totals]
+
     adding = strategy == "addition"
     current: set[Head] = set() if adding else set(all_pairs)
     evaluations = 1
-    [initial_score] = _dev_scores(sentences, golds, [frozenset(current)], objective, counting)
+    [initial_score] = evaluated(0, [frozenset(current)])
     n_steps = len(all_pairs) if adding else len(all_pairs) - 1
 
     steps: list[SelectionStep] = []
     for step in range(1, n_steps + 1):
         candidates = sorted(set(all_pairs) - current if adding else current)
         trials = [frozenset(current | {h} if adding else current - {h}) for h in candidates]
-        values = _dev_scores(sentences, golds, trials, objective, counting)
+        values = evaluated(step, trials)
         evaluations += len(candidates)
         best: tuple[float, Head] | None = None
         for value, head in zip(values, candidates):

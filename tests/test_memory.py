@@ -15,39 +15,52 @@ from attnsyntax import attn_io, cli, write_dump
 from attnsyntax.cli import main
 from attnsyntax.synth import random_attention_baseline
 
-# command: its arguments, and the shape (n, layers, heads) of every record
-# of its dumps.  ``select-heads`` keeps each dev sentence's subwords,
-# phrases and reference tree, about 7 KB at n = 96, so its records must be
-# larger than those of the others, which keep a line or an id.
+# command: its arguments, the shape (n, layers, heads) of its dumps' records,
+# and how many lengths n, n - 1, ... the records take in turn.
+# ``select-heads`` keeps each dev sentence's subwords, phrases and reference
+# tree, about 7 KB at n = 96, so its records must be larger than those of
+# the others, which keep a line or an id.  The head search fills its charts
+# in groups of one length drawn from every dev sentence, once the waiting
+# tables hold ``selection._FILL_BYTES`` of chart buffers in all: 11 tables
+# at n = 64, so with 12 candidates or fewer per step a group spans two or
+# more sentences.  With 24 candidates over 20 lengths (n = 40 down to 21)
+# the groups of many lengths wait at once; a budget per length instead of
+# in all let them grow by about 630 KB here, against a bound of 300 KB.
+# At n = 30 and 3 x 4 heads the kept dev sentences alone grow by more than
+# that shape's one record from 4 to 40 records.
 COMMANDS = {
-    "extract": (["extract", "--heads", "all"], (64, 1, 3)),
-    "baseline": (["baseline", "--kind", "rand.attn"], (64, 1, 3)),
-    "render": (["render", "--sentence", "s00", "--all"], (64, 1, 3)),
-    "select-heads": (["select-heads", "--strategy", "add"], (96, 2, 3)),
+    "extract": (["extract", "--heads", "all"], (64, 1, 3), 1),
+    "baseline": (["baseline", "--kind", "rand.attn"], (64, 1, 3), 1),
+    "render": (["render", "--sentence", "s00", "--all"], (64, 1, 3), 1),
+    "select-heads": (["select-heads", "--strategy", "add"], (96, 2, 3), 1),
+    "select-heads-grouped": (["select-heads", "--strategy", "add"], (64, 3, 4), 1),
+    "select-heads-lengths": (["select-heads", "--strategy", "add"], (40, 4, 6), 20),
 }
 
 
-def _corpus(directory, shape, records):
-    """A dump of ``records`` records of one shape and a flat reference tree
-    per record.
+def _corpus(directory, shape, records, lengths=1):
+    """A dump of ``records`` records and a flat reference tree per record.
 
-    The records cycle through four seeded random ones under ids of one
-    length, so every corpus has the same longest line.
+    Record i has ``n - i % lengths`` subwords, and the records cycle
+    through four seeded random ones under ids of one length, so every
+    corpus has the same longest line.
     """
     directory.mkdir()
-    dumps = [random_attention_baseline([11, i % 4], *shape, sentence_id=f"s{i:02d}")
+    n, layers, heads = shape
+    dumps = [random_attention_baseline([11, i % 4], n - i % lengths, layers, heads,
+                                       sentence_id=f"s{i:02d}")
              for i in range(records)]
     write_dump(dumps, directory / "d.jsonl")
-    words = " ".join(dumps[0].subwords[:-1])
-    (directory / "g.txt").write_text(f"(S {words})\n" * records)
+    (directory / "g.txt").write_text(
+        "".join(f"(S {' '.join(dump.subwords[:-1])})\n" for dump in dumps))
     return directory
 
 
 def _argv(command, directory):
     argv = COMMANDS[command][0] + ["--dump", str(directory / "d.jsonl")]
-    if command == "render":
+    if argv[0] == "render":
         return argv + ["--out-dir", str(directory / "images")]
-    if command == "select-heads":
+    if argv[0] == "select-heads":
         argv += ["--gold", str(directory / "g.txt")]
     return argv + ["--out", str(directory / "out.txt")]
 
@@ -73,8 +86,9 @@ def test_peak_grows_by_less_than_one_record_from_4_to_40_records(command, tmp_pa
     # where lines fall relative to the blocks, which a longer file samples
     # more of; small blocks keep that apart from what grows with the count.
     monkeypatch.setattr(attn_io, "READ_BLOCK_BYTES", 4096)
-    shape = n, layers, heads = COMMANDS[command][1]
-    one, few, many = (_corpus(tmp_path / str(k), shape, k) for k in (1, 4, 40))
+    _, shape, lengths = COMMANDS[command]
+    n, layers, heads = shape
+    one, few, many = (_corpus(tmp_path / str(k), shape, k, lengths) for k in (1, 4, 40))
     main(_argv(command, one))  # module-level caches (the chart plan for n) fill here
     growth = _peak_bytes(_argv(command, many)) - _peak_bytes(_argv(command, few))
     record_bytes = layers * heads * n * n * 8

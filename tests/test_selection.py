@@ -1,4 +1,6 @@
 import argparse
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +8,14 @@ import pytest
 from attnsyntax import (
     AlignmentError,
     AttentionDump,
+    EvalReport,
     extract_tree,
     random_binary_tree,
     score,
 )
 from attnsyntax.attn_io import all_heads
 from attnsyntax.cli import _head_set
+from attnsyntax.phrases import pool_phrases
 from attnsyntax.scoring import CountingPolicy
 from attnsyntax.selection import (
     dev_sentence,
@@ -21,7 +25,7 @@ from attnsyntax.selection import (
     layer_distribution,
 )
 from attnsyntax.synth import baluster_matrix
-from attnsyntax import selection
+from attnsyntax import selection, trees
 from oracles import gold_from_span_tree, greedy_by_candidates
 
 
@@ -180,10 +184,30 @@ class TestTraceMechanics:
         assert allspans.initial_score > nontrivial.initial_score  # trivia inflate
 
 
+def reusing_dev_set():
+    """A dev set on which many trials of a step pool to one table.
+
+    Head (1, 1) attends each subword to itself, so it has no balusters and
+    adding or dropping it leaves the table of the heads it joins.  Head
+    (2, 3) copies head (1, 2), so alone they pool to one table.  A sentence
+    of 2 subwords has one span to weigh, which equalization weighs 1
+    whatever the heads' weights, so most head sets give it one table.
+    """
+    dumps, golds = mixed_length_dev_set(3, [9, 3, 12, 2, 9, 4, 3])
+    changed = []
+    for dump in dumps:
+        attn = np.array(dump.matrices)
+        attn[0, 0] = np.eye(dump.n)
+        attn[1, 2] = attn[0, 1]
+        changed.append(AttentionDump(dump.sentence_id, dump.subwords, attn))
+    return changed, golds
+
+
 @pytest.mark.parametrize("strategy", ["addition", "ablation"])
 @pytest.mark.parametrize("objective", ["precision", "f1"])
 @pytest.mark.parametrize("counting", list(CountingPolicy))
-def test_traces_match_candidate_by_candidate_search(strategy, objective, counting):
+def test_traces_match_candidate_by_candidate_search(strategy, objective, counting,
+                                                    monkeypatch):
     """Sentence-by-sentence steps give the traces of scoring each
     candidate over the whole dev set, on sentences of mixed lengths."""
     search = greedy_addition if strategy == "addition" else greedy_ablation
@@ -194,6 +218,83 @@ def test_traces_match_candidate_by_candidate_search(strategy, objective, countin
         expected = greedy_by_candidates(strategy, dumps, golds, objective, counting)
         assert trace.to_text() == expected.to_text()
         assert trace == expected
+
+    # the waiting tables are filled once they hold the bytes of four n = 9
+    # tables in all, so a step fills several groups, some of them from
+    # several sentences; a table left alone takes the chart-by-chart path
+    monkeypatch.setattr(selection, "_FILL_BYTES", 24 * 10**2 * 4)
+    monkeypatch.setattr(selection, "_MIN_GROUP", 2)
+    filled = []
+
+    def cky_splits(tables, n):
+        filled.append(len(tables))
+        return trees.cky_splits(tables, n)
+
+    monkeypatch.setattr(selection, "cky_splits", cky_splits)
+    dumps, golds = reusing_dev_set()
+    trace = search([dev_sentence(dump) for dump in dumps], golds,
+                   objective=objective, counting=counting)
+    expected = greedy_by_candidates(strategy, dumps, golds, objective, counting)
+    assert trace.to_text() == expected.to_text()
+    assert trace == expected
+    assert len(filled) > 2 * (len(trace.steps) + 1)
+    assert sum(filled) < trace.evaluations * len(dumps)
+
+
+def test_debug_line_per_step_counts_charts_and_reused_reports(caplog):
+    dumps, golds = reusing_dev_set()
+    with caplog.at_level(logging.DEBUG, logger="attnsyntax.selection"):
+        trace = greedy_addition([dev_sentence(dump) for dump in dumps], golds)
+    lines = [record.getMessage() for record in caplog.records
+             if record.levelno == logging.DEBUG]
+    assert len(lines) == len(trace.steps) + 1  # the initial head set, then each step
+    pattern = (r"addition step (\d+): (\d+) evaluations over 7 sentences, "
+               r"(\d+) charts filled, (\d+) reports reused")
+    counts = [tuple(map(int, re.fullmatch(pattern, line).groups())) for line in lines]
+    assert [step for step, *_ in counts] == list(range(len(lines)))
+    assert sum(evaluations for _, evaluations, _, _ in counts) == trace.evaluations
+    assert all(filled + reused == evaluations * 7 for _, evaluations, filled, reused in counts)
+    assert counts[0][2:] == (7, 0)  # one empty table per sentence
+    assert sum(reused for *_, reused in counts) > trace.evaluations
+
+
+def test_trials_that_pool_to_one_table_share_its_chart():
+    """No heads and head (1, 1) alone pool to the empty table, and (1, 2)
+    and (2, 3) alone to one table, empty too where (1, 2) has no phrases.
+    Each trial's total equals that of parsing and scoring it directly."""
+    dumps, golds = reusing_dev_set()
+    sentences = [dev_sentence(dump) for dump in dumps]
+    counting = CountingPolicy.NONTRIVIAL
+    trials = [frozenset(), frozenset({(1, 1)}), frozenset({(1, 2)}), frozenset({(2, 3)})]
+    totals, charts = selection._dev_reports(sentences, golds, trials, counting)
+    assert charts == len(sentences) + sum(bool(s.phrases[1, 2]) for s in sentences) == 11
+    for heads, total in zip(trials, totals):
+        direct = EvalReport()
+        for sentence, gold in zip(sentences, golds):
+            table = pool_phrases({head: sentence.phrases[head] for head in heads})
+            direct = direct.merged(score(trees.cky_parse(table, sentence.n), gold, counting))
+        assert total == direct
+
+
+def test_waiting_tables_stay_within_the_fill_budget(monkeypatch):
+    """Across lengths, the tables left waiting after each one is added hold
+    less than ``_FILL_BYTES`` of chart buffers."""
+    monkeypatch.setattr(selection, "_FILL_BYTES", 24 * 13**2 * 5)
+    waiting = []
+    add = selection._Fills.add
+
+    def checked_add(fills, n, *rest):
+        add(fills, n, *rest)
+        held = sum(len(group) * 24 * (m + 1) ** 2 for m, group in fills.waiting.items())
+        assert held == fills.bytes < selection._FILL_BYTES
+        waiting.append(len(fills.waiting))
+
+    monkeypatch.setattr(selection._Fills, "add", checked_add)
+    dumps, golds = mixed_length_dev_set(4, [12, 5, 9, 12, 7, 5, 9])
+    trace = greedy_addition([dev_sentence(dump) for dump in dumps], golds)
+    assert trace == greedy_by_candidates("addition", dumps, golds, "precision",
+                                         CountingPolicy.NONTRIVIAL)
+    assert max(waiting) >= 3  # groups of several lengths waited together
 
 
 class TestLayerDistribution:

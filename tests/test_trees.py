@@ -18,7 +18,7 @@ from attnsyntax import (
     rbal_tree,
 )
 from attnsyntax.attn_io import all_heads
-from attnsyntax.trees import cky_chart, cky_parse, parse_span_tree, tree_from_splits
+from attnsyntax.trees import cky_chart, cky_parse, cky_splits, parse_span_tree, tree_from_splits
 from oracles import (
     BRACKET_LINES,
     all_binary_trees,
@@ -264,6 +264,43 @@ class TestChartMatchesCellLoop:
         n = trees._PLAN_CACHE_MAX_N + past
         self.assert_same_chart(random_phrase_table(np.random.default_rng(n), n, 0.35), n)
         assert (trees._gather_plan(n) is trees._gather_plan(n)) == (not past)
+
+
+class TestSplitsMatchChart:
+    """Charts filled together are bitwise the charts filled one by one."""
+
+    @staticmethod
+    def tables(rng, n, kinds):
+        """One table of each kind: 0 random, 1 tie-heavy, 2 empty, 3 all ones."""
+        small = rng.integers(0, 3, size=(n + 1, n + 1))
+        make = (
+            lambda: random_phrase_table(rng, n, float(rng.choice([0.1, 0.35, 0.9]))),
+            lambda: _all_spans_table(n, lambda a, b: small[a, b]),
+            lambda: {},
+            lambda: _all_spans_table(n, lambda a, b: 1.0),
+        )
+        return [make[kind]() for kind in kinds]
+
+    # both sides of the plan cache limit, _PLAN_CACHE_MAX_N = 100
+    @pytest.mark.parametrize("n", [*range(1, 41), 64, 100, 101, 150])
+    def test_splits_equal_cky_chart(self, n):
+        rng = np.random.default_rng(5000 + n)
+        batches = [[kind] for kind in range(4)]
+        batches += [[(first + i) % 4 for i in range(size)]
+                    for first, size in enumerate((2, 7, 64))]
+        for kinds in batches:
+            tables = self.tables(rng, n, kinds)
+            stacked = cky_splits(tables, n)
+            assert stacked.shape == (len(tables), n + 1, n + 1)
+            assert not stacked.flags.writeable
+            for table, splits in zip(tables, stacked):
+                assert splits.tobytes() == cky_chart(table, n)[1].tobytes()
+
+    def test_rejects_out_of_range_span(self):
+        with pytest.raises(ValueError, match=r"phrase span \(2,4\) outside sentence 1..3"):
+            cky_splits([{(1, 2): (1.0, 1.0)}, {(2, 4): (1.0, 1.0)}], 3)
+        with pytest.raises(ValueError, match="sentence length"):
+            cky_splits([{}], 0)
 
 
 class TestGatherPlanMemory:
