@@ -77,6 +77,20 @@ def _pin_mmap_threshold() -> None:
     same records.  Setting the threshold turns that adjustment off, so
     blocks of 128 KiB or more are mapped and handed back when freed.  Where
     the C library has no ``mallopt`` nothing changes.
+
+    The price is that every block of 128 KiB or more is mapped afresh and
+    its pages are faulted in on first touch, each time it is allocated.
+    So the loops that allocate again and again keep their temporaries
+    under the threshold: ``attn_io._openers`` counts a record's brackets
+    in 64 KiB slices, ``eval`` scores its lines in chunks of
+    ``_CHUNK_CHARS``, and the head search's grouped fills gather one
+    operand at a time and pool in blocks, both within about
+    ``selection._FILL_BYTES`` / 12 (``tests/test_selection.py`` checks
+    these two bounds).  A pass that crosses the threshold pays a page
+    fault per 4 KiB it touches: gathering a grouped fill's four operands
+    at once did, at 350 KB a step: an in-process ``select-heads`` on the
+    ``headsearch`` benchmark's input made 26.5k minor faults so, against
+    3.5k with one operand at a time.
     """
     if os.name != "posix":
         return

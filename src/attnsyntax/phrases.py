@@ -66,13 +66,20 @@ def find_balusters(hardened: tuple[np.ndarray, np.ndarray], head: Head) -> list[
 
 
 def equalize(raw: Mapping[Span, float]) -> dict[Span, float]:
-    """Rescale weights so the mean over each represented length equals 1."""
+    """Rescale weights so the mean over each represented length equals 1.
+
+    Each length's total is a left fold in ``raw``'s order, written out:
+    from Python 3.12 ``sum`` adds floats with compensation, which would
+    make the weights depend on the interpreter.
+    """
     by_length: dict[int, list[Span]] = {}
     for (a, b) in raw:
         by_length.setdefault(b - a + 1, []).append((a, b))
     equalized: dict[Span, float] = {}
     for length, spans in by_length.items():
-        total = sum(raw[s] for s in spans)
+        total = 0.0
+        for s in spans:
+            total += raw[s]
         if total == 0.0:
             raise ValueError(
                 f"cannot equalize length {length}: the weights of {spans} sum to 0"

@@ -13,7 +13,9 @@ span crosses a child of the smallest node around it.  Precision: an
 extracted span (a, b) crosses no reference span exactly when
 ``first_end[a] >= b and last_start[b] <= a``, two arrays a reference tree
 computes once however often it is scored (``ConstituencyTree.boundaries``).
-``score_arrays`` applies the same two rules to many lines at once.
+``score_arrays`` applies the same two rules to many lines at once, and
+``reference_masks`` with ``score_nodes`` to many trees of one sentence,
+as masks over its chart's spans.
 """
 
 from __future__ import annotations
@@ -144,3 +146,48 @@ def score_arrays(
         # reference root (1, n)
         counts = [2 * n - 1, counts[1] + n + 1, counts[2] + 1, counts[3] + 1]
     return list(map(EvalReport, *(c.tolist() for c in counts)))
+
+
+def reference_masks(
+    gold: ConstituencyTree,
+    counting: CountingPolicy = CountingPolicy.NONTRIVIAL,
+) -> np.ndarray:
+    """What ``score`` reads of a reference tree, as a (2, n+1, n+1) bool
+    array over spans (a, b): [0] the extracted spans it counts that cross
+    no reference span, by the boundary rule, and [1] the reference spans
+    it counts.  ``score_nodes`` scores trees of nodes against them."""
+    n = gold.n
+    first_end, last_start = (np.array(bound) for bound in gold.boundaries)
+    a, b = np.indices((n + 1, n + 1))
+    counted = (a >= 1) & (a <= b) & (b <= n)
+    if counting is not CountingPolicy.ALL:
+        counted &= a < b
+        counted[1, n] = False
+    masks = np.zeros((2, n + 1, n + 1), dtype=bool)
+    masks[0] = counted & (first_end[a] >= b) & (last_start[b] <= a)
+    for start, end in gold.spans():
+        masks[1, start, end] = counted[start, end]
+    return masks
+
+
+def score_nodes(nodes: np.ndarray, masks: np.ndarray,
+                counting: CountingPolicy = CountingPolicy.NONTRIVIAL) -> np.ndarray:
+    """``score``'s four counts, in ``EvalReport``'s field order, of each of
+    many trees over 1..n against one reference tree: a (trees, 4) int64
+    array.
+
+    ``nodes`` is ``trees.tree_nodes``' (trees, n+1, n+1) marks and
+    ``masks`` the reference tree's ``reference_masks`` under ``counting``.
+    A strictly binary tree has n leaves and n - 1 phrases, the root among
+    them, so the count of its extracted spans depends on n alone; the
+    other counts are the nodes under each mask, and the reference spans.
+    """
+    n = nodes.shape[-1] - 1
+    flat = nodes.reshape(len(nodes), -1)
+    consistent, reference = masks.reshape(2, -1)
+    counts = np.empty((len(nodes), 4), dtype=np.int64)
+    counts[:, 0] = 2 * n - 1 if counting is CountingPolicy.ALL else max(n - 2, 0)
+    counts[:, 1] = np.count_nonzero(flat & consistent, axis=1)
+    counts[:, 2] = np.count_nonzero(reference)
+    counts[:, 3] = np.count_nonzero(flat & reference, axis=1)
+    return counts

@@ -17,14 +17,16 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .attn_io import AttentionDump, Head, Span, all_heads
 from .errors import AlignmentError
-from .phrases import HeadPhrases, head_phrases, pool_phrases
-from .scoring import CountingPolicy, EvalReport, score
+from .phrases import HeadPhrases, head_phrases
+from .scoring import CountingPolicy, EvalReport, reference_masks, score_nodes
 from .treebank import ConstituencyTree
-from .trees import cky_chart, cky_splits, tree_from_splits
+from .trees import cky_chart, cky_splits, tree_nodes
 
 log = logging.getLogger(__name__)
 
@@ -156,11 +158,15 @@ def _check_dev_set(
 # half of it, 0.061 and 0.42 ms at twice it, and 0.19 and 0.71 ms for one
 # ``cky_chart`` call (96 random tables, best of 5, medians of 3 such runs;
 # shared 2-core x86-64, numpy 2.4).  Twice the budget gains little at the
-# paper's n = 30 for twice the memory.  The waiting tables are what the
-# search holds beyond its dev sentences and the sentence it pools: at most
-# the budget's worth of tables, whatever the dev set's size or lengths.  A
-# table that holds every span takes about 4 times its buffers (93 KB at
-# n = 30), so they hold at most about 4 MiB.
+# paper's n = 30 for twice the memory.  A fill step's largest temporary
+# takes at most 8 (n/2)^2 bytes per table, so about _FILL_BYTES / 12 for a
+# group (87 KB), which keeps it under the 128 KiB mmap threshold that
+# ``cli`` pins: larger blocks are mapped afresh and page-faulted on every
+# step.  The pooling arrays are held to the same size.  The waiting tables
+# are what the search holds beyond its dev sentences, with their slots and
+# masks, and the step it pools: at most the budget's worth of tables,
+# whatever the dev set's size or lengths, each a row of 8 bytes per span
+# that a head of its sentence holds.
 _FILL_BYTES = 1 << 20
 
 # A smaller group, such as one of a length that few dev sentences share,
@@ -171,32 +177,126 @@ _FILL_BYTES = 1 << 20
 _MIN_GROUP = 8
 
 
+class _Pooling(NamedTuple):
+    """One dev sentence as the search pools and scores it, built once per
+    search by ``_pooling``.
+
+    The slots are the spans that some head holds, by length, then start.
+    Rank r holds for each slot the r-th head that holds it, in sorted head
+    order, as its index in the universe, and that head's weight of it;
+    past a slot's last head, the universe's size, which no trial holds,
+    and 0.0.
+    """
+
+    n: int
+    spans: np.ndarray  # (slots, 2)
+    holders: np.ndarray  # (ranks, slots)
+    weights: np.ndarray  # (ranks, slots)
+    sort_key: np.ndarray  # (slots,) each slot's length, then start, as one number
+    starts: np.ndarray  # the first slot of each span length
+    length_of: np.ndarray  # (slots,) the index in ``starts`` of each slot's length
+    masks: np.ndarray  # ``reference_masks`` of its reference tree, packed into bits
+
+
+def _pooling(sentence: DevSentence, gold: ConstituencyTree, heads: Sequence[Head],
+             counting: CountingPolicy) -> _Pooling:
+    """``sentence``'s slots, ranks and reference masks over the universe's
+    sorted ``heads``."""
+    held: dict[Span, list[tuple[int, float]]] = {}
+    for index, head in enumerate(heads):
+        for span, weight in sentence.phrases[head]:
+            held.setdefault(span, []).append((index, weight))
+    spans = sorted(held, key=lambda span: (span[1] - span[0], span[0]))
+    holders = np.full((max(map(len, held.values()), default=0), len(spans)), len(heads))
+    weights = np.zeros(holders.shape)
+    for slot, span in enumerate(spans):
+        for rank, (index, weight) in enumerate(held[span]):
+            holders[rank, slot] = index
+            weights[rank, slot] = weight
+    spans = np.array(spans, dtype=np.intp).reshape(-1, 2)
+    lengths = spans[:, 1] - spans[:, 0]
+    new_length = np.diff(lengths, prepend=-1) > 0
+    n = sentence.n
+    return _Pooling(n, spans, holders, weights,
+                    lengths * (len(heads) + 1) * (n + 1) + spans[:, 0],
+                    np.flatnonzero(new_length), np.cumsum(new_length) - 1,
+                    np.packbits(reference_masks(gold, counting)))
+
+
+def _tables(pooling: _Pooling, member: np.ndarray) -> np.ndarray:
+    """Each trial's pooled table as a row over the sentence's slots: the
+    equalized weight of each span it holds, bitwise ``pool_phrases``', and
+    -1.0 for a span it does not hold.  ``member`` holds a row per trial of
+    whether it holds each head of the universe, and one more column that
+    no trial holds.
+
+    Raw weights are summed over the ranks, that is in sorted head order,
+    as ``pool_phrases`` sums them; a head the trial does not hold adds 0.0,
+    which changes no sum.  ``equalize`` then sums each length's raw weights
+    in the raw table's insertion order: by the first head of the trial
+    that holds the span, then by the span's start, as a head's phrases
+    come in row order.  So each row's slots are sorted by that key within
+    each length, and each length's total is a left fold of them with
+    ``np.add.accumulate``.  ``raw * count / total`` is then ``equalize``'s
+    own arithmetic.
+    """
+    trials, slots = len(member), len(pooling.spans)
+    never = member.shape[1] - 1
+    raw = np.zeros((trials, slots))
+    first = np.full((trials, slots), never)  # the trial's first head holding each slot
+    for holder, weight in zip(pooling.holders, pooling.weights):
+        held = member[:, holder]
+        raw += held * weight
+        np.minimum(first, np.where(held, holder, never), out=first)
+    present = first < never
+    ranked = np.take_along_axis(
+        raw, np.argsort(pooling.sort_key + first * (pooling.n + 1), axis=1), axis=1)
+    totals = np.empty((trials, len(pooling.starts)))
+    for length, (start, stop) in enumerate(zip(pooling.starts, [*pooling.starts[1:], slots])):
+        totals[:, length] = np.add.accumulate(ranked[:, start:stop], axis=1)[:, -1]
+    counts = np.add.reduceat(present, pooling.starts, axis=1, dtype=np.int64)
+    table = np.full((trials, slots), -1.0)
+    at = pooling.length_of
+    np.divide(raw * counts[:, at], totals[:, at], out=table, where=present)
+    return table
+
+
 class _Fills:
     """Distinct phrase tables waiting for a chart, grouped by n across dev
-    sentences, and the totals their reports go to.
+    sentences, and the per-trial totals their reports go to.
 
-    Each table waits with its reference tree and the trials it stands for,
-    and its report is added to each of those trials' totals.  Once the
-    waiting tables reach ``_FILL_BYTES`` in all, and at the end of a step,
-    ``flush`` fills every group, each with one ``cky_splits`` call, or
-    chart by chart if it holds fewer than ``_MIN_GROUP`` tables.  Grouping
-    across sentences pays where sentences of one length come within the
-    budget of each other; otherwise a group holds about one sentence's
-    tables.
+    A sentence's distinct tables wait as rows over its slots, with the
+    index of each trial's table among them.  Once the waiting tables reach
+    ``_FILL_BYTES`` in all, and at the end of a step, ``flush`` fills every
+    group, each with one ``cky_splits`` call, or chart by chart if it holds
+    fewer than ``_MIN_GROUP`` tables.  The group's trees are read off
+    together by ``tree_nodes`` and scored by ``score_nodes`` against each
+    sentence's masks, and each chart's counts go to the totals of every
+    trial that pooled to its table.  Grouping across sentences pays where
+    sentences of one length come within the budget of each other;
+    otherwise a group holds about one sentence's tables.
     """
 
     def __init__(self, trials: int, counting: CountingPolicy) -> None:
         self.counting = counting
-        self.totals = [EvalReport()] * trials
-        self.waiting: dict[int, list[tuple[Mapping, ConstituencyTree, list[int]]]] = {}
+        self.totals = np.zeros((trials, 4), dtype=np.int64)  # EvalReport's fields
+        self.waiting: dict[int, list[tuple[_Pooling, np.ndarray, np.ndarray]]] = {}
         self.bytes = 0
         self.filled = 0
 
-    def add(self, n: int, table: Mapping, gold: ConstituencyTree, trials: list[int]) -> None:
-        self.waiting.setdefault(n, []).append((table, gold, trials))
-        self.bytes += 24 * (n + 1) ** 2
-        if self.bytes >= _FILL_BYTES:
-            self.flush()
+    def add(self, pooling: _Pooling, tables: np.ndarray, ids: np.ndarray) -> None:
+        """Queue ``tables``, rows over ``pooling``'s slots; trial i pooled
+        to tables[ids[i]] if 0 <= ids[i] < len(tables).  The tables are
+        split where the budget fills."""
+        chart = 24 * (pooling.n + 1) ** 2
+        while len(tables):
+            take = -(-(_FILL_BYTES - self.bytes) // chart)  # the tables that reach the budget
+            piece = tables[:take]
+            self.waiting.setdefault(pooling.n, []).append((pooling, piece, ids))
+            self.bytes += chart * len(piece)
+            tables, ids = tables[take:], ids - take
+            if self.bytes >= _FILL_BYTES:
+                self.flush()
 
     def flush(self) -> None:
         for n, group in self.waiting.items():
@@ -204,54 +304,85 @@ class _Fills:
         self.waiting.clear()
         self.bytes = 0
 
-    def _fill(self, n: int, group: list[tuple[Mapping, ConstituencyTree, list[int]]]) -> None:
-        tables = [table for table, _, _ in group]
-        if len(tables) >= _MIN_GROUP:
-            charts = cky_splits(tables, n)
+    def _fill(self, n: int, group: list[tuple[_Pooling, np.ndarray, np.ndarray]]) -> None:
+        count = sum(len(tables) for _, tables, _ in group)
+        if count >= _MIN_GROUP:
+            splits = cky_splits([(pooling.spans, tables) for pooling, tables, _ in group], n)
         else:
-            charts = [cky_chart(table, n)[1] for table in tables]
-        for (_, gold, trials), splits in zip(group, charts):
-            report = score(tree_from_splits(n, splits.item), gold, self.counting)
-            for i in trials:
-                self.totals[i] = self.totals[i].merged(report)
-        self.filled += len(group)
+            splits = np.array([
+                cky_chart(dict(zip(map(tuple, pooling.spans.tolist()), zip(row, row))), n)[1]
+                for pooling, tables, _ in group for row in tables.tolist()])
+        nodes = tree_nodes(splits)
+        size = (n + 1) ** 2
+        column = 0
+        for pooling, tables, ids in group:
+            masks = np.unpackbits(pooling.masks, count=2 * size).view(bool)
+            counts = score_nodes(nodes[column : column + len(tables)],
+                                 masks.reshape(2, n + 1, n + 1), self.counting)
+            hit = (ids >= 0) & (ids < len(tables))
+            self.totals[hit] += counts[ids[hit]]
+            column += len(tables)
+        self.filled += count
 
 
-def _table_key(table: Mapping[Span, tuple[float, float]]) -> tuple:
-    """What a sentence's chart depends on: each span's equalized weight."""
-    return tuple((span, weight) for span, (_, weight) in table.items())
+def _members(heads: Sequence[Head], trials: Sequence[frozenset[Head]]) -> np.ndarray:
+    """Whether each trial holds each of the sorted ``heads``: a row per
+    trial, and one more column that no trial holds."""
+    index = {head: i for i, head in enumerate(heads)}
+    member = np.zeros((len(trials), len(heads) + 1), dtype=bool)
+    for i, trial in enumerate(trials):
+        member[i, [index[head] for head in trial]] = True
+    return member
 
 
 def _dev_reports(
-    sentences: Sequence[DevSentence],
-    golds: Sequence[ConstituencyTree],
+    poolings: Sequence[_Pooling],
+    heads: Sequence[Head],
     trials: Sequence[frozenset[Head]],
     counting: CountingPolicy,
-) -> tuple[list[EvalReport], int]:
-    """Every trial head set's pooled report on the dev set, and the number
-    of charts filled for it.
+) -> tuple[list[EvalReport], int, int]:
+    """Every trial head set's pooled report on the dev set, the number of
+    distinct tables its sentences pooled to and the number of charts
+    filled for them.
 
     A sentence's tree depends only on its length and its pooled table's
-    equalized weights.  So per sentence each trial's table is pooled and
-    keyed by those weights, and each distinct table waits in ``_Fills``
-    for one chart, filled with others of its length from any dev sentence
-    by ``cky_splits``, whose splits are bitwise ``cky_chart``'s.  Its
-    report counts for every trial that pooled to it.  No heads give the
+    equalized weights.  So per sentence every trial's table is pooled at
+    once, as a row of ``_tables``, and the rows are told apart by their
+    bytes.  A row's bytes are its key: equal weights are equal bytes, as
+    no weight is NaN or -0.0, and a span held at a weight of 0.0 stays
+    apart from a span not held.  Each distinct table waits in ``_Fills``
+    for one chart, filled with others of its length from any dev sentence.
+    Its counts count for every trial that pooled to it.  No heads give the
     all-weights-zero parse (left-branching by tie-break).  The counts are
     integers, so adding them up in fill order gives the same totals as
-    trial by trial.
+    trial by trial.  Trials are pooled in blocks whose arrays, of 8 bytes
+    per trial and slot, hold at most about _FILL_BYTES / 12 bytes.
     """
+    member = _members(heads, trials)
     fills = _Fills(len(trials), counting)
-    for sentence, gold in zip(sentences, golds):
-        per_head = sentence.phrases
-        distinct: dict[tuple, tuple[Mapping, list[int]]] = {}
-        for i, heads in enumerate(trials):
-            table = pool_phrases({head: per_head[head] for head in heads})
-            distinct.setdefault(_table_key(table), (table, []))[1].append(i)
-        for table, same in distinct.values():
-            fills.add(sentence.n, table, gold, same)
+    distinct = 0
+    for pooling in poolings:
+        block = max(1, _FILL_BYTES // 12 // (8 * max(1, len(pooling.spans))))
+        seen: dict[bytes, int] = {}
+        ids = np.empty(len(trials), dtype=np.intp)
+        new_tables = []
+        for start in range(0, len(trials), block):
+            tables = _tables(pooling, member[start : start + block])
+            new = []
+            for i, row in enumerate(tables):
+                key = row.tobytes()
+                if key not in seen:
+                    seen[key] = len(seen)
+                    new.append(i)
+                ids[start + i] = seen[key]
+            new_tables.append(np.maximum(tables[new], 0.0))  # a span not held weighs 0
+        first = 0
+        for tables in new_tables:
+            fills.add(pooling, tables, ids - first)
+            first += len(tables)
+        distinct += len(seen)
     fills.flush()
-    return fills.totals, fills.filled
+    return [EvalReport(*counts) for counts in fills.totals.tolist()], distinct, fills.filled
 
 
 def _greedy(
@@ -265,13 +396,16 @@ def _greedy(
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     universe = _check_dev_set(sentences, golds)
     all_pairs = all_heads(*universe)
+    heads = sorted(all_pairs)
+    poolings = [_pooling(sentence, gold, heads, counting)
+                for sentence, gold in zip(sentences, golds)]
 
     def evaluated(step: int, trials: list[frozenset[Head]]) -> list[float]:
-        totals, charts = _dev_reports(sentences, golds, trials, counting)
-        runs = len(trials) * len(sentences)
-        log.debug("%s step %d: %d evaluations over %d sentences, %d charts filled, "
-                  "%d reports reused", strategy, step, len(trials), len(sentences),
-                  charts, runs - charts)
+        totals, distinct, charts = _dev_reports(poolings, heads, trials, counting)
+        pooled = len(trials) * len(sentences)
+        log.debug("%s step %d: %d evaluations over %d sentences, %d tables pooled, "
+                  "%d distinct, %d charts filled, %d reports reused", strategy, step,
+                  len(trials), len(sentences), pooled, distinct, charts, pooled - charts)
         return [total.precision if objective == "precision" else total.f1 for total in totals]
 
     adding = strategy == "addition"

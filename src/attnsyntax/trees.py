@@ -350,53 +350,93 @@ def cky_parse(table: Mapping[Span, tuple[float, float]], n: int) -> SpanTree:
     return tree_from_splits(n, splits.item)
 
 
-def cky_splits(tables: Sequence[Mapping[Span, tuple[float, float]]], n: int) -> np.ndarray:
-    """The splits of many charts of one n, filled together: a read-only
-    (len(tables), n+1, n+1) array whose [i] is bitwise ``cky_chart(tables[i],
-    n)``'s splits.
+def cky_splits(tables: Sequence[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
+    """The splits of many charts of one n, filled together.
+
+    ``tables`` comes in blocks ``(spans, weights)``: a (k, 2) array of
+    spans (a, b), and an (m, k) array that holds m tables, one a row, as
+    the equalized weights of those spans, 0 where a table has no such
+    span.  Returns a read-only (tables, n+1, n+1) array whose [i] is
+    bitwise ``cky_chart``'s splits of the blocks' i-th row, read as the
+    table that maps each span to its weight.
 
     The tables' [scores | weights] buffers are the columns of one array, so
-    each of ``cky_chart``'s steps gathers the four operands of every
-    candidate split of every table with one indexing, adds them in the same
-    order and breaks ties the same way.  The steps' per-call overhead is
-    then paid once per group instead of once per chart: about 0.06 ms per
-    chart at n = 30 in groups of 46, against 0.18 ms for ``cky_chart``.
-    A group of one costs about twice a ``cky_chart`` call, and a group
-    much larger than the processor's cache gains nothing, so callers fill
-    groups of a bounded size.
+    each of ``cky_chart``'s steps gathers an operand of every candidate
+    split of every table with one indexing, adds the four operands in the
+    same order and breaks ties the same way.  The steps' per-call overhead
+    is then paid once per group instead of once per chart: about 0.06 ms
+    per chart at n = 30 in groups of 46, against 0.18 ms for
+    ``cky_chart``.  A group of one costs about twice a ``cky_chart`` call,
+    and a group much larger than the processor's cache gains nothing, so
+    callers fill groups of a bounded size.
+
+    The operands are gathered and added one at a time, so a step's largest
+    temporary is one operand, 8 bytes per candidate split of each table:
+    at most 8 (n/2)^2 bytes per table, a twelfth of its 24 (n+1)^2 bytes
+    of buffers.  Gathering all four at once took four times as much,
+    which for a group of 46 tables at n = 30 crossed glibc's mmap
+    threshold, so that every step mapped fresh pages and faulted them in.
     """
     if n < 1:
         raise ValueError(f"sentence length must be >= 1, got {n}")
     plan = _gather_plan(n)  # a new n's plan is built before the buffers are taken
     size = (n + 1) ** 2
-    count = len(tables)
+    count = sum(len(weights) for _, weights in tables)
     buffer = np.zeros((2 * size, count))  # [scores | weights], a column per table
-    cells: list[int] = []
-    columns: list[int] = []
-    weights: list[float] = []
-    for column, table in enumerate(tables):
-        for (a, b), (_, weight) in table.items():
-            if not (1 <= a <= b <= n):
-                raise ValueError(f"phrase span ({a},{b}) outside sentence 1..{n}")
-            cells.append(size + a * (n + 1) + b)
-            columns.append(column)
-            weights.append(weight)
-    buffer[cells, columns] = weights
+    column = 0
+    for spans, weights in tables:
+        a, b = spans.T
+        outside = (a < 1) | (a > b) | (b > n)
+        if outside.any():
+            a, b = spans[outside.argmax()].tolist()
+            raise ValueError(f"phrase span ({a},{b}) outside sentence 1..{n}")
+        buffer[size + a * (n + 1) + b, column : column + len(weights)] = weights.T
+        column += len(weights)
     buffer[n + 2 : size : n + 2] = 1.0  # the leaves [i, i]
     splits = np.zeros((count, size), dtype=np.int64)
     every = np.arange(count)
     for operands, rows, cells_of, last_split in plan:
-        g = buffer[operands]  # (4, starts, splits, tables)
-        candidates = g[0] + g[1]
-        candidates += g[2]
-        candidates += g[3]
-        del g
+        candidates = buffer[operands[0]]  # (starts, splits, tables)
+        candidates += buffer[operands[1]]
+        candidates += buffer[operands[2]]
+        candidates += buffer[operands[3]]
         won = candidates.argmax(axis=1)  # the first maximum: the largest split
         best = candidates.reshape(-1)[(rows[:, None] + won) * count + every]
         buffer[cells_of] = best / 4.0
         splits[:, cells_of] = (last_split[:, None] - won).T
     _read_only(splits)
     return splits.reshape(count, n + 1, n + 1)
+
+
+def tree_nodes(splits: np.ndarray) -> np.ndarray:
+    """The nodes of each chart's tree: a (charts, n+1, n+1) bool array
+    over ``cky_splits``' splits whose [i, a, b] holds exactly when (a, b),
+    a leaf or not, is a node of ``tree_from_splits(n, splits[i].item)``.
+
+    The trees are walked one level at a time, all charts at once: the
+    frontier starts at each root (1, n), and each step marks it and puts
+    the children (a, k) and (k+1, b), k = splits[a, b], in place of each
+    node (a, b) with a < b.  A tree over n leaves has at most n levels.
+    Per group of 46 charts at n = 30 this took 0.28 ms, against 0.92 ms
+    for marking the children of every span of one length at a time.
+    """
+    count, n = len(splits), splits.shape[1] - 1
+    size = (n + 1) ** 2
+    flat = splits.reshape(-1)
+    nodes = np.zeros(count * size, dtype=bool)
+    at = np.arange(count) * size + (n + 1) + n  # the flat cell of each root
+    a, b = np.ones(count, dtype=np.int64), np.full(count, n)
+    for _ in range(n):
+        nodes[at] = True
+        inner = a < b
+        at, a, b = at[inner], a[inner], b[inner]
+        if not at.size:
+            break
+        k = flat[at]
+        # (a, k) lies b - k cells left of (a, b), and (k+1, b) k + 1 - a rows below it
+        at = np.concatenate((at + (k - b), at + (k + 1 - a) * (n + 1)))
+        a, b = np.concatenate((a, k + 1)), np.concatenate((k, b))
+    return nodes.reshape(splits.shape)
 
 
 def _balanced_tree(n: int, odd_unit_first: bool) -> SpanTree:

@@ -300,6 +300,45 @@ def random_phrase_table(
     return entries
 
 
+def all_spans_table(n: int, weight_of: Callable[[int, int], float]) -> PhraseWeights:
+    """Every span of two or more subwords at ``weight_of(a, b)``, but for
+    the spans it weighs 0."""
+    entries = {}
+    for a in range(1, n):
+        for b in range(a + 1, n + 1):
+            w = float(weight_of(a, b))
+            if w:
+                entries[(a, b)] = (w, w)
+    return entries
+
+
+def table_kinds(rng: np.random.Generator, n: int, kinds) -> list[PhraseWeights]:
+    """One table of each kind: 0 random, 1 tie-heavy, 2 empty, 3 all ones."""
+    small = rng.integers(0, 3, size=(n + 1, n + 1))
+    make = (
+        lambda: random_phrase_table(rng, n, float(rng.choice([0.1, 0.35, 0.9]))),
+        lambda: all_spans_table(n, lambda a, b: small[a, b]),
+        lambda: {},
+        lambda: all_spans_table(n, lambda a, b: 1.0),
+    )
+    return [make[kind]() for kind in kinds]
+
+
+def split_blocks(tables: Sequence[PhraseWeights]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Phrase tables as ``cky_splits`` blocks: the first half as one block
+    over every span any of them holds, 0.0 where a table holds no such
+    span, and the rest as a block each."""
+    half = len(tables) // 2
+    spans = sorted({span for table in tables[:half] for span in table})
+    blocks = [(np.array(spans, dtype=np.intp).reshape(-1, 2),
+               np.array([[table.get(span, (0.0, 0.0))[1] for span in spans]
+                         for table in tables[:half]]).reshape(half, len(spans)))]
+    for table in tables[half:]:
+        blocks.append((np.array(list(table), dtype=np.intp).reshape(-1, 2),
+                       np.array([[weight for _, weight in table.values()]])))
+    return blocks
+
+
 def equalized_weight(table: PhraseWeights, span: Span) -> float:
     """A span's equalized weight in a phrase table, 0 when it is absent."""
     entry = table.get(span)

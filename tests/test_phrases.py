@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from attnsyntax import (
     random_attention_baseline,
     random_binary_tree,
 )
+from attnsyntax import phrases
 from attnsyntax.attn_io import all_heads
 from attnsyntax.synth import baluster_matrix
 from attnsyntax.phrases import (
@@ -263,6 +266,20 @@ class TestEqualize:
 
     def test_empty(self):
         assert equalize({}) == {}
+
+    def test_totals_are_left_folds_under_a_compensated_sum(self, monkeypatch):
+        """From Python 3.12 ``sum`` of floats compensates, so that
+        1e16 + 1.0 + 1.0 sums to 1.0000000000000002e16 and not to 1e16;
+        ``math.fsum`` patched in stands for it here.  The weights stay the
+        left fold's."""
+        monkeypatch.setattr(phrases, "sum", math.fsum, raising=False)
+        raw = {(1, 2): 1e16, (2, 3): 1.0, (3, 4): 1.0, (1, 3): 1.0}
+        total = 0.0
+        for span in [(1, 2), (2, 3), (3, 4)]:
+            total += raw[span]
+        assert total != math.fsum([1e16, 1.0, 1.0])
+        assert equalize(raw) == {(1, 2): 1e16 * 3 / total, (2, 3): 3 / total,
+                                 (3, 4): 3 / total, (1, 3): 1.0}
 
     def test_zero_total_names_length_and_span(self):
         with pytest.raises(ValueError, match=r"length 2.*\(1, 2\)"):

@@ -11,13 +11,16 @@ from attnsyntax import (
     random_binary_tree,
     score,
 )
-from attnsyntax.scoring import CountingPolicy
+from attnsyntax.scoring import CountingPolicy, reference_masks, score_nodes
+from attnsyntax.trees import cky_splits, tree_from_splits, tree_nodes
 from oracles import (
     all_binary_trees,
     crosses,
     gold_from_span_tree,
     gold_from_spans,
     score_spans_pairwise,
+    split_blocks,
+    table_kinds,
 )
 
 NONTRIVIAL = CountingPolicy.NONTRIVIAL
@@ -358,3 +361,35 @@ class TestCountingPolicy:
         report = score(tree, gold, CountingPolicy.ALL)
         assert report.extracted_phrases_total == 5  # 3 leaves + (1,2) + root
         assert report.gold_phrases_total == 2  # (1,2) + root
+
+
+class TestScoreNodes:
+    """A filled group scored as arrays, against each dev sentence's masks,
+    reports what ``score`` reports of each chart's tree."""
+
+    @given(st.sampled_from([*range(1, 65), 101]), st.integers(0, 2**32 - 1),
+           st.lists(st.integers(0, 3), min_size=1, max_size=6),
+           st.sampled_from(list(CountingPolicy)))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_equal_score_of_each_tree(self, n, seed, kinds, counting):
+        rng = np.random.default_rng(seed)
+        splits = cky_splits(split_blocks(table_kinds(rng, n, kinds)), n)
+        # a random binary tree with some phrases dropped: flat, laminar,
+        # sometimes without its root
+        kept = [span for span in random_binary_tree(rng, n).spans() if rng.random() < 0.6]
+        gold = gold_from_spans(kept, n)
+        counts = score_nodes(tree_nodes(splits), reference_masks(gold, counting), counting)
+        assert counts.shape == (len(splits), 4)
+        for row, chart in zip(counts.tolist(), splits):
+            assert EvalReport(*row) == score(tree_from_splits(n, chart.item), gold, counting)
+
+    def test_masks_mark_what_score_counts(self):
+        # ((t1 t2) t3 t4): (1, 2) and the root (1, 4)
+        gold = gold_from_spans([(1, 2), (1, 4)], 4)
+        nontrivial = reference_masks(gold)
+        assert {tuple(s) for s in np.argwhere(nontrivial[1])} == {(1, 2)}
+        assert (2, 3) not in {tuple(s) for s in np.argwhere(nontrivial[0])}  # crosses (1, 2)
+        assert (1, 4) not in {tuple(s) for s in np.argwhere(nontrivial[0])}  # the root
+        every = reference_masks(gold, CountingPolicy.ALL)
+        assert {tuple(s) for s in np.argwhere(every[1])} == {(1, 2), (1, 4)}
+        assert every[0, 1, 4] and every[0, 3, 3]

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnsyntax import (
     AlignmentError,
@@ -15,6 +17,7 @@ from attnsyntax import (
 )
 from attnsyntax.attn_io import all_heads
 from attnsyntax.cli import _head_set
+from attnsyntax.cli import main as cli_main
 from attnsyntax.phrases import pool_phrases
 from attnsyntax.scoring import CountingPolicy
 from attnsyntax.selection import (
@@ -25,8 +28,8 @@ from attnsyntax.selection import (
     layer_distribution,
 )
 from attnsyntax.synth import baluster_matrix
-from attnsyntax import selection, trees
-from oracles import gold_from_span_tree, greedy_by_candidates
+from attnsyntax import cli, selection, trees
+from oracles import gold_from_span_tree, gold_from_spans, greedy_by_candidates
 
 
 def mixed_length_dev_set(seed, lengths, universe=(2, 3)):
@@ -221,13 +224,14 @@ def test_traces_match_candidate_by_candidate_search(strategy, objective, countin
 
     # the waiting tables are filled once they hold the bytes of four n = 9
     # tables in all, so a step fills several groups, some of them from
-    # several sentences; a table left alone takes the chart-by-chart path
+    # several sentences, and splits a sentence's tables between groups; a
+    # table left alone takes the chart-by-chart path
     monkeypatch.setattr(selection, "_FILL_BYTES", 24 * 10**2 * 4)
     monkeypatch.setattr(selection, "_MIN_GROUP", 2)
     filled = []
 
     def cky_splits(tables, n):
-        filled.append(len(tables))
+        filled.append(sum(len(weights) for _, weights in tables))
         return trees.cky_splits(tables, n)
 
     monkeypatch.setattr(selection, "cky_splits", cky_splits)
@@ -249,13 +253,46 @@ def test_debug_line_per_step_counts_charts_and_reused_reports(caplog):
              if record.levelno == logging.DEBUG]
     assert len(lines) == len(trace.steps) + 1  # the initial head set, then each step
     pattern = (r"addition step (\d+): (\d+) evaluations over 7 sentences, "
-               r"(\d+) charts filled, (\d+) reports reused")
+               r"(\d+) tables pooled, (\d+) distinct, (\d+) charts filled, "
+               r"(\d+) reports reused")
     counts = [tuple(map(int, re.fullmatch(pattern, line).groups())) for line in lines]
     assert [step for step, *_ in counts] == list(range(len(lines)))
-    assert sum(evaluations for _, evaluations, _, _ in counts) == trace.evaluations
-    assert all(filled + reused == evaluations * 7 for _, evaluations, filled, reused in counts)
-    assert counts[0][2:] == (7, 0)  # one empty table per sentence
+    assert sum(evaluations for _, evaluations, *_ in counts) == trace.evaluations
+    for _, evaluations, pooled, distinct, filled, reused in counts:
+        assert pooled == evaluations * 7
+        assert distinct == filled and filled + reused == pooled
+    assert counts[0][2:] == (7, 7, 7, 0)  # one empty table per sentence
     assert sum(reused for *_, reused in counts) > trace.evaluations
+
+
+def test_debug_lines_on_the_toy_dump(toy_dump_path, toy_gold_path, tmp_path, caplog):
+    """The per-step line's text, pinned on the toy corpus (10 sentences,
+    2 x 3 heads)."""
+    with caplog.at_level(logging.DEBUG, logger="attnsyntax.selection"):
+        assert cli_main(["select-heads", "--dump", str(toy_dump_path), "--gold",
+                         str(toy_gold_path), "--strategy", "add", "--dev-size", "10",
+                         "--out", str(tmp_path / "trace.txt")]) == 0
+    lines = [record.getMessage() for record in caplog.records
+             if record.levelno == logging.DEBUG and record.name == "attnsyntax.selection"]
+    assert lines == TOY_DEBUG_LINES
+
+
+TOY_DEBUG_LINES = [
+    "addition step 0: 1 evaluations over 10 sentences, 10 tables pooled, "
+    "10 distinct, 10 charts filled, 0 reports reused",
+    "addition step 1: 6 evaluations over 10 sentences, 60 tables pooled, "
+    "52 distinct, 52 charts filled, 8 reports reused",
+    "addition step 2: 5 evaluations over 10 sentences, 50 tables pooled, "
+    "43 distinct, 43 charts filled, 7 reports reused",
+    "addition step 3: 4 evaluations over 10 sentences, 40 tables pooled, "
+    "34 distinct, 34 charts filled, 6 reports reused",
+    "addition step 4: 3 evaluations over 10 sentences, 30 tables pooled, "
+    "29 distinct, 29 charts filled, 1 reports reused",
+    "addition step 5: 2 evaluations over 10 sentences, 20 tables pooled, "
+    "20 distinct, 20 charts filled, 0 reports reused",
+    "addition step 6: 1 evaluations over 10 sentences, 10 tables pooled, "
+    "10 distinct, 10 charts filled, 0 reports reused",
+]
 
 
 def test_trials_that_pool_to_one_table_share_its_chart():
@@ -265,36 +302,154 @@ def test_trials_that_pool_to_one_table_share_its_chart():
     dumps, golds = reusing_dev_set()
     sentences = [dev_sentence(dump) for dump in dumps]
     counting = CountingPolicy.NONTRIVIAL
+    heads = sorted(all_heads(2, 3))
+    poolings = [selection._pooling(sentence, gold, heads, counting)
+                for sentence, gold in zip(sentences, golds)]
     trials = [frozenset(), frozenset({(1, 1)}), frozenset({(1, 2)}), frozenset({(2, 3)})]
-    totals, charts = selection._dev_reports(sentences, golds, trials, counting)
-    assert charts == len(sentences) + sum(bool(s.phrases[1, 2]) for s in sentences) == 11
-    for heads, total in zip(trials, totals):
+    totals, distinct, charts = selection._dev_reports(poolings, heads, trials, counting)
+    assert charts == distinct == len(sentences) + sum(bool(s.phrases[1, 2]) for s in sentences) == 11
+    for trial, total in zip(trials, totals):
         direct = EvalReport()
         for sentence, gold in zip(sentences, golds):
-            table = pool_phrases({head: sentence.phrases[head] for head in heads})
+            table = pool_phrases({head: sentence.phrases[head] for head in trial})
             direct = direct.merged(score(trees.cky_parse(table, sentence.n), gold, counting))
         assert total == direct
 
 
 def test_waiting_tables_stay_within_the_fill_budget(monkeypatch):
-    """Across lengths, the tables left waiting after each one is added hold
-    less than ``_FILL_BYTES`` of chart buffers."""
+    """Across lengths, the tables left waiting after each sentence's are
+    added hold less than ``_FILL_BYTES`` of chart buffers, and no group
+    handed to ``cky_splits`` holds more tables than reach the budget."""
     monkeypatch.setattr(selection, "_FILL_BYTES", 24 * 13**2 * 5)
-    waiting = []
+    monkeypatch.setattr(selection, "_MIN_GROUP", 1)
+    waiting, groups = [], []
     add = selection._Fills.add
 
-    def checked_add(fills, n, *rest):
-        add(fills, n, *rest)
-        held = sum(len(group) * 24 * (m + 1) ** 2 for m, group in fills.waiting.items())
+    def checked_add(fills, *args):
+        add(fills, *args)
+        held = sum(len(tables) * 24 * (m + 1) ** 2
+                   for m, group in fills.waiting.items() for _, tables, _ in group)
         assert held == fills.bytes < selection._FILL_BYTES
         waiting.append(len(fills.waiting))
 
+    def cky_splits(tables, n):
+        count = sum(len(weights) for _, weights in tables)
+        assert count <= -(-selection._FILL_BYTES // (24 * (n + 1) ** 2))
+        groups.append(count)
+        return trees.cky_splits(tables, n)
+
     monkeypatch.setattr(selection._Fills, "add", checked_add)
+    monkeypatch.setattr(selection, "cky_splits", cky_splits)
     dumps, golds = mixed_length_dev_set(4, [12, 5, 9, 12, 7, 5, 9])
     trace = greedy_addition([dev_sentence(dump) for dump in dumps], golds)
     assert trace == greedy_by_candidates("addition", dumps, golds, "precision",
                                          CountingPolicy.NONTRIVIAL)
     assert max(waiting) >= 3  # groups of several lengths waited together
+    assert groups
+
+
+def _spread_phrases(rng, n, heads, weights):
+    """Per head, some disjoint spans in row order, every span of two or
+    more subwords held by at least one head if ``rng`` is None."""
+    phrases = {head: [] for head in heads}
+    if rng is None:
+        free = {head: 0 for head in heads}  # each head's next free row
+        for length in range(2, n + 1):
+            for a in range(1, n - length + 2):
+                head = min(heads, key=lambda h: (free[h] >= a, free[h]))
+                phrases[head].append(((a, a + length - 1), 1.0))
+                free[head] = a + length - 1
+        return {head: tuple(sorted(spans)) for head, spans in phrases.items()}
+    for head in heads:
+        a = 1
+        while a < n:
+            b = int(rng.integers(a + 1, min(n, a + 6) + 1))
+            if rng.random() < 0.6:
+                phrases[head].append(((a, b), float(rng.choice(weights))))
+            a = b + 1 if rng.random() < 0.7 else a + 1
+        phrases[head] = [(span, weight) for span, weight in phrases[head]
+                         if all(span[0] > other[1] or span[1] < other[0]
+                                for other, _ in phrases[head] if other != span)]
+    return {head: tuple(spans) for head, spans in phrases.items()}
+
+
+# weights whose sums and quotients round: a subnormal weight can equalize
+# to 0.0, and 1e16 + 1.0 + 1.0 depends on the order of the sum
+TRAP_WEIGHTS = [5e-324, 1e-310, 1e-300, 0.1, 1.0, 1.0, 3.0, 1e16, 1e300]
+
+
+@given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.integers(1, 4), st.integers(1, 40))
+@settings(max_examples=120, deadline=None)
+def test_pooled_rows_are_pool_phrases_tables(n, seed, layers, per_layer, trial_count):
+    """Each trial's row holds ``pool_phrases``' equalized weights bitwise,
+    and the rows tell apart exactly the tables that its (span, weight)
+    items tell apart, so the search fills as many charts as distinct
+    tables."""
+    rng = np.random.default_rng(seed)
+    heads = sorted(all_heads(layers, per_layer))
+    phrases = _spread_phrases(rng, n, heads, TRAP_WEIGHTS)
+    sentence = selection.DevSentence("s", n, (layers, per_layer), ("w",) * n, phrases)
+    gold = gold_from_spans([], n)
+    pooling = selection._pooling(sentence, gold, heads, CountingPolicy.NONTRIVIAL)
+    trials = [frozenset(head for head in heads if rng.random() < rng.random())
+              for _ in range(trial_count)]
+    rows = selection._tables(pooling, selection._members(heads, trials))
+    keys = set()
+    for trial, row in zip(trials, rows):
+        table = pool_phrases({head: phrases[head] for head in trial})
+        expected = [table[span][1] if span in table else -1.0
+                    for span in map(tuple, pooling.spans.tolist())]
+        assert row.tobytes() == np.array(expected).tobytes()
+        keys.add(tuple((span, weight) for span, (_, weight) in table.items()))
+    assert len({row.tobytes() for row in rows}) == len(keys)
+    _, distinct, filled = selection._dev_reports([pooling], heads, trials,
+                                                 CountingPolicy.NONTRIVIAL)
+    assert distinct == filled == len(keys)
+
+
+def test_grouped_fill_steps_stay_under_the_mmap_threshold():
+    """Each step of ``cky_splits`` over the largest group that ``_Fills``
+    lets wait, ``_FILL_BYTES`` rounded up to whole tables, gathers one
+    operand at a time: 8 bytes per candidate split of each table, which
+    stays under the mmap threshold that ``cli`` pins, so no step maps and
+    faults in fresh pages."""
+    for n in range(1, 151):
+        group = -(-selection._FILL_BYTES // (24 * (n + 1) ** 2))
+        for step in trees._steps(n):
+            _, starts, splits = step.operands.shape
+            assert 8 * group * starts * splits < cli._MMAP_THRESHOLD_BYTES, (n, starts)
+
+
+@pytest.mark.parametrize("n", [30, 64])
+@pytest.mark.parametrize("spread", ["drawn", "every span"])
+def test_pooling_arrays_stay_under_the_mmap_threshold(n, spread, monkeypatch):
+    """At the paper's 6 x 16 heads, a step of 96 trials pools in blocks
+    whose arrays, 8 bytes per trial and slot, stay under the mmap
+    threshold, even where the heads hold every span of the sentence; the
+    blocks give the reports of pooling all trials at once."""
+    heads = sorted(all_heads(6, 16))
+    rng = None if spread == "every span" else np.random.default_rng(n)
+    phrases = _spread_phrases(rng, n, heads, [0.25, 0.5, 1.0])
+    sentence = selection.DevSentence("s", n, (6, 16), ("w",) * n, phrases)
+    gold = gold_from_span_tree(random_binary_tree(np.random.default_rng(n), n))
+    pooling = selection._pooling(sentence, gold, heads, CountingPolicy.NONTRIVIAL)
+    trials = [frozenset(heads[:i] + heads[i + 1:]) for i in range(len(heads))]
+    sizes = []
+
+    def pooled(pooling, member):
+        table = tables_of(pooling, member)
+        sizes.append(table.nbytes)
+        return table
+
+    tables_of = selection._tables
+    monkeypatch.setattr(selection, "_tables", pooled)
+    reports = selection._dev_reports([pooling], heads, trials, CountingPolicy.NONTRIVIAL)
+    assert max(sizes) < cli._MMAP_THRESHOLD_BYTES
+    if spread == "every span":
+        assert len(pooling.spans) == n * (n - 1) // 2 and len(sizes) > 1
+    monkeypatch.setattr(selection, "_FILL_BYTES", 1 << 40)
+    assert selection._dev_reports([pooling], heads, trials, CountingPolicy.NONTRIVIAL) == reports
 
 
 class TestLayerDistribution:

@@ -18,10 +18,18 @@ from attnsyntax import (
     rbal_tree,
 )
 from attnsyntax.attn_io import all_heads
-from attnsyntax.trees import cky_chart, cky_parse, cky_splits, parse_span_tree, tree_from_splits
+from attnsyntax.trees import (
+    cky_chart,
+    cky_parse,
+    cky_splits,
+    parse_span_tree,
+    tree_from_splits,
+    tree_nodes,
+)
 from oracles import (
     BRACKET_LINES,
     all_binary_trees,
+    all_spans_table,
     best_tree_by_enumeration,
     cky_chart_by_cells,
     equalized_weight,
@@ -30,6 +38,8 @@ from oracles import (
     random_phrase_table,
     rbal_tree_right_to_left,
     recursion_score,
+    split_blocks,
+    table_kinds,
     tree_from_splits_recursive,
 )
 
@@ -179,16 +189,6 @@ class TestSpanTree:
         assert tree.preorder == ((1, 2), (1, 1), (2, 2))
 
 
-def _all_spans_table(n, weight_of):
-    entries = {}
-    for a in range(1, n):
-        for b in range(a + 1, n + 1):
-            w = float(weight_of(a, b))
-            if w:
-                entries[(a, b)] = (w, w)
-    return entries
-
-
 class TestChartMatchesCellLoop:
     """The length-at-a-time chart is bitwise the cell-by-cell reference."""
 
@@ -216,9 +216,9 @@ class TestChartMatchesCellLoop:
     def test_tie_heavy_tables(self, n):
         rng = np.random.default_rng(2000 + n)
         self.assert_same_chart({}, n)
-        self.assert_same_chart(_all_spans_table(n, lambda a, b: 1.0), n)
+        self.assert_same_chart(all_spans_table(n, lambda a, b: 1.0), n)
         small = rng.integers(0, 3, size=(n + 1, n + 1))
-        self.assert_same_chart(_all_spans_table(n, lambda a, b: small[a, b]), n)
+        self.assert_same_chart(all_spans_table(n, lambda a, b: small[a, b]), n)
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_plan_built_per_length(self, n, monkeypatch):
@@ -269,18 +269,6 @@ class TestChartMatchesCellLoop:
 class TestSplitsMatchChart:
     """Charts filled together are bitwise the charts filled one by one."""
 
-    @staticmethod
-    def tables(rng, n, kinds):
-        """One table of each kind: 0 random, 1 tie-heavy, 2 empty, 3 all ones."""
-        small = rng.integers(0, 3, size=(n + 1, n + 1))
-        make = (
-            lambda: random_phrase_table(rng, n, float(rng.choice([0.1, 0.35, 0.9]))),
-            lambda: _all_spans_table(n, lambda a, b: small[a, b]),
-            lambda: {},
-            lambda: _all_spans_table(n, lambda a, b: 1.0),
-        )
-        return [make[kind]() for kind in kinds]
-
     # both sides of the plan cache limit, _PLAN_CACHE_MAX_N = 100
     @pytest.mark.parametrize("n", [*range(1, 41), 64, 100, 101, 150])
     def test_splits_equal_cky_chart(self, n):
@@ -289,18 +277,45 @@ class TestSplitsMatchChart:
         batches += [[(first + i) % 4 for i in range(size)]
                     for first, size in enumerate((2, 7, 64))]
         for kinds in batches:
-            tables = self.tables(rng, n, kinds)
-            stacked = cky_splits(tables, n)
+            tables = table_kinds(rng, n, kinds)
+            stacked = cky_splits(split_blocks(tables), n)
             assert stacked.shape == (len(tables), n + 1, n + 1)
             assert not stacked.flags.writeable
             for table, splits in zip(tables, stacked):
                 assert splits.tobytes() == cky_chart(table, n)[1].tobytes()
 
+    @given(st.sampled_from([*range(1, 65), 101]), st.integers(0, 2**32 - 1),
+           st.lists(st.integers(0, 3), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_splits_equal_cky_chart_on_drawn_groups(self, n, seed, kinds):
+        tables = table_kinds(np.random.default_rng(seed), n, kinds)
+        stacked = cky_splits(split_blocks(tables), n)
+        for table, splits in zip(tables, stacked):
+            assert splits.tobytes() == cky_chart(table, n)[1].tobytes()
+
     def test_rejects_out_of_range_span(self):
         with pytest.raises(ValueError, match=r"phrase span \(2,4\) outside sentence 1..3"):
-            cky_splits([{(1, 2): (1.0, 1.0)}, {(2, 4): (1.0, 1.0)}], 3)
+            cky_splits(split_blocks([{(1, 2): (1.0, 1.0)}, {(2, 4): (1.0, 1.0)}]), 3)
+        with pytest.raises(ValueError, match=r"phrase span \(3,2\) outside sentence 1..3"):
+            cky_splits([(np.array([[1, 2], [3, 2]]), np.ones((2, 2)))], 3)
         with pytest.raises(ValueError, match="sentence length"):
-            cky_splits([{}], 0)
+            cky_splits(split_blocks([{}]), 0)
+
+
+class TestTreeNodes:
+    """A group's tree nodes, marked one span length at a time, are the
+    spans of the trees read off chart by chart."""
+
+    @given(st.sampled_from([*range(1, 65), 101]), st.integers(0, 2**32 - 1),
+           st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_nodes_are_the_spans_of_tree_from_splits(self, n, seed, kinds):
+        stacked = cky_splits(split_blocks(table_kinds(np.random.default_rng(seed), n, kinds)), n)
+        nodes = tree_nodes(stacked)
+        assert nodes.shape == stacked.shape and nodes.dtype == bool
+        for marks, splits in zip(nodes, stacked):
+            spans = tree_from_splits(n, splits.item).spans()
+            assert {(int(a), int(b)) for a, b in zip(*np.nonzero(marks))} == spans
 
 
 class TestGatherPlanMemory:
