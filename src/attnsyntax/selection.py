@@ -26,7 +26,7 @@ from .errors import AlignmentError
 from .phrases import HeadPhrases, head_phrases
 from .scoring import CountingPolicy, EvalReport, reference_masks, score_nodes
 from .treebank import ConstituencyTree
-from .trees import cky_chart, cky_splits, tree_nodes
+from .trees import cky_charts, tree_nodes
 
 log = logging.getLogger(__name__)
 
@@ -151,30 +151,23 @@ def _check_dev_set(
 
 
 # The tables waiting for a chart are all filled, each length's group with
-# one ``cky_splits`` call, once their stacked [scores | weights] and splits
-# buffers, 24 (n+1)^2 bytes per table, reach this many bytes in all: 46
-# tables at n = 30, 11 at n = 64.  Per chart, groups of this size took
-# 0.063 ms at n = 30 and 0.52 ms at n = 64, against 0.072 and 0.73 ms at
-# half of it, 0.061 and 0.42 ms at twice it, and 0.19 and 0.71 ms for one
-# ``cky_chart`` call (96 random tables, best of 5, medians of 3 such runs;
-# shared 2-core x86-64, numpy 2.4).  Twice the budget gains little at the
-# paper's n = 30 for twice the memory.  A fill step's largest temporary
-# takes at most 8 (n/2)^2 bytes per table, so about _FILL_BYTES / 12 for a
-# group (87 KB), which keeps it under the 128 KiB mmap threshold that
-# ``cli`` pins: larger blocks are mapped afresh and page-faulted on every
-# step.  The pooling arrays are held to the same size.  The waiting tables
-# are what the search holds beyond its dev sentences, with their slots and
-# masks, and the step it pools: at most the budget's worth of tables,
-# whatever the dev set's size or lengths, each a row of 8 bytes per span
-# that a head of its sentence holds.
+# one ``cky_charts`` call, once their scores, weights and splits, 24
+# (n+1)^2 bytes per table, reach this many bytes in all: 46 tables at
+# n = 30, 11 at n = 64.  Per chart, groups of this size took 0.055 ms at
+# n = 30 and 0.38 ms at n = 64, against 0.066 and 0.55 ms at half of it,
+# 0.049 and 0.34 ms at twice it, and 0.41 and 1.20 ms alone (96 random
+# tables, best of 5, medians of 3 such runs; shared 2-core x86-64, numpy
+# 2.4).  Twice the budget gains little at the paper's n = 30 for twice the
+# memory.  A fill step's largest temporary takes at most 8 (n/2)^2 bytes
+# per table, so about _FILL_BYTES / 12 for a group (87 KB), which keeps it
+# under the 128 KiB mmap threshold that ``cli`` pins: larger blocks are
+# mapped afresh and page-faulted on every step.  The pooling arrays are
+# held to the same size.  The waiting tables are what the search holds
+# beyond its dev sentences, with their slots and masks, and the step it
+# pools: at most the budget's worth of tables, whatever the dev set's size
+# or lengths, each a row of 8 bytes per span that a head of its sentence
+# holds.
 _FILL_BYTES = 1 << 20
-
-# A smaller group, such as one of a length that few dev sentences share,
-# what is left at the end of a step, or every group past n = 78 (where the
-# budget holds fewer tables), is filled chart by chart: a group costs about
-# as much per chart as ``cky_chart`` at 4 tables at n = 30, and at 8 tables
-# at n = 64 and 80.
-_MIN_GROUP = 8
 
 
 class _Pooling(NamedTuple):
@@ -268,13 +261,14 @@ class _Fills:
     A sentence's distinct tables wait as rows over its slots, with the
     index of each trial's table among them.  Once the waiting tables reach
     ``_FILL_BYTES`` in all, and at the end of a step, ``flush`` fills every
-    group, each with one ``cky_splits`` call, or chart by chart if it holds
-    fewer than ``_MIN_GROUP`` tables.  The group's trees are read off
-    together by ``tree_nodes`` and scored by ``score_nodes`` against each
-    sentence's masks, and each chart's counts go to the totals of every
-    trial that pooled to its table.  Grouping across sentences pays where
-    sentences of one length come within the budget of each other;
-    otherwise a group holds about one sentence's tables.
+    group, whatever its size, with one ``cky_charts`` call.  A small group,
+    such as one of a length that few dev sentences share or what is left
+    at the end of a step, costs more per chart.  The group's trees are
+    read off together by ``tree_nodes`` and scored by ``score_nodes``
+    against each sentence's masks, and each chart's counts go to the
+    totals of every trial that pooled to its table.  Grouping across
+    sentences pays where sentences of one length come within the budget
+    of each other; otherwise a group holds about one sentence's tables.
     """
 
     def __init__(self, trials: int, counting: CountingPolicy) -> None:
@@ -305,13 +299,7 @@ class _Fills:
         self.bytes = 0
 
     def _fill(self, n: int, group: list[tuple[_Pooling, np.ndarray, np.ndarray]]) -> None:
-        count = sum(len(tables) for _, tables, _ in group)
-        if count >= _MIN_GROUP:
-            splits = cky_splits([(pooling.spans, tables) for pooling, tables, _ in group], n)
-        else:
-            splits = np.array([
-                cky_chart(dict(zip(map(tuple, pooling.spans.tolist()), zip(row, row))), n)[1]
-                for pooling, tables, _ in group for row in tables.tolist()])
+        _, splits = cky_charts([(pooling.spans, tables) for pooling, tables, _ in group], n)
         nodes = tree_nodes(splits)
         size = (n + 1) ** 2
         column = 0
@@ -322,7 +310,7 @@ class _Fills:
             hit = (ids >= 0) & (ids < len(tables))
             self.totals[hit] += counts[ids[hit]]
             column += len(tables)
-        self.filled += count
+        self.filled += len(splits)
 
 
 def _members(heads: Sequence[Head], trials: Sequence[frozenset[Head]]) -> np.ndarray:

@@ -7,12 +7,15 @@ The chart recursion scores a span (a, b) as the best split k of
 
 with s[a,a] = 1 and w taken from the phrase table (0 for absent spans).
 Averaging keeps subtree scores on one scale regardless of span size.
+One routine, ``cky_charts``, fills it for any number of tables of one n
+at once; ``cky_chart`` is that routine for a single table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -223,7 +226,7 @@ def tree_from_splits(n: int, split_of: Callable[[int, int], int]) -> SpanTree:
 
 
 # Charts up to this length keep their whole gather plan between calls:
-# 2(n^3 - n)/3 + 3n(n - 1)/2 indices, 5.5 MB at n = 100.
+# (n^3 - n)/3 + 3n(n - 1)/2 indices, 2.8 MB at n = 100.
 _PLAN_CACHE_MAX_N = 100
 
 
@@ -232,10 +235,10 @@ class _Step(NamedTuple):
     n-subword chart.
 
     With starts a as rows and splits k from b - 1 down to a as columns,
-    ``operands`` holds the flat indices of s[a,k], s[k+1,b], w[a,k] and
-    w[k+1,b] in the [scores | weights] buffer of two (n+1) x (n+1)
-    tables.  ``rows`` holds each row's flat start in the candidates,
-    ``cells`` the flat index of [a, b] and ``last_split`` b - 1.
+    ``operands`` holds the flat indices of [a, k] and [k+1, b], the cells
+    of the left and right children, in an (n+1) x (n+1) table.  ``rows``
+    holds each row's flat start in the candidates, ``cells`` the flat
+    index of [a, b] and ``last_split`` b - 1.
     """
 
     operands: np.ndarray
@@ -253,12 +256,11 @@ def _step(n: int, length: int) -> _Step:
     """The step of one span length."""
     count = n - length + 1
     offsets = np.arange(length - 2, -1, -1)  # k - a, largest split first
-    operands = np.empty((4, count, length - 1), dtype=np.int64)
-    left, right = operands[0], operands[1]
+    operands = np.empty((2, count, length - 1), dtype=np.int64)
+    left, right = operands
     starts = np.arange(n + 2, (n + 2) * (count + 1), n + 2)  # [a, a] for each a
     np.add(starts[:, None], offsets, out=left)
     np.add(left, offsets * n + (n + length), out=right)
-    np.add(operands[:2], (n + 1) ** 2, out=operands[2:])  # the same cells of w
     rows = np.arange(0, left.size, length - 1)
     cells = starts + (length - 1)  # [a, b] for each a
     last_split = np.arange(length - 1, n)  # b - 1 for each a
@@ -284,16 +286,22 @@ def _gather_plan(n: int) -> Iterable[_Step]:
     return _cached_plan(n) if n <= _PLAN_CACHE_MAX_N else _steps(n)
 
 
-def cky_chart(table: Mapping[Span, tuple[float, float]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fill the chart bottom-up, one span length at a time.
+def cky_charts(
+    tables: Sequence[tuple[np.ndarray, np.ndarray]], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fill the charts of many phrase tables of one n together, bottom-up,
+    one span length at a time.
 
-    ``table`` maps spans to (raw, equalized) weights as ``pool_phrases``
-    builds it; w is the equalized one.  Returns the read-only (n+1) x (n+1)
-    arrays ``(scores, splits)``: scores[a, b] for a <= b, splits[a, b] for b > a.
+    ``tables`` comes in blocks ``(spans, weights)``: a (k, 2) array of
+    spans (a, b), and an (m, k) array that holds m tables, one a row, as
+    the equalized weights of those spans, 0 where a table has no such
+    span.  Returns the read-only (tables, n+1, n+1) arrays ``(scores,
+    splits)``, a chart per row of the blocks in order: scores[i, a, b] for
+    a <= b, splits[i, a, b] for b > a.
 
-    All spans of one length are filled in a single array step: for starts
-    a, splits k and ends b = a + length - 1, each candidate is summed in
-    exactly this order,
+    All spans of one length of every table are filled in a single array
+    step: for starts a, splits k and ends b = a + length - 1, each
+    candidate is summed in exactly this order,
 
         ((s[a,k] + s[k+1,b]) + w[a,k]) + w[k+1,b]
 
@@ -303,45 +311,73 @@ def cky_chart(table: Mapping[Span, tuple[float, float]], n: int) -> tuple[np.nda
     depend on both: another order can change a score in its last bit, and
     with it a split.
 
-    Scores and weights share one flat buffer, so one indexing gathers the
-    four operands of every candidate of a length as four rows; ``take``
-    would copy the read-only index arrays on every call.  The rows are
-    added one at a time: ``np.add.reduce`` or ``sum`` over them would
-    follow numpy's iteration order, which can add s0 + ((s1 + w0) + w1).
+    Scores and weights are two (n+1)^2 x tables arrays, a column per
+    table, so a step gathers an operand of every candidate split of every
+    table with one ``take`` of its rows.  The operands are gathered and
+    added one at a time, so a step's largest temporary is one operand, 8
+    bytes per candidate split of each table: at most 8 (n/2)^2 bytes per
+    table, a twelfth of its 24 (n+1)^2 bytes of scores, weights and
+    splits.  Gathering all four at once took four times as much, which
+    for a group of 46 tables at n = 30 crossed glibc's mmap threshold, so
+    that every step mapped fresh pages and faulted them in.
 
-    The index arrays depend only on n.  They hold 2(n^3 - n)/3 gather
+    The steps' per-call overhead is paid once per group, so a chart costs
+    less the more tables share the call, up to groups much larger than
+    the processor's cache: at n = 30 about 0.40 ms alone, 0.09 ms in a
+    group of 10 and 0.05 ms in a group of 50.
+
+    The index arrays depend only on n.  They hold (n^3 - n)/3 gather
     indices plus three per span, 8 bytes each, so they grow with n^3:
-    0.15 MB at n = 30, 1.4 MB at n = 64, 5.5 MB at n = 100, 9.2 GB at
+    0.08 MB at n = 30, 0.75 MB at n = 64, 2.8 MB at n = 100, 4.6 GB at
     n = 1200.  Up to n = 100 they are built once and kept for the most
     recent length only.  Longer charts build each span length's arrays as
     the fill reaches it and keep none, so at most O(n^2) of them are alive
-    at a time.  This is the one-chart path of ``extract``; a caller with
-    many tables of one n fills them together with ``cky_splits``.
+    at a time.
     """
     if n < 1:
         raise ValueError(f"sentence length must be >= 1, got {n}")
+    plan = _gather_plan(n)  # a new n's plan is built before the charts are taken
     size = (n + 1) ** 2
-    buffer = np.zeros(2 * size)  # [scores | weights]
-    weights = buffer[size:].reshape(n + 1, n + 1)
-    for (a, b), (_, weight) in table.items():
-        if not (1 <= a <= b <= n):
+    count = sum(len(block) for _, block in tables)
+    scores = np.zeros((size, count))  # a column per table
+    weights = np.zeros((size, count))
+    column = 0
+    for spans, block in tables:
+        a, b = spans.T
+        outside = (a < 1) | (a > b) | (b > n)
+        if outside.any():
+            a, b = spans[outside.argmax()].tolist()
             raise ValueError(f"phrase span ({a},{b}) outside sentence 1..{n}")
-        weights[a, b] = weight
-    buffer[n + 2 : size : n + 2] = 1.0  # the leaves [i, i]
-    splits = np.zeros(size, dtype=np.int64)
-    for operands, rows, cells, last_split in _gather_plan(n):
-        g = buffer[operands]
-        candidates = g[0] + g[1]
-        candidates += g[2]
-        candidates += g[3]
-        del g  # a chart past the cache limit builds its next step before the loop rebinds g
-        # argmax returns the first maximum: the largest split
-        won = candidates.argmax(axis=1)
-        buffer[cells] = candidates.take(rows + won) / 4.0
-        splits[cells] = last_split - won
-    scores = buffer[:size].reshape(n + 1, n + 1).copy()
+        weights[a * (n + 1) + b, column : column + len(block)] = block.T
+        column += len(block)
+    scores[n + 2 : size : n + 2] = 1.0  # the leaves [i, i]
+    splits = np.zeros((count, size), dtype=np.int64)
+    every = np.arange(count)
+    for (left, right), rows, cells, last_split in plan:
+        candidates = scores.take(left, axis=0)  # (starts, splits, tables)
+        candidates += scores.take(right, axis=0)
+        candidates += weights.take(left, axis=0)
+        candidates += weights.take(right, axis=0)
+        won = candidates.argmax(axis=1)  # the first maximum: the largest split
+        best = candidates.reshape(-1)[(rows[:, None] + won) * count + every]
+        scores[cells] = best / 4.0
+        splits[:, cells] = (last_split[:, None] - won).T
     _read_only(scores, splits)
-    return scores, splits.reshape(n + 1, n + 1)  # a view of a read-only array is read-only
+    # views of read-only arrays are read-only; the weights are not kept
+    return scores.T.reshape(count, n + 1, n + 1), splits.reshape(count, n + 1, n + 1)
+
+
+def cky_chart(table: Mapping[Span, tuple[float, float]], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chart of one phrase table: ``cky_charts`` of it alone.
+
+    ``table`` maps spans to (raw, equalized) weights as ``pool_phrases``
+    builds it; w is the equalized one.  Returns the read-only (n+1) x (n+1)
+    arrays ``(scores, splits)``: scores[a, b] for a <= b, splits[a, b] for b > a.
+    """
+    spans = np.fromiter(chain.from_iterable(table), np.intp, 2 * len(table)).reshape(-1, 2)
+    weights = np.array([[weight for _, weight in table.values()]])
+    scores, splits = cky_charts([(spans, weights)], n)
+    return scores[0], splits[0]
 
 
 def cky_parse(table: Mapping[Span, tuple[float, float]], n: int) -> SpanTree:
@@ -350,67 +386,9 @@ def cky_parse(table: Mapping[Span, tuple[float, float]], n: int) -> SpanTree:
     return tree_from_splits(n, splits.item)
 
 
-def cky_splits(tables: Sequence[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
-    """The splits of many charts of one n, filled together.
-
-    ``tables`` comes in blocks ``(spans, weights)``: a (k, 2) array of
-    spans (a, b), and an (m, k) array that holds m tables, one a row, as
-    the equalized weights of those spans, 0 where a table has no such
-    span.  Returns a read-only (tables, n+1, n+1) array whose [i] is
-    bitwise ``cky_chart``'s splits of the blocks' i-th row, read as the
-    table that maps each span to its weight.
-
-    The tables' [scores | weights] buffers are the columns of one array, so
-    each of ``cky_chart``'s steps gathers an operand of every candidate
-    split of every table with one indexing, adds the four operands in the
-    same order and breaks ties the same way.  The steps' per-call overhead
-    is then paid once per group instead of once per chart: about 0.06 ms
-    per chart at n = 30 in groups of 46, against 0.18 ms for
-    ``cky_chart``.  A group of one costs about twice a ``cky_chart`` call,
-    and a group much larger than the processor's cache gains nothing, so
-    callers fill groups of a bounded size.
-
-    The operands are gathered and added one at a time, so a step's largest
-    temporary is one operand, 8 bytes per candidate split of each table:
-    at most 8 (n/2)^2 bytes per table, a twelfth of its 24 (n+1)^2 bytes
-    of buffers.  Gathering all four at once took four times as much,
-    which for a group of 46 tables at n = 30 crossed glibc's mmap
-    threshold, so that every step mapped fresh pages and faulted them in.
-    """
-    if n < 1:
-        raise ValueError(f"sentence length must be >= 1, got {n}")
-    plan = _gather_plan(n)  # a new n's plan is built before the buffers are taken
-    size = (n + 1) ** 2
-    count = sum(len(weights) for _, weights in tables)
-    buffer = np.zeros((2 * size, count))  # [scores | weights], a column per table
-    column = 0
-    for spans, weights in tables:
-        a, b = spans.T
-        outside = (a < 1) | (a > b) | (b > n)
-        if outside.any():
-            a, b = spans[outside.argmax()].tolist()
-            raise ValueError(f"phrase span ({a},{b}) outside sentence 1..{n}")
-        buffer[size + a * (n + 1) + b, column : column + len(weights)] = weights.T
-        column += len(weights)
-    buffer[n + 2 : size : n + 2] = 1.0  # the leaves [i, i]
-    splits = np.zeros((count, size), dtype=np.int64)
-    every = np.arange(count)
-    for operands, rows, cells_of, last_split in plan:
-        candidates = buffer[operands[0]]  # (starts, splits, tables)
-        candidates += buffer[operands[1]]
-        candidates += buffer[operands[2]]
-        candidates += buffer[operands[3]]
-        won = candidates.argmax(axis=1)  # the first maximum: the largest split
-        best = candidates.reshape(-1)[(rows[:, None] + won) * count + every]
-        buffer[cells_of] = best / 4.0
-        splits[:, cells_of] = (last_split[:, None] - won).T
-    _read_only(splits)
-    return splits.reshape(count, n + 1, n + 1)
-
-
 def tree_nodes(splits: np.ndarray) -> np.ndarray:
     """The nodes of each chart's tree: a (charts, n+1, n+1) bool array
-    over ``cky_splits``' splits whose [i, a, b] holds exactly when (a, b),
+    over ``cky_charts``' splits whose [i, a, b] holds exactly when (a, b),
     a leaf or not, is a node of ``tree_from_splits(n, splits[i].item)``.
 
     The trees are walked one level at a time, all charts at once: the

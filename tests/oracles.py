@@ -147,7 +147,7 @@ def hardened_by_rows(matrix) -> np.ndarray:
 
 def cky_chart_by_cells(table: PhraseWeights, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The chart filled one (a, b) cell at a time, the reference for the
-    vectorized ``cky_chart``: same addition order, ties to the larger k."""
+    vectorized ``cky_charts``: same addition order, ties to the larger k."""
     if n < 1:
         raise ValueError(f"sentence length must be >= 1, got {n}")
     weights = np.zeros((n + 1, n + 1))
@@ -325,7 +325,7 @@ def table_kinds(rng: np.random.Generator, n: int, kinds) -> list[PhraseWeights]:
 
 
 def split_blocks(tables: Sequence[PhraseWeights]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Phrase tables as ``cky_splits`` blocks: the first half as one block
+    """Phrase tables as ``cky_charts`` blocks: the first half as one block
     over every span any of them holds, 0.0 where a table holds no such
     span, and the rest as a block each."""
     half = len(tables) // 2

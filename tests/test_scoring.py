@@ -12,7 +12,7 @@ from attnsyntax import (
     score,
 )
 from attnsyntax.scoring import CountingPolicy, reference_masks, score_nodes
-from attnsyntax.trees import cky_splits, tree_from_splits, tree_nodes
+from attnsyntax.trees import cky_charts, tree_from_splits, tree_nodes
 from oracles import (
     all_binary_trees,
     crosses,
@@ -373,7 +373,7 @@ class TestScoreNodes:
     @settings(max_examples=100, deadline=None)
     def test_counts_equal_score_of_each_tree(self, n, seed, kinds, counting):
         rng = np.random.default_rng(seed)
-        splits = cky_splits(split_blocks(table_kinds(rng, n, kinds)), n)
+        _, splits = cky_charts(split_blocks(table_kinds(rng, n, kinds)), n)
         # a random binary tree with some phrases dropped: flat, laminar,
         # sometimes without its root
         kept = [span for span in random_binary_tree(rng, n).spans() if rng.random() < 0.6]

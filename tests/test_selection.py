@@ -225,16 +225,15 @@ def test_traces_match_candidate_by_candidate_search(strategy, objective, countin
     # the waiting tables are filled once they hold the bytes of four n = 9
     # tables in all, so a step fills several groups, some of them from
     # several sentences, and splits a sentence's tables between groups; a
-    # table left alone takes the chart-by-chart path
+    # table left alone is filled as a group of one
     monkeypatch.setattr(selection, "_FILL_BYTES", 24 * 10**2 * 4)
-    monkeypatch.setattr(selection, "_MIN_GROUP", 2)
     filled = []
 
-    def cky_splits(tables, n):
+    def cky_charts(tables, n):
         filled.append(sum(len(weights) for _, weights in tables))
-        return trees.cky_splits(tables, n)
+        return trees.cky_charts(tables, n)
 
-    monkeypatch.setattr(selection, "cky_splits", cky_splits)
+    monkeypatch.setattr(selection, "cky_charts", cky_charts)
     dumps, golds = reusing_dev_set()
     trace = search([dev_sentence(dump) for dump in dumps], golds,
                    objective=objective, counting=counting)
@@ -319,9 +318,8 @@ def test_trials_that_pool_to_one_table_share_its_chart():
 def test_waiting_tables_stay_within_the_fill_budget(monkeypatch):
     """Across lengths, the tables left waiting after each sentence's are
     added hold less than ``_FILL_BYTES`` of chart buffers, and no group
-    handed to ``cky_splits`` holds more tables than reach the budget."""
+    handed to ``cky_charts`` holds more tables than reach the budget."""
     monkeypatch.setattr(selection, "_FILL_BYTES", 24 * 13**2 * 5)
-    monkeypatch.setattr(selection, "_MIN_GROUP", 1)
     waiting, groups = [], []
     add = selection._Fills.add
 
@@ -332,14 +330,14 @@ def test_waiting_tables_stay_within_the_fill_budget(monkeypatch):
         assert held == fills.bytes < selection._FILL_BYTES
         waiting.append(len(fills.waiting))
 
-    def cky_splits(tables, n):
+    def cky_charts(tables, n):
         count = sum(len(weights) for _, weights in tables)
         assert count <= -(-selection._FILL_BYTES // (24 * (n + 1) ** 2))
         groups.append(count)
-        return trees.cky_splits(tables, n)
+        return trees.cky_charts(tables, n)
 
     monkeypatch.setattr(selection._Fills, "add", checked_add)
-    monkeypatch.setattr(selection, "cky_splits", cky_splits)
+    monkeypatch.setattr(selection, "cky_charts", cky_charts)
     dumps, golds = mixed_length_dev_set(4, [12, 5, 9, 12, 7, 5, 9])
     trace = greedy_addition([dev_sentence(dump) for dump in dumps], golds)
     assert trace == greedy_by_candidates("addition", dumps, golds, "precision",
@@ -409,7 +407,7 @@ def test_pooled_rows_are_pool_phrases_tables(n, seed, layers, per_layer, trial_c
 
 
 def test_grouped_fill_steps_stay_under_the_mmap_threshold():
-    """Each step of ``cky_splits`` over the largest group that ``_Fills``
+    """Each step of ``cky_charts`` over the largest group that ``_Fills``
     lets wait, ``_FILL_BYTES`` rounded up to whole tables, gathers one
     operand at a time: 8 bytes per candidate split of each table, which
     stays under the mmap threshold that ``cli`` pins, so no step maps and

@@ -20,8 +20,8 @@ from attnsyntax import (
 from attnsyntax.attn_io import all_heads
 from attnsyntax.trees import (
     cky_chart,
+    cky_charts,
     cky_parse,
-    cky_splits,
     parse_span_tree,
     tree_from_splits,
     tree_nodes,
@@ -267,7 +267,21 @@ class TestChartMatchesCellLoop:
 
 
 class TestSplitsMatchChart:
-    """Charts filled together are bitwise the charts filled one by one."""
+    """Each chart of a group filled together is bitwise the cell-by-cell
+    reference, scores and splits."""
+
+    @staticmethod
+    def assert_charts_by_cells(tables, n):
+        scores, splits = cky_charts(split_blocks(tables), n)
+        assert scores.shape == splits.shape == (len(tables), n + 1, n + 1)
+        assert not scores.flags.writeable and not splits.flags.writeable
+        slow = {}  # the kinds of table_kinds repeat; fill each distinct table once
+        for table, chart_scores, chart_splits in zip(tables, scores, splits):
+            key = tuple(sorted(table.items()))
+            if key not in slow:
+                slow[key] = cky_chart_by_cells(table, n)
+            assert chart_scores.tobytes() == slow[key][0].tobytes()
+            assert chart_splits.tobytes() == slow[key][1].tobytes()
 
     # both sides of the plan cache limit, _PLAN_CACHE_MAX_N = 100
     @pytest.mark.parametrize("n", [*range(1, 41), 64, 100, 101, 150])
@@ -277,29 +291,21 @@ class TestSplitsMatchChart:
         batches += [[(first + i) % 4 for i in range(size)]
                     for first, size in enumerate((2, 7, 64))]
         for kinds in batches:
-            tables = table_kinds(rng, n, kinds)
-            stacked = cky_splits(split_blocks(tables), n)
-            assert stacked.shape == (len(tables), n + 1, n + 1)
-            assert not stacked.flags.writeable
-            for table, splits in zip(tables, stacked):
-                assert splits.tobytes() == cky_chart(table, n)[1].tobytes()
+            self.assert_charts_by_cells(table_kinds(rng, n, kinds), n)
 
     @given(st.sampled_from([*range(1, 65), 101]), st.integers(0, 2**32 - 1),
            st.lists(st.integers(0, 3), min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_splits_equal_cky_chart_on_drawn_groups(self, n, seed, kinds):
-        tables = table_kinds(np.random.default_rng(seed), n, kinds)
-        stacked = cky_splits(split_blocks(tables), n)
-        for table, splits in zip(tables, stacked):
-            assert splits.tobytes() == cky_chart(table, n)[1].tobytes()
+        self.assert_charts_by_cells(table_kinds(np.random.default_rng(seed), n, kinds), n)
 
     def test_rejects_out_of_range_span(self):
         with pytest.raises(ValueError, match=r"phrase span \(2,4\) outside sentence 1..3"):
-            cky_splits(split_blocks([{(1, 2): (1.0, 1.0)}, {(2, 4): (1.0, 1.0)}]), 3)
+            cky_charts(split_blocks([{(1, 2): (1.0, 1.0)}, {(2, 4): (1.0, 1.0)}]), 3)
         with pytest.raises(ValueError, match=r"phrase span \(3,2\) outside sentence 1..3"):
-            cky_splits([(np.array([[1, 2], [3, 2]]), np.ones((2, 2)))], 3)
+            cky_charts([(np.array([[1, 2], [3, 2]]), np.ones((2, 2)))], 3)
         with pytest.raises(ValueError, match="sentence length"):
-            cky_splits(split_blocks([{}]), 0)
+            cky_charts(split_blocks([{}]), 0)
 
 
 class TestTreeNodes:
@@ -310,7 +316,7 @@ class TestTreeNodes:
            st.lists(st.integers(0, 3), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_nodes_are_the_spans_of_tree_from_splits(self, n, seed, kinds):
-        stacked = cky_splits(split_blocks(table_kinds(np.random.default_rng(seed), n, kinds)), n)
+        _, stacked = cky_charts(split_blocks(table_kinds(np.random.default_rng(seed), n, kinds)), n)
         nodes = tree_nodes(stacked)
         assert nodes.shape == stacked.shape and nodes.dtype == bool
         for marks, splits in zip(nodes, stacked):
@@ -340,6 +346,14 @@ class TestGatherPlanMemory:
         assert trees._gather_plan(30) is not plan
         arrays = [array for step in plan for array in step]
         assert all(not array.flags.writeable for array in arrays)
+
+    def test_plan_holds_the_child_cells_and_three_indices_per_span(self):
+        """Two gather indices per candidate split, the cells of its two
+        children, and a row start, cell and last split per span."""
+        n = 30
+        plan = trees._gather_plan(n)
+        held = sum(array.nbytes for step in plan for array in step)
+        assert held == 8 * ((n**3 - n) // 3 + 3 * n * (n - 1) // 2)
 
 
 def _chain_splits(n, split_of):
