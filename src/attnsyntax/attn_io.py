@@ -301,22 +301,26 @@ def atomic_output(path) -> Iterator[BinaryIO]:
 
     A symlink is followed, so its final target is replaced and the link
     stays.  An existing target that is not a regular file (a FIFO, a
-    device) cannot be replaced and is written directly instead.
+    device) cannot be replaced and is written directly instead.  An error
+    in creating the temporary file names ``path``, not the temporary.
     """
-    path = os.path.realpath(path)
+    target = os.path.realpath(path)
     try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
+        regular = stat.S_ISREG(os.stat(target).st_mode)
     except FileNotFoundError:
         regular = True
     if not regular:
-        with open(path, "wb") as fh:
+        with open(target, "wb") as fh:
             yield fh
         return
-    fd, tmp = _create_temporary(os.path.dirname(path))
+    try:
+        fd, tmp = _create_temporary(os.path.dirname(target))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

@@ -422,6 +422,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 def _cmd_select_heads(args: argparse.Namespace) -> int:
     counting = CountingPolicy(args.counting)
     sentences = load_dump(args.dump, limit=args.dev_size, keep=dev_sentence)
+    if not sentences:
+        raise ValueError(f"{args.dump}: no records")
     gold_lines = list(islice(_text_lines(args.gold), len(sentences)))
     if len(gold_lines) < len(sentences):
         raise AlignmentError(

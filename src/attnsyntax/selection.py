@@ -8,8 +8,9 @@ Candidate ties within a step go to the lowest (layer, head) pair, so a
 trace is a pure function of its inputs.
 
 The search reads each dev sentence as a ``DevSentence``: its size, head
-universe and every head's candidate phrases, with no attention matrices,
-so a dev set costs memory by its phrases, not by its weights.
+universe and every head's candidate phrases, laid out as slot arrays, with
+no attention matrices, so a dev set costs memory by its phrases, not by its
+weights.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Mapping, NamedTuple, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
 from .attn_io import AttentionDump, Head, Span, all_heads
 from .errors import AlignmentError
-from .phrases import HeadPhrases, head_phrases
+from .phrases import head_phrases
 from .scoring import CountingPolicy, EvalReport, reference_masks, score_nodes
 from .treebank import ConstituencyTree
 from .trees import cky_charts, tree_nodes
@@ -107,24 +108,55 @@ def heads_spec(heads: Collection[Head], universe: tuple[int, int]) -> str:
     return ",".join(f"{layer}:{head}" for layer, head in sorted(heads))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DevSentence:
-    """What the head search uses of one dump: every head's phrases, made
-    once by ``dev_sentence``, in place of the matrices."""
+    """What the head search uses of one dump, made once by ``dev_sentence``
+    in place of the matrices: every head's phrases, laid out as the slots
+    that the search pools.
+
+    The slots are the spans that some head holds, by length, then start.
+    Rank r holds for each slot the r-th head that holds it, in sorted head
+    order, as its index in the universe, and that head's weight of it;
+    past a slot's last head, the universe's size, which no trial holds,
+    and 0.0.  The arrays are read-only.
+    """
 
     sentence_id: str
     n: int
     universe: tuple[int, int]  # (layers, heads)
     subwords: tuple[str, ...]
-    phrases: Mapping[Head, HeadPhrases]  # every head of the universe
+    spans: np.ndarray  # (slots, 2)
+    holders: np.ndarray  # (ranks, slots)
+    weights: np.ndarray  # (ranks, slots)
+    sort_key: np.ndarray  # (slots,) each slot's length, then start, as one number
+    starts: np.ndarray  # the first slot of each span length
+    length_of: np.ndarray  # (slots,) the index in ``starts`` of each slot's length
 
 
 def dev_sentence(dump: AttentionDump) -> DevSentence:
-    """Harden and scan every head of ``dump`` once; the search then only
-    pools the phrases."""
+    """Harden and scan every head of ``dump`` once, and lay out their
+    phrases as slots; the search then only pools them."""
     universe = (dump.layers, dump.heads)
-    return DevSentence(dump.sentence_id, dump.n, universe, dump.subwords,
-                       {head: head_phrases(dump, head) for head in all_heads(*universe)})
+    heads = all_heads(*universe)
+    held: dict[Span, list[tuple[int, float]]] = {}
+    for index, head in enumerate(heads):
+        for span, weight in head_phrases(dump, head):
+            held.setdefault(span, []).append((index, weight))
+    spans = sorted(held, key=lambda span: (span[1] - span[0], span[0]))
+    holders = np.full((max(map(len, held.values()), default=0), len(spans)), len(heads))
+    weights = np.zeros(holders.shape)
+    for slot, span in enumerate(spans):
+        for rank, (index, weight) in enumerate(held[span]):
+            holders[rank, slot] = index
+            weights[rank, slot] = weight
+    spans = np.array(spans, dtype=np.intp).reshape(-1, 2)
+    lengths = spans[:, 1] - spans[:, 0]
+    new_length = np.diff(lengths, prepend=-1) > 0
+    arrays = (spans, holders, weights, lengths * (len(heads) + 1) * (dump.n + 1) + spans[:, 0],
+              np.flatnonzero(new_length), np.cumsum(new_length) - 1)
+    for array in arrays:
+        array.setflags(write=False)
+    return DevSentence(dump.sentence_id, dump.n, universe, dump.subwords, *arrays)
 
 
 def _check_dev_set(
@@ -163,60 +195,13 @@ def _check_dev_set(
 # under the 128 KiB mmap threshold that ``cli`` pins: larger blocks are
 # mapped afresh and page-faulted on every step.  The pooling arrays are
 # held to the same size.  The waiting tables are what the search holds
-# beyond its dev sentences, with their slots and masks, and the step it
-# pools: at most the budget's worth of tables, whatever the dev set's size
-# or lengths, each a row of 8 bytes per span that a head of its sentence
-# holds.
+# beyond its dev sentences and their masks, and the step it pools: at most
+# the budget's worth of tables, whatever the dev set's size or lengths,
+# each a row of 8 bytes per span that a head of its sentence holds.
 _FILL_BYTES = 1 << 20
 
 
-class _Pooling(NamedTuple):
-    """One dev sentence as the search pools and scores it, built once per
-    search by ``_pooling``.
-
-    The slots are the spans that some head holds, by length, then start.
-    Rank r holds for each slot the r-th head that holds it, in sorted head
-    order, as its index in the universe, and that head's weight of it;
-    past a slot's last head, the universe's size, which no trial holds,
-    and 0.0.
-    """
-
-    n: int
-    spans: np.ndarray  # (slots, 2)
-    holders: np.ndarray  # (ranks, slots)
-    weights: np.ndarray  # (ranks, slots)
-    sort_key: np.ndarray  # (slots,) each slot's length, then start, as one number
-    starts: np.ndarray  # the first slot of each span length
-    length_of: np.ndarray  # (slots,) the index in ``starts`` of each slot's length
-    masks: np.ndarray  # ``reference_masks`` of its reference tree, packed into bits
-
-
-def _pooling(sentence: DevSentence, gold: ConstituencyTree, heads: Sequence[Head],
-             counting: CountingPolicy) -> _Pooling:
-    """``sentence``'s slots, ranks and reference masks over the universe's
-    sorted ``heads``."""
-    held: dict[Span, list[tuple[int, float]]] = {}
-    for index, head in enumerate(heads):
-        for span, weight in sentence.phrases[head]:
-            held.setdefault(span, []).append((index, weight))
-    spans = sorted(held, key=lambda span: (span[1] - span[0], span[0]))
-    holders = np.full((max(map(len, held.values()), default=0), len(spans)), len(heads))
-    weights = np.zeros(holders.shape)
-    for slot, span in enumerate(spans):
-        for rank, (index, weight) in enumerate(held[span]):
-            holders[rank, slot] = index
-            weights[rank, slot] = weight
-    spans = np.array(spans, dtype=np.intp).reshape(-1, 2)
-    lengths = spans[:, 1] - spans[:, 0]
-    new_length = np.diff(lengths, prepend=-1) > 0
-    n = sentence.n
-    return _Pooling(n, spans, holders, weights,
-                    lengths * (len(heads) + 1) * (n + 1) + spans[:, 0],
-                    np.flatnonzero(new_length), np.cumsum(new_length) - 1,
-                    np.packbits(reference_masks(gold, counting)))
-
-
-def _tables(pooling: _Pooling, member: np.ndarray) -> np.ndarray:
+def _tables(sentence: DevSentence, member: np.ndarray) -> np.ndarray:
     """Each trial's pooled table as a row over the sentence's slots: the
     equalized weight of each span it holds, bitwise ``pool_phrases``', and
     -1.0 for a span it does not hold.  ``member`` holds a row per trial of
@@ -233,23 +218,23 @@ def _tables(pooling: _Pooling, member: np.ndarray) -> np.ndarray:
     ``np.add.accumulate``.  ``raw * count / total`` is then ``equalize``'s
     own arithmetic.
     """
-    trials, slots = len(member), len(pooling.spans)
+    trials, slots = len(member), len(sentence.spans)
     never = member.shape[1] - 1
     raw = np.zeros((trials, slots))
     first = np.full((trials, slots), never)  # the trial's first head holding each slot
-    for holder, weight in zip(pooling.holders, pooling.weights):
+    for holder, weight in zip(sentence.holders, sentence.weights):
         held = member[:, holder]
         raw += held * weight
         np.minimum(first, np.where(held, holder, never), out=first)
     present = first < never
     ranked = np.take_along_axis(
-        raw, np.argsort(pooling.sort_key + first * (pooling.n + 1), axis=1), axis=1)
-    totals = np.empty((trials, len(pooling.starts)))
-    for length, (start, stop) in enumerate(zip(pooling.starts, [*pooling.starts[1:], slots])):
+        raw, np.argsort(sentence.sort_key + first * (sentence.n + 1), axis=1), axis=1)
+    totals = np.empty((trials, len(sentence.starts)))
+    for length, (start, stop) in enumerate(zip(sentence.starts, [*sentence.starts[1:], slots])):
         totals[:, length] = np.add.accumulate(ranked[:, start:stop], axis=1)[:, -1]
-    counts = np.add.reduceat(present, pooling.starts, axis=1, dtype=np.int64)
+    counts = np.add.reduceat(present, sentence.starts, axis=1, dtype=np.int64)
     table = np.full((trials, slots), -1.0)
-    at = pooling.length_of
+    at = sentence.length_of
     np.divide(raw * counts[:, at], totals[:, at], out=table, where=present)
     return table
 
@@ -258,8 +243,8 @@ class _Fills:
     """Distinct phrase tables waiting for a chart, grouped by n across dev
     sentences, and the per-trial totals their reports go to.
 
-    A sentence's distinct tables wait as rows over its slots, with the
-    index of each trial's table among them.  Once the waiting tables reach
+    A sentence's distinct tables wait as rows over its slots, with its
+    masks and the index of each trial's table among them.  Once the waiting tables reach
     ``_FILL_BYTES`` in all, and at the end of a step, ``flush`` fills every
     group, whatever its size, with one ``cky_charts`` call.  A small group,
     such as one of a length that few dev sentences share or what is left
@@ -274,19 +259,20 @@ class _Fills:
     def __init__(self, trials: int, counting: CountingPolicy) -> None:
         self.counting = counting
         self.totals = np.zeros((trials, 4), dtype=np.int64)  # EvalReport's fields
-        self.waiting: dict[int, list[tuple[_Pooling, np.ndarray, np.ndarray]]] = {}
+        self.waiting: dict[int, list[tuple[DevSentence, np.ndarray, np.ndarray, np.ndarray]]] = {}
         self.bytes = 0
-        self.filled = 0
 
-    def add(self, pooling: _Pooling, tables: np.ndarray, ids: np.ndarray) -> None:
-        """Queue ``tables``, rows over ``pooling``'s slots; trial i pooled
-        to tables[ids[i]] if 0 <= ids[i] < len(tables).  The tables are
-        split where the budget fills."""
-        chart = 24 * (pooling.n + 1) ** 2
+    def add(self, sentence: DevSentence, masks: np.ndarray, tables: np.ndarray,
+            ids: np.ndarray) -> None:
+        """Queue ``tables``, rows over ``sentence``'s slots, to be scored
+        against ``masks``, its reference tree's ``reference_masks`` packed
+        into bits; trial i pooled to tables[ids[i]] if 0 <= ids[i] <
+        len(tables).  The tables are split where the budget fills."""
+        chart = 24 * (sentence.n + 1) ** 2
         while len(tables):
             take = -(-(_FILL_BYTES - self.bytes) // chart)  # the tables that reach the budget
             piece = tables[:take]
-            self.waiting.setdefault(pooling.n, []).append((pooling, piece, ids))
+            self.waiting.setdefault(sentence.n, []).append((sentence, masks, piece, ids))
             self.bytes += chart * len(piece)
             tables, ids = tables[take:], ids - take
             if self.bytes >= _FILL_BYTES:
@@ -298,19 +284,18 @@ class _Fills:
         self.waiting.clear()
         self.bytes = 0
 
-    def _fill(self, n: int, group: list[tuple[_Pooling, np.ndarray, np.ndarray]]) -> None:
-        _, splits = cky_charts([(pooling.spans, tables) for pooling, tables, _ in group], n)
+    def _fill(self, n: int,
+              group: list[tuple[DevSentence, np.ndarray, np.ndarray, np.ndarray]]) -> None:
+        _, splits = cky_charts([(sentence.spans, tables) for sentence, _, tables, _ in group], n)
         nodes = tree_nodes(splits)
         size = (n + 1) ** 2
         column = 0
-        for pooling, tables, ids in group:
-            masks = np.unpackbits(pooling.masks, count=2 * size).view(bool)
-            counts = score_nodes(nodes[column : column + len(tables)],
-                                 masks.reshape(2, n + 1, n + 1), self.counting)
+        for _, masks, tables, ids in group:
+            masks = np.unpackbits(masks, count=2 * size).view(bool).reshape(2, n + 1, n + 1)
+            counts = score_nodes(nodes[column : column + len(tables)], masks, self.counting)
             hit = (ids >= 0) & (ids < len(tables))
             self.totals[hit] += counts[ids[hit]]
             column += len(tables)
-        self.filled += len(splits)
 
 
 def _members(heads: Sequence[Head], trials: Sequence[frozenset[Head]]) -> np.ndarray:
@@ -324,14 +309,14 @@ def _members(heads: Sequence[Head], trials: Sequence[frozenset[Head]]) -> np.nda
 
 
 def _dev_reports(
-    poolings: Sequence[_Pooling],
-    heads: Sequence[Head],
+    sentences: Sequence[DevSentence],
+    masks: Sequence[np.ndarray],
     trials: Sequence[frozenset[Head]],
     counting: CountingPolicy,
-) -> tuple[list[EvalReport], int, int]:
-    """Every trial head set's pooled report on the dev set, the number of
-    distinct tables its sentences pooled to and the number of charts
-    filled for them.
+) -> tuple[list[EvalReport], int]:
+    """Every trial head set's pooled report on the dev set, scored against
+    each sentence's packed ``masks``, and the number of distinct tables
+    its sentences pooled to, each filled as one chart.
 
     A sentence's tree depends only on its length and its pooled table's
     equalized weights.  So per sentence every trial's table is pooled at
@@ -346,16 +331,16 @@ def _dev_reports(
     trial by trial.  Trials are pooled in blocks whose arrays, of 8 bytes
     per trial and slot, hold at most about _FILL_BYTES / 12 bytes.
     """
-    member = _members(heads, trials)
+    member = _members(all_heads(*sentences[0].universe), trials)
     fills = _Fills(len(trials), counting)
     distinct = 0
-    for pooling in poolings:
-        block = max(1, _FILL_BYTES // 12 // (8 * max(1, len(pooling.spans))))
+    for sentence, packed in zip(sentences, masks):
+        block = max(1, _FILL_BYTES // 12 // (8 * max(1, len(sentence.spans))))
         seen: dict[bytes, int] = {}
         ids = np.empty(len(trials), dtype=np.intp)
         new_tables = []
         for start in range(0, len(trials), block):
-            tables = _tables(pooling, member[start : start + block])
+            tables = _tables(sentence, member[start : start + block])
             new = []
             for i, row in enumerate(tables):
                 key = row.tobytes()
@@ -366,11 +351,11 @@ def _dev_reports(
             new_tables.append(np.maximum(tables[new], 0.0))  # a span not held weighs 0
         first = 0
         for tables in new_tables:
-            fills.add(pooling, tables, ids - first)
+            fills.add(sentence, packed, tables, ids - first)
             first += len(tables)
         distinct += len(seen)
     fills.flush()
-    return [EvalReport(*counts) for counts in fills.totals.tolist()], distinct, fills.filled
+    return [EvalReport(*counts) for counts in fills.totals.tolist()], distinct
 
 
 def _greedy(
@@ -384,16 +369,14 @@ def _greedy(
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     universe = _check_dev_set(sentences, golds)
     all_pairs = all_heads(*universe)
-    heads = sorted(all_pairs)
-    poolings = [_pooling(sentence, gold, heads, counting)
-                for sentence, gold in zip(sentences, golds)]
+    masks = [np.packbits(reference_masks(gold, counting)) for gold in golds]
 
     def evaluated(step: int, trials: list[frozenset[Head]]) -> list[float]:
-        totals, distinct, charts = _dev_reports(poolings, heads, trials, counting)
+        totals, distinct = _dev_reports(sentences, masks, trials, counting)
         pooled = len(trials) * len(sentences)
         log.debug("%s step %d: %d evaluations over %d sentences, %d tables pooled, "
                   "%d distinct, %d charts filled, %d reports reused", strategy, step,
-                  len(trials), len(sentences), pooled, distinct, charts, pooled - charts)
+                  len(trials), len(sentences), pooled, distinct, distinct, pooled - distinct)
         return [total.precision if objective == "precision" else total.f1 for total in totals]
 
     adding = strategy == "addition"

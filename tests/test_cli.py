@@ -101,6 +101,13 @@ class TestExtract:
         assert code == 0
         assert out == ""
 
+    def test_missing_output_directory_names_the_output(self, toy_dump_path, tmp_path,
+                                                        capsys):
+        out = tmp_path / "no" / "t.txt"
+        code, _, err = run_cli(["extract", "--dump", toy_dump_path, "--out", out], capsys)
+        assert code == 1
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
     def test_bad_head_spec(self, toy_dump_path, capsys):
         # a head outside a sentence's universe is that sentence's error
         code, _, err = run_cli(["extract", "--dump", toy_dump_path, "--heads", "9:9"], capsys)
@@ -270,6 +277,14 @@ class TestEval:
         assert code == 0
         assert "counting: all" in out
 
+    def test_missing_output_directory_names_the_output(self, golden_dir, toy_gold_path,
+                                                        tmp_path, capsys):
+        out = tmp_path / "no" / "eval.txt"
+        code, _, err = run_cli(["eval", "--extracted", golden_dir / "toy_trees.txt",
+                                "--gold", toy_gold_path, "--out", out], capsys)
+        assert code == 1
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
     def test_line_count_mismatch(self, toy_dump_path, toy_gold_path, tmp_path, capsys):
         trees = tmp_path / "trees.txt"
         run_cli(["extract", "--dump", toy_dump_path, "--out", trees], capsys)
@@ -429,6 +444,14 @@ class TestSelectHeads:
         shares = line.split(": ", 1)[1].split()
         assert len(shares) == 2  # one entry per layer
         assert all(s.endswith("%") for s in shares)
+
+    def test_dump_without_records_names_the_dump(self, toy_gold_path, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code, _, err = run_cli(["select-heads", "--dump", empty, "--gold", toy_gold_path,
+                                "--strategy", "add"], capsys)
+        assert code == 1
+        assert err == f"error: {empty}: no records\n"
 
     def test_gold_shorter_than_dev(self, toy_dump_path, tmp_path, capsys):
         short = tmp_path / "short.txt"

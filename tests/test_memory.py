@@ -17,9 +17,10 @@ from attnsyntax.synth import random_attention_baseline
 
 # command: its arguments, the shape (n, layers, heads) of its dumps' records,
 # and how many lengths n, n - 1, ... the records take in turn.
-# ``select-heads`` keeps each dev sentence's subwords, phrases and reference
-# tree, about 7 KB at n = 96, so its records must be larger than those of
-# the others, which keep a line or an id.  The head search fills its charts
+# ``select-heads`` keeps each dev sentence's subwords, slot arrays and
+# reference tree, with the tree's packed masks, about 8 KB at n = 96, so its
+# records must be larger than those of the others, which keep a line or an
+# id.  The head search fills its charts
 # in groups of one length drawn from every dev sentence, once the waiting
 # tables hold ``selection._FILL_BYTES`` of chart buffers in all: 11 tables
 # at n = 64, so with 12 candidates or fewer per step a group spans two or

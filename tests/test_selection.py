@@ -18,8 +18,8 @@ from attnsyntax import (
 from attnsyntax.attn_io import all_heads
 from attnsyntax.cli import _head_set
 from attnsyntax.cli import main as cli_main
-from attnsyntax.phrases import pool_phrases
-from attnsyntax.scoring import CountingPolicy
+from attnsyntax.phrases import head_phrases, pool_phrases
+from attnsyntax.scoring import CountingPolicy, reference_masks
 from attnsyntax.selection import (
     dev_sentence,
     greedy_ablation,
@@ -27,7 +27,7 @@ from attnsyntax.selection import (
     heads_spec,
     layer_distribution,
 )
-from attnsyntax.synth import baluster_matrix
+from attnsyntax.synth import baluster_matrix, random_attention_baseline
 from attnsyntax import cli, selection, trees
 from oracles import gold_from_span_tree, gold_from_spans, greedy_by_candidates
 
@@ -206,6 +206,23 @@ def reusing_dev_set():
     return changed, golds
 
 
+def packed_masks(golds, counting):
+    """Each reference tree's ``reference_masks`` packed into bits, as the
+    search packs them once for its dev sentences."""
+    return [np.packbits(reference_masks(gold, counting)) for gold in golds]
+
+
+def counting_charts(patch, filled):
+    """Have the search's ``cky_charts`` append to ``filled`` how many
+    charts each call fills."""
+
+    def cky_charts(tables, n):
+        filled.append(sum(len(weights) for _, weights in tables))
+        return trees.cky_charts(tables, n)
+
+    patch.setattr(selection, "cky_charts", cky_charts)
+
+
 @pytest.mark.parametrize("strategy", ["addition", "ablation"])
 @pytest.mark.parametrize("objective", ["precision", "f1"])
 @pytest.mark.parametrize("counting", list(CountingPolicy))
@@ -228,12 +245,7 @@ def test_traces_match_candidate_by_candidate_search(strategy, objective, countin
     # table left alone is filled as a group of one
     monkeypatch.setattr(selection, "_FILL_BYTES", 24 * 10**2 * 4)
     filled = []
-
-    def cky_charts(tables, n):
-        filled.append(sum(len(weights) for _, weights in tables))
-        return trees.cky_charts(tables, n)
-
-    monkeypatch.setattr(selection, "cky_charts", cky_charts)
+    counting_charts(monkeypatch, filled)
     dumps, golds = reusing_dev_set()
     trace = search([dev_sentence(dump) for dump in dumps], golds,
                    objective=objective, counting=counting)
@@ -294,25 +306,38 @@ TOY_DEBUG_LINES = [
 ]
 
 
-def test_trials_that_pool_to_one_table_share_its_chart():
+def test_trials_that_pool_to_one_table_share_its_chart(monkeypatch):
     """No heads and head (1, 1) alone pool to the empty table, and (1, 2)
     and (2, 3) alone to one table, empty too where (1, 2) has no phrases.
     Each trial's total equals that of parsing and scoring it directly."""
     dumps, golds = reusing_dev_set()
     sentences = [dev_sentence(dump) for dump in dumps]
     counting = CountingPolicy.NONTRIVIAL
-    heads = sorted(all_heads(2, 3))
-    poolings = [selection._pooling(sentence, gold, heads, counting)
-                for sentence, gold in zip(sentences, golds)]
     trials = [frozenset(), frozenset({(1, 1)}), frozenset({(1, 2)}), frozenset({(2, 3)})]
-    totals, distinct, charts = selection._dev_reports(poolings, heads, trials, counting)
-    assert charts == distinct == len(sentences) + sum(bool(s.phrases[1, 2]) for s in sentences) == 11
+    filled = []
+    counting_charts(monkeypatch, filled)
+    totals, distinct = selection._dev_reports(sentences, packed_masks(golds, counting),
+                                              trials, counting)
+    assert sum(filled) == distinct == len(dumps) + sum(
+        bool(head_phrases(dump, (1, 2))) for dump in dumps) == 11
     for trial, total in zip(trials, totals):
         direct = EvalReport()
-        for sentence, gold in zip(sentences, golds):
-            table = pool_phrases({head: sentence.phrases[head] for head in trial})
-            direct = direct.merged(score(trees.cky_parse(table, sentence.n), gold, counting))
+        for dump, gold in zip(dumps, golds):
+            table = pool_phrases({head: head_phrases(dump, head) for head in trial})
+            direct = direct.merged(score(trees.cky_parse(table, dump.n), gold, counting))
         assert total == direct
+
+
+def test_dev_sentence_arrays_are_read_only(two_head_fixture):
+    """A dev sentence is reused across searches, so none of its slot
+    arrays can be written."""
+    sentence = dev_sentence(two_head_fixture[0])
+    arrays = [value for value in vars(sentence).values() if isinstance(value, np.ndarray)]
+    assert len(arrays) == 6
+    for array in arrays:
+        assert array.size
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
 
 
 def test_waiting_tables_stay_within_the_fill_budget(monkeypatch):
@@ -326,7 +351,7 @@ def test_waiting_tables_stay_within_the_fill_budget(monkeypatch):
     def checked_add(fills, *args):
         add(fills, *args)
         held = sum(len(tables) * 24 * (m + 1) ** 2
-                   for m, group in fills.waiting.items() for _, tables, _ in group)
+                   for m, group in fills.waiting.items() for _, _, tables, _ in group)
         assert held == fills.bytes < selection._FILL_BYTES
         waiting.append(len(fills.waiting))
 
@@ -371,6 +396,14 @@ def _spread_phrases(rng, n, heads, weights):
     return {head: tuple(spans) for head, spans in phrases.items()}
 
 
+def drawn_sentence(n, universe, phrases):
+    """``dev_sentence`` of a dump of ``universe``'s heads over n subwords
+    whose heads hold the drawn ``phrases``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selection, "head_phrases", lambda dump, head: phrases[head])
+        return dev_sentence(random_attention_baseline(0, n, *universe))
+
+
 # weights whose sums and quotients round: a subnormal weight can equalize
 # to 0.0, and 1e16 + 1.0 + 1.0 depends on the order of the sum
 TRAP_WEIGHTS = [5e-324, 1e-310, 1e-300, 0.1, 1.0, 1.0, 3.0, 1e16, 1e300]
@@ -387,23 +420,25 @@ def test_pooled_rows_are_pool_phrases_tables(n, seed, layers, per_layer, trial_c
     rng = np.random.default_rng(seed)
     heads = sorted(all_heads(layers, per_layer))
     phrases = _spread_phrases(rng, n, heads, TRAP_WEIGHTS)
-    sentence = selection.DevSentence("s", n, (layers, per_layer), ("w",) * n, phrases)
-    gold = gold_from_spans([], n)
-    pooling = selection._pooling(sentence, gold, heads, CountingPolicy.NONTRIVIAL)
+    sentence = drawn_sentence(n, (layers, per_layer), phrases)
+    counting = CountingPolicy.NONTRIVIAL
     trials = [frozenset(head for head in heads if rng.random() < rng.random())
               for _ in range(trial_count)]
-    rows = selection._tables(pooling, selection._members(heads, trials))
+    rows = selection._tables(sentence, selection._members(heads, trials))
     keys = set()
     for trial, row in zip(trials, rows):
         table = pool_phrases({head: phrases[head] for head in trial})
         expected = [table[span][1] if span in table else -1.0
-                    for span in map(tuple, pooling.spans.tolist())]
+                    for span in map(tuple, sentence.spans.tolist())]
         assert row.tobytes() == np.array(expected).tobytes()
         keys.add(tuple((span, weight) for span, (_, weight) in table.items()))
     assert len({row.tobytes() for row in rows}) == len(keys)
-    _, distinct, filled = selection._dev_reports([pooling], heads, trials,
-                                                 CountingPolicy.NONTRIVIAL)
-    assert distinct == filled == len(keys)
+    filled = []
+    with pytest.MonkeyPatch.context() as patch:
+        counting_charts(patch, filled)
+        _, distinct = selection._dev_reports([sentence], packed_masks([gold_from_spans([], n)],
+                                                                      counting), trials, counting)
+    assert sum(filled) == distinct == len(keys)
 
 
 def test_grouped_fill_steps_stay_under_the_mmap_threshold():
@@ -429,25 +464,26 @@ def test_pooling_arrays_stay_under_the_mmap_threshold(n, spread, monkeypatch):
     heads = sorted(all_heads(6, 16))
     rng = None if spread == "every span" else np.random.default_rng(n)
     phrases = _spread_phrases(rng, n, heads, [0.25, 0.5, 1.0])
-    sentence = selection.DevSentence("s", n, (6, 16), ("w",) * n, phrases)
+    sentence = drawn_sentence(n, (6, 16), phrases)
     gold = gold_from_span_tree(random_binary_tree(np.random.default_rng(n), n))
-    pooling = selection._pooling(sentence, gold, heads, CountingPolicy.NONTRIVIAL)
+    counting = CountingPolicy.NONTRIVIAL
+    masks = packed_masks([gold], counting)
     trials = [frozenset(heads[:i] + heads[i + 1:]) for i in range(len(heads))]
     sizes = []
 
-    def pooled(pooling, member):
-        table = tables_of(pooling, member)
+    def pooled(sentence, member):
+        table = tables_of(sentence, member)
         sizes.append(table.nbytes)
         return table
 
     tables_of = selection._tables
     monkeypatch.setattr(selection, "_tables", pooled)
-    reports = selection._dev_reports([pooling], heads, trials, CountingPolicy.NONTRIVIAL)
+    reports = selection._dev_reports([sentence], masks, trials, counting)
     assert max(sizes) < cli._MMAP_THRESHOLD_BYTES
     if spread == "every span":
-        assert len(pooling.spans) == n * (n - 1) // 2 and len(sizes) > 1
+        assert len(sentence.spans) == n * (n - 1) // 2 and len(sizes) > 1
     monkeypatch.setattr(selection, "_FILL_BYTES", 1 << 40)
-    assert selection._dev_reports([pooling], heads, trials, CountingPolicy.NONTRIVIAL) == reports
+    assert selection._dev_reports([sentence], masks, trials, counting) == reports
 
 
 class TestLayerDistribution:
